@@ -9,9 +9,13 @@
 /// client counts: each client opens its own connection (own session) and
 /// fires a fixed per-client mix of statements — mostly sampling SELECTs,
 /// with symbolic SELECTs and INSERTs mixed in — measuring per-statement
-/// latency. Per sweep point it reports p50/p99 latency and statement
+/// latency. Per sweep point it reports p50 and tail latency and statement
 /// throughput into the BENCH JSON (bench="server_load"), and exits
 /// non-zero if any response is a protocol error or a statement fails.
+/// The tail is the highest whole percentile with at least 10 statements
+/// above it (p90 for one client's 98 statements, p99 from ~1,000), named
+/// in the record's query ("p90_ms"); every record's `samples` field holds
+/// the statement count its percentiles come from.
 ///
 /// Statements retry with exponential backoff and deterministic jitter on
 /// ERR OVERLOADED (the server shed the statement) and on transport
@@ -174,11 +178,30 @@ LoadResult RunClients(const std::string& host, uint16_t port, int sweep,
   return merged;
 }
 
+/// Statements a tail percentile must leave above it to be more than one
+/// or two outliers (pipbench's tail rule).
+constexpr size_t kTailSamplesBeyond = 10;
+
+/// Nearest-rank index of the p-th quantile among `n` sorted values.
+size_t RankIndex(size_t n, double p) {
+  return std::min(static_cast<size_t>(p * (n - 1) + 0.5), n - 1);
+}
+
 double Percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
-  size_t idx = static_cast<size_t>(p * (v.size() - 1) + 0.5);
-  return v[std::min(idx, v.size() - 1)];
+  return v[RankIndex(v.size(), p)];
+}
+
+/// The highest whole percentile, from 99 down to 50, that leaves at least
+/// kTailSamplesBeyond of `n` statements above it (50 when none does).
+int TailPercentile(size_t n) {
+  int p = 99;
+  while (p > 50 && (n == 0 || n - 1 - RankIndex(n, p / 100.0) <
+                                  kTailSamplesBeyond)) {
+    --p;
+  }
+  return p;
 }
 
 }  // namespace
@@ -265,15 +288,17 @@ int main(int argc, char** argv) {
 
     LoadResult r = RunClients(host, port, sweep++, clients, statements);
     total_errors += r.errors;
+    const size_t n = r.latencies_ms.size();
+    const int tail = TailPercentile(n);
+    const std::string tail_name = "p" + std::to_string(tail);
     double p50 = Percentile(r.latencies_ms, 0.50);
-    double p99 = Percentile(r.latencies_ms, 0.99);
-    double throughput =
-        r.wall_seconds > 0 ? r.latencies_ms.size() / r.wall_seconds : 0;
+    double tail_ms = Percentile(r.latencies_ms, tail / 100.0);
+    double throughput = r.wall_seconds > 0 ? n / r.wall_seconds : 0;
     std::printf(
-        "clients=%2d  statements=%zu  p50=%.2fms  p99=%.2fms  "
+        "clients=%2d  statements=%zu  p50=%.2fms  %s=%.2fms  "
         "%.1f stmt/s  queue=%.1fms total  retries=%llu  sheds=%llu  "
         "errors=%llu\n",
-        clients, r.latencies_ms.size(), p50, p99, throughput,
+        clients, n, p50, tail_name.c_str(), tail_ms, throughput,
         r.queued_us / 1000.0, static_cast<unsigned long long>(r.retries),
         static_cast<unsigned long long>(r.sheds),
         static_cast<unsigned long long>(r.errors));
@@ -281,7 +306,7 @@ int main(int argc, char** argv) {
     for (auto& [metric, value] :
          std::vector<std::pair<std::string, double>>{
              {"p50_ms", p50},
-             {"p99_ms", p99},
+             {tail_name + "_ms", tail_ms},
              {"stmts_per_sec", throughput},
              {"retries", static_cast<double>(r.retries)},
              {"sheds", static_cast<double>(r.sheds)},
@@ -291,6 +316,7 @@ int main(int argc, char** argv) {
       rec.query = metric;
       rec.threads = clients;
       rec.wall_seconds = r.wall_seconds;
+      rec.samples = static_cast<double>(n);
       rec.value = value;
       records.push_back(rec);
     }

@@ -5,12 +5,18 @@
 /// function) each fan out across the shared thread pool; letting every
 /// connection run one simultaneously just makes them time-slice each
 /// other's pool shares and blows up tail latency. The gate bounds the
-/// estimated sampling *volume* in flight, not the statement count: each
-/// statement acquires a weight proportional to its expected draw count
-/// (rows x samples), so ten tiny lookups can share the window one giant
-/// sweep would fill. Excess statements queue and report their queue
-/// wait in the wire response, so clients can see admission delay
-/// separately from execution time.
+/// sampling *volume* in flight, not the statement count: each statement
+/// acquires a weight proportional to its draw count (rows x samples), so
+/// ten tiny lookups can share the window one giant sweep would fill.
+///
+/// The server acquires through sql::Session::set_admission, which the
+/// session calls once per sampling SELECT after its symbolic plan ran:
+/// the rows are the ones that survive WHERE, not the table's, so a
+/// one-row lookup on a large table weighs one row. Symbolic SELECTs,
+/// DDL and DML never acquire. Excess statements queue and report their
+/// queue wait in the wire response, so clients can see admission delay
+/// separately from execution time; STATEMENT_TIMEOUT_MS starts counting
+/// only once a statement is admitted.
 ///
 /// Waiting is bounded: TryAcquireFor sheds the statement with
 /// Status::Overloaded (ERR OVERLOADED on the wire — retryable, unlike

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -31,6 +32,10 @@ Status Client::Connect(const std::string& host, uint16_t port) {
     ::close(fd);
     return status;
   }
+  // Statements are small request frames each waiting on a reply, so
+  // Nagle's algorithm would only hold them back.
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   std::string greeting;
   auto more = ReadFrame(fd, &greeting);

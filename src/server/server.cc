@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -10,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 
 #include "src/server/wire.h"
 #include "src/sql/session.h"
@@ -136,6 +138,10 @@ void Server::AcceptLoop() {
       break;  // Listener shut down (or unrecoverable accept error).
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    // Replies are single frames the client blocks on; Nagle's algorithm
+    // would only hold them back.
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     std::lock_guard<std::mutex> lock(conn_mu_);
     if (stopping_.load(std::memory_order_acquire)) {
       ::close(fd);
@@ -155,43 +161,42 @@ void Server::ServeConnection(int fd) {
     // stops there, and its RAII ticket releases the admission weight.
     PeerLivenessProbe probe(fd);
     session.set_external_cancel([&probe] { return probe.PeerGone(); });
+    // Only statements that run Monte Carlo sampling reach this hook,
+    // once their symbolic plan has produced the rows they will sample;
+    // DDL/DML and symbolic SELECTs stay ungated. The weight is those
+    // rows x per-row draws, so a one-row lookup holds one unit where a
+    // table sweep holds proportionally more of the window.
+    uint64_t queue_us = 0;
+    bool gate_closed = false;
+    session.set_admission(
+        [&](size_t draws) -> StatusOr<std::shared_ptr<void>> {
+          size_t weight =
+              (draws + kDrawsPerWeightUnit - 1) / kDrawsPerWeightUnit;
+          // ADMISSION_TIMEOUT_MS = 0 queues without bound (the knob's
+          // "disabled" convention); nonzero bounds the wait and sheds
+          // with ERR OVERLOADED, keeping the connection — the client
+          // backs off and retries.
+          uint64_t admission_ms =
+              session.mutable_options()->admission_timeout_ms;
+          auto admitted = admission_ms == 0
+                              ? gate_.Acquire(weight)
+                              : gate_.TryAcquireFor(weight, admission_ms);
+          if (!admitted.ok()) {
+            gate_closed = admitted.status().code() == StatusCode::kCancelled;
+            return admitted.status();
+          }
+          queue_us = admitted.value().wait_us();
+          return std::shared_ptr<void>(std::make_shared<AdmissionGate::Ticket>(
+              std::move(admitted).value()));
+        });
     std::string statement;
     while (!stopping_.load(std::memory_order_acquire)) {
       auto more = ReadFrame(fd, &statement);
       if (!more.ok() || !more.value()) break;
-
-      uint64_t queue_us = 0;
-      AdmissionGate::Ticket ticket;
-      // Gate only statements that will actually run Monte Carlo
-      // sampling; DDL/DML and symbolic SELECTs stay cheap and ungated.
-      // The weight scales with estimated draw volume under this
-      // session's live options, so a table sweep holds proportionally
-      // more of the window than a point lookup.
-      if (sql::StatementMaySample(statement)) {
-        size_t volume = sql::EstimateSampleVolume(
-            *db_, statement, *session.mutable_options());
-        size_t weight =
-            (volume + kDrawsPerWeightUnit - 1) / kDrawsPerWeightUnit;
-        // ADMISSION_TIMEOUT_MS = 0 queues without bound (the knob's
-        // "disabled" convention); nonzero bounds the wait and sheds.
-        uint64_t admission_ms =
-            session.mutable_options()->admission_timeout_ms;
-        auto admitted = admission_ms == 0
-                            ? gate_.Acquire(weight)
-                            : gate_.TryAcquireFor(weight, admission_ms);
-        if (!admitted.ok()) {
-          // Gate closed: the server is stopping; drop the connection.
-          if (admitted.status().code() == StatusCode::kCancelled) break;
-          // Shed (ERR OVERLOADED): refuse this statement, keep the
-          // connection — the client backs off and retries.
-          sql::SqlResult shed = sql::SqlResult::FromStatus(admitted.status());
-          if (!WriteFrame(fd, EncodeResponse(shed, 0)).ok()) break;
-          continue;
-        }
-        ticket = std::move(admitted).value();
-        queue_us = ticket.wait_us();
-      }
+      queue_us = 0;
       sql::SqlResult result = session.Execute(statement);
+      // Gate closed: the server is stopping; drop the connection.
+      if (gate_closed) break;
       if (!WriteFrame(fd, EncodeResponse(result, queue_us)).ok()) break;
     }
   }

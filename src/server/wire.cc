@@ -326,11 +326,18 @@ Status WriteFrame(int fd, const std::string& payload) {
     return Status::Internal("frame of " + std::to_string(payload.size()) +
                             " bytes exceeds the protocol maximum");
   }
+  // Prefix and payload leave in one send: two small writes followed by a
+  // read is the Nagle + delayed-ACK pattern, which stalls every round
+  // trip for the peer's delayed-ACK timer.
   uint32_t len = static_cast<uint32_t>(payload.size());
-  char prefix[4] = {static_cast<char>(len >> 24), static_cast<char>(len >> 16),
-                    static_cast<char>(len >> 8), static_cast<char>(len)};
-  PIP_RETURN_IF_ERROR(SendAll(fd, prefix, sizeof(prefix)));
-  return SendAll(fd, payload.data(), payload.size());
+  std::string frame;
+  frame.reserve(4 + payload.size());
+  frame.push_back(static_cast<char>(len >> 24));
+  frame.push_back(static_cast<char>(len >> 16));
+  frame.push_back(static_cast<char>(len >> 8));
+  frame.push_back(static_cast<char>(len));
+  frame += payload;
+  return SendAll(fd, frame.data(), frame.size());
 }
 
 StatusOr<bool> ReadFrame(int fd, std::string* payload) {

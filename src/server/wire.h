@@ -70,8 +70,8 @@ std::string EncodeResponse(const sql::SqlResult& result, uint64_t queue_us);
 /// Parses a response payload. InvalidArgument on malformed payloads.
 StatusOr<WireResponse> DecodeResponse(const std::string& payload);
 
-/// Writes one length-prefixed frame to `fd`. Handles partial writes;
-/// Internal on socket errors.
+/// Writes one length-prefixed frame to `fd`, prefix and payload in a
+/// single send. Handles partial writes; Internal on socket errors.
 Status WriteFrame(int fd, const std::string& payload);
 
 /// Reads one frame into `*payload`. Returns false on clean EOF before

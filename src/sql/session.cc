@@ -1,6 +1,9 @@
 #include "src/sql/session.h"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <limits>
 #include <sstream>
 
 #include "src/common/failpoints.h"
@@ -45,6 +48,51 @@ std::string ToUpper(std::string s) {
   for (char& c : s) c = static_cast<char>(std::toupper(c));
   return s;
 }
+
+/// Per-row Monte Carlo draw estimate: the pinned count in fixed mode, the
+/// adaptive floor otherwise (the stopping rule draws at least that many).
+size_t PerRowDraws(const SamplingOptions& options) {
+  size_t per_row = options.fixed_samples > 0 ? options.fixed_samples
+                                             : options.min_samples;
+  return std::max<size_t>(per_row, 1);
+}
+
+/// One statement's STATEMENT_TIMEOUT_MS deadline (timeout 0 = none).
+/// Sampling worker threads poll it through cancel_check, hence the
+/// atomic; Restart moves it when the statement leaves the admission
+/// queue, because the timeout bounds execution, not the wait.
+class Deadline {
+ public:
+  explicit Deadline(uint64_t timeout_ms)
+      : timeout_ns_(static_cast<int64_t>(std::min(timeout_ms, kMaxMs)) *
+                    1000000) {
+    Restart();
+  }
+
+  bool armed() const { return timeout_ns_ > 0; }
+  void Restart() {
+    at_ns_.store(NowNs() + timeout_ns_, std::memory_order_relaxed);
+  }
+  bool Expired() const {
+    return armed() && NowNs() >= at_ns_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  /// Longer timeouts (~146 years) are clamped so the nanosecond
+  /// arithmetic cannot overflow.
+  static constexpr uint64_t kMaxMs =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max() / 2) /
+      1000000;
+
+  static int64_t NowNs() {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+
+  const int64_t timeout_ns_;
+  std::atomic<int64_t> at_ns_{0};
+};
 
 /// Scalar functions usable inside expressions.
 std::optional<FuncKind> ScalarFunc(const std::string& upper) {
@@ -120,9 +168,13 @@ struct Target {
 class Parser {
  public:
   /// `options` points at the session's live options so SET persists
-  /// across statements.
-  Parser(std::vector<Token> tokens, Database* db, SamplingOptions* options)
-      : tokens_(std::move(tokens)), db_(db), options_(options) {}
+  /// across statements; `admit` (may be empty) admits sampling SELECTs.
+  Parser(std::vector<Token> tokens, Database* db, SamplingOptions* options,
+         AdmissionHook admit)
+      : tokens_(std::move(tokens)),
+        db_(db),
+        options_(options),
+        admit_(std::move(admit)) {}
 
   StatusOr<SqlResult> ParseStatement() {
     if (Peek().Is("CREATE")) return ParseCreate();
@@ -668,10 +720,9 @@ class Parser {
           "cannot mix table-wide aggregates with per-row targets");
     }
 
-    SamplingEngine engine = db_->MakeEngine(*options_);
-
     if (select_star || (!any_table_wide && !any_per_row)) {
-      // Plain symbolic SELECT.
+      // Plain symbolic SELECT: nothing is drawn, so no engine and no
+      // admission.
       if (select_star) {
         return SqlResult::FromCTable(std::move(base));
       }
@@ -681,80 +732,80 @@ class Parser {
       return SqlResult::FromCTable(std::move(projected));
     }
 
-    if (any_table_wide) {
-      // Single-row deterministic aggregate result. Project each aggregate's
-      // inner expression first so AggregateEvaluator sees one column each.
-      std::vector<NamedColExpr> cols;
-      for (size_t i = 0; i < targets.size(); ++i) {
-        if (targets[i].expr != nullptr) {
-          cols.push_back({"agg" + std::to_string(i), targets[i].expr});
-        }
-      }
-      CTable projected = base;
-      if (!cols.empty()) {
-        PIP_ASSIGN_OR_RETURN(projected, Project(base, cols));
-        // Conditions are preserved by Project; expected_count still works.
-      }
-      AggregateEvaluator agg(&engine);
-      std::vector<std::string> names;
-      Row row;
-      for (size_t i = 0; i < targets.size(); ++i) {
-        const Target& t = targets[i];
-        names.push_back(t.alias);
-        std::string col = "agg" + std::to_string(i);
-        double value = 0;
-        switch (t.agg) {
-          case AggKind::kExpectedSum: {
-            PIP_ASSIGN_OR_RETURN(value, agg.ExpectedSum(projected, col));
-            break;
-          }
-          case AggKind::kExpectedCount: {
-            PIP_ASSIGN_OR_RETURN(value, agg.ExpectedCount(projected));
-            break;
-          }
-          case AggKind::kExpectedAvg: {
-            PIP_ASSIGN_OR_RETURN(value, agg.ExpectedAvg(projected, col));
-            break;
-          }
-          case AggKind::kExpectedMax: {
-            PIP_ASSIGN_OR_RETURN(value, agg.ExpectedMax(projected, col));
-            break;
-          }
-          default:
-            return Error("unsupported aggregate");
-        }
-        row.push_back(Value(value));
-      }
-      Table out(Schema(std::move(names)));
-      PIP_RETURN_IF_ERROR(out.Append(std::move(row)));
-      return SqlResult::FromTable(std::move(out));
-    }
-
-    // Per-row mode: expectation(expr) / conf() mixed with deterministic
-    // passthrough columns.
+    // Project each target's expression to its own column first. A
+    // table-wide aggregate reads column agg<i>; per-row mode mixes
+    // expectation(expr) / conf() with deterministic passthrough columns.
     std::vector<NamedColExpr> cols;
     AnalyzeSpec spec;
     spec.with_confidence = false;
     for (size_t i = 0; i < targets.size(); ++i) {
       const Target& t = targets[i];
-      if (t.agg == AggKind::kConf) {
+      if (any_table_wide) {
+        if (t.expr != nullptr) {
+          cols.push_back({"agg" + std::to_string(i), t.expr});
+        }
+      } else if (t.agg == AggKind::kConf) {
         spec.with_confidence = true;
-        continue;
-      }
-      std::string col = t.alias;
-      if (t.agg == AggKind::kExpectation) {
-        cols.push_back({col, t.expr});
-        spec.expectation_columns.push_back(col);
       } else {
-        cols.push_back({col, t.expr});
-        spec.passthrough_columns.push_back(col);
+        cols.push_back({t.alias, t.expr});
+        (t.agg == AggKind::kExpectation ? spec.expectation_columns
+                                        : spec.passthrough_columns)
+            .push_back(t.alias);
       }
     }
-    CTable projected = base;
+    const size_t rows = base.num_rows();
+    CTable projected = std::move(base);
     if (!cols.empty()) {
-      PIP_ASSIGN_OR_RETURN(projected, Project(base, cols));
+      // Conditions are preserved by Project; expected_count still works.
+      PIP_ASSIGN_OR_RETURN(projected, Project(projected, cols));
     }
-    PIP_ASSIGN_OR_RETURN(Table out, Analyze(projected, engine, spec));
+
+    // Admission, now that plan and projection succeeded and the rows to
+    // sample are known. The hold lives until this statement returns.
+    std::shared_ptr<void> admitted;
+    if (admit_) {
+      PIP_ASSIGN_OR_RETURN(admitted, admit_(rows * PerRowDraws(*options_)));
+    }
+    SamplingEngine engine = db_->MakeEngine(*options_);
+
+    if (!any_table_wide) {
+      PIP_ASSIGN_OR_RETURN(Table out, Analyze(projected, engine, spec));
+      return SqlResult::FromTable(std::move(out));
+    }
+
+    // Single-row deterministic aggregate result.
+    AggregateEvaluator agg(&engine);
+    std::vector<std::string> names;
+    Row row;
+    for (size_t i = 0; i < targets.size(); ++i) {
+      const Target& t = targets[i];
+      names.push_back(t.alias);
+      std::string col = "agg" + std::to_string(i);
+      double value = 0;
+      switch (t.agg) {
+        case AggKind::kExpectedSum: {
+          PIP_ASSIGN_OR_RETURN(value, agg.ExpectedSum(projected, col));
+          break;
+        }
+        case AggKind::kExpectedCount: {
+          PIP_ASSIGN_OR_RETURN(value, agg.ExpectedCount(projected));
+          break;
+        }
+        case AggKind::kExpectedAvg: {
+          PIP_ASSIGN_OR_RETURN(value, agg.ExpectedAvg(projected, col));
+          break;
+        }
+        case AggKind::kExpectedMax: {
+          PIP_ASSIGN_OR_RETURN(value, agg.ExpectedMax(projected, col));
+          break;
+        }
+        default:
+          return Error("unsupported aggregate");
+      }
+      row.push_back(Value(value));
+    }
+    Table out(Schema(std::move(names)));
+    PIP_RETURN_IF_ERROR(out.Append(std::move(row)));
     return SqlResult::FromTable(std::move(out));
   }
 
@@ -762,6 +813,7 @@ class Parser {
   size_t pos_ = 0;
   Database* db_;
   SamplingOptions* options_;
+  AdmissionHook admit_;
   int anonymous_targets_ = 0;
 };
 
@@ -938,13 +990,8 @@ size_t EstimateSampleVolume(const Database& db, const std::string& statement,
     }
     i = j;
   }
-  // Per-row draw estimate: the pinned count in fixed mode, the adaptive
-  // floor otherwise (the stopping rule draws at least that many).
-  size_t per_row = options.fixed_samples > 0 ? options.fixed_samples
-                                             : options.min_samples;
-  if (per_row == 0) per_row = 1;
   if (rows == 0) rows = 1;
-  return rows * per_row;
+  return rows * PerRowDraws(options);
 }
 
 SqlResult Session::Execute(const std::string& statement) {
@@ -957,26 +1004,32 @@ SqlResult Session::Execute(const std::string& statement) {
   }
   // Statement envelope: compose the session's resident cancel hook with
   // the external one (the server's disconnect probe) and, when
-  // STATEMENT_TIMEOUT_MS is set, a steady-clock deadline. The deadline
+  // STATEMENT_TIMEOUT_MS is set, a steady-clock deadline. The timeout
   // is read once at statement start, so a SET inside this statement
   // takes effect from the next statement on. Cancellation decides
   // whether the statement finishes, never what it computes: every chunk
   // that does fold is bit-identical to an uncancelled run.
   const uint64_t timeout_ms = options_.statement_timeout_ms;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
+  const auto deadline = std::make_shared<Deadline>(timeout_ms);
   const std::function<bool()> saved = options_.cancel_check;
   const std::function<bool()> external = external_cancel_;
-  if (external || timeout_ms > 0) {
-    const bool has_deadline = timeout_ms > 0;
+  if (external || deadline->armed()) {
     const std::function<bool()> prior = saved;
-    options_.cancel_check = [prior, external, has_deadline, deadline] {
+    options_.cancel_check = [prior, external, deadline] {
       if (prior && prior()) return true;
       if (external && external()) return true;
-      return has_deadline && std::chrono::steady_clock::now() >= deadline;
+      return deadline->Expired();
     };
   }
-  Parser parser(std::move(tokens).value(), db_, &options_);
+  AdmissionHook admit;
+  if (admission_) {
+    admit = [this, deadline](size_t draws) -> StatusOr<std::shared_ptr<void>> {
+      PIP_ASSIGN_OR_RETURN(std::shared_ptr<void> hold, admission_(draws));
+      deadline->Restart();  // The deadline excludes the queue wait.
+      return hold;
+    };
+  }
+  Parser parser(std::move(tokens).value(), db_, &options_, std::move(admit));
   auto result = parser.ParseStatement();
   options_.cancel_check = saved;
   if (!result.ok()) {
@@ -987,8 +1040,7 @@ SqlResult Session::Execute(const std::string& statement) {
       // to deliver ERR TIMEOUT to.
       if (external && external()) {
         status = Status::Cancelled("statement cancelled: client disconnected");
-      } else if (timeout_ms > 0 &&
-                 std::chrono::steady_clock::now() >= deadline) {
+      } else if (deadline->Expired()) {
         status = Status::Timeout("statement exceeded STATEMENT_TIMEOUT_MS=" +
                                  std::to_string(timeout_ms));
       }

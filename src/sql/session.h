@@ -55,6 +55,8 @@
 #ifndef PIP_SQL_SESSION_H_
 #define PIP_SQL_SESSION_H_
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -148,21 +150,30 @@ struct SqlResult {
 };
 
 /// True when `statement` invokes a probability-removing function
-/// (expected_*, expectation, conf, aconf) and hence runs Monte Carlo
-/// sampling. The server's admission gate uses this to bound concurrent
-/// heavy statements without parsing twice; lexer-accurate (string
-/// literals cannot fake a match). Unparseable statements return false.
+/// (expected_*, expectation, conf, aconf) and hence may run Monte Carlo
+/// sampling; lexer-accurate (string literals cannot fake a match).
+/// Unparseable statements return false. The server no longer calls this:
+/// it admits statements through Session::set_admission, after the parse.
+/// Kept as a standalone lexical classifier (pipbench's replay times it).
 bool StatementMaySample(const std::string& statement);
 
-/// Estimated Monte Carlo draw volume of `statement` against `db`'s
-/// current catalogue: (row counts of the tables named after FROM) x
-/// (per-row draws implied by `options` — fixed_samples when pinned,
+/// Lexical estimate of the Monte Carlo draw volume of `statement` against
+/// `db`'s current catalogue: (row counts of the tables named after FROM)
+/// x (per-row draws implied by `options` — fixed_samples when pinned,
 /// else the adaptive floor min_samples). Returns 0 for statements that
-/// cannot sample. The server's admission gate weights statements by
-/// this so one table-sweep Analyze costs proportionally more of the
-/// window than a single-row lookup.
+/// cannot sample. It ignores WHERE, so it overestimates selective
+/// statements; the server instead weighs the rows that survive WHERE
+/// (see Session::set_admission) and no longer calls this. Kept for the
+/// same reason as StatementMaySample.
 size_t EstimateSampleVolume(const Database& db, const std::string& statement,
                             const SamplingOptions& options);
+
+/// Admission hook of a Session (see Session::set_admission). Receives the
+/// statement's Monte Carlo draw volume and returns an opaque hold that
+/// the session keeps until the statement returns, or the status that
+/// fails the statement instead.
+using AdmissionHook =
+    std::function<StatusOr<std::shared_ptr<void>>(size_t draws)>;
 
 /// \brief Stateful SQL session against one Database.
 ///
@@ -191,6 +202,17 @@ class Session {
     external_cancel_ = std::move(cancel);
   }
 
+  /// Installs admission control — the server wires its AdmissionGate
+  /// here. Execute calls the hook once per SELECT that samples (a
+  /// table-wide aggregate or a per-row expectation/conf), after the
+  /// symbolic plan produced the rows that survive WHERE and before the
+  /// first draw. The draw volume it passes is those rows x per-row draws
+  /// (FIXED_SAMPLES when pinned, else MIN_SAMPLES). Symbolic SELECTs,
+  /// DDL and DML never call it. STATEMENT_TIMEOUT_MS restarts when the
+  /// hook returns, so the deadline bounds execution, not the queue wait.
+  /// Runs on the thread calling Execute; pass an empty function to clear.
+  void set_admission(AdmissionHook hook) { admission_ = std::move(hook); }
+
   SamplingOptions* mutable_options() { return &options_; }
   Database* database() { return db_; }
 
@@ -198,6 +220,7 @@ class Session {
   Database* db_;
   SamplingOptions options_;
   std::function<bool()> external_cancel_;
+  AdmissionHook admission_;
 };
 
 }  // namespace sql

@@ -386,6 +386,47 @@ TEST(ServerRobustnessTest, SaturatedGateShedsOverloadedWithinTimeout) {
   srv.Stop();
 }
 
+TEST(ServerRobustnessTest, DeadlineExcludesAdmissionQueueWait) {
+  // Admission happens inside Session::Execute, after the deadline was
+  // armed; STATEMENT_TIMEOUT_MS must still bound execution only. A
+  // statement that queues 3x its timeout and then runs briefly succeeds.
+  Database db(91);
+  ServerOptions options;
+  options.max_sampling = 1;
+  Server srv(&db, options);
+  ASSERT_TRUE(srv.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", srv.port()).ok());
+  for (const char* stmt :
+       {"CREATE TABLE t (u, v)",
+        "INSERT INTO t VALUES (Normal(0, 1), Uniform(0, 9))",
+        "SET FIXED_SAMPLES = 500", "SET INDEX_ENABLED = 0",
+        "SET ADMISSION_TIMEOUT_MS = 0", "SET STATEMENT_TIMEOUT_MS = 100"}) {
+    ASSERT_TRUE(client.Execute(stmt).value().ok()) << stmt;
+  }
+
+  // Hold the whole window for 300 ms with a statement that would sample
+  // for minutes; disconnecting cancels it and frees the window.
+  int holder = RawConnect(srv.port());
+  ASSERT_GE(holder, 0);
+  ASSERT_TRUE(RawRoundTrip(holder, "SET FIXED_SAMPLES = 200000000"));
+  ASSERT_TRUE(
+      server::WriteFrame(holder, "SELECT expected_sum(u * v) FROM t").ok());
+  ASSERT_TRUE(PollAdmission(
+      srv, [](const AdmissionGate::Stats& s) { return s.in_flight == 1; }));
+  std::thread release([holder] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    ::close(holder);
+  });
+
+  auto r = client.Execute("SELECT expected_sum(u * v) AS s FROM t");
+  release.join();
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r.value().ok()) << r.value().message;
+  EXPECT_GE(r.value().queue_us, 200000u);  // Queued well past 100 ms.
+  srv.Stop();
+}
+
 TEST(ServerRobustnessTest, StopWithQueuedAcquirersDoesNotHang) {
   Database db(11);
   ServerOptions options;

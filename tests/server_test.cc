@@ -533,6 +533,106 @@ TEST(ServerAdmissionTest, SamplingStatementsAreGated) {
   srv.Stop();
 }
 
+TEST_F(ServerTest, SequentialCheapStatementsDoNotStall) {
+  // A frame sent as two small writes and then a read is the Nagle +
+  // delayed-ACK pattern: every round trip waits out the peer's
+  // delayed-ACK timer (~88 ms on Linux loopback, ~17.6 s for this loop).
+  // One-send frames with TCP_NODELAY leave only the work itself.
+  Client client = Connect();
+  Run(client, "CREATE TABLE one (k, v)");
+  Run(client, "INSERT INTO one VALUES (1, Normal(0, 1))");
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < 200; ++i) {
+    WireResponse r = Run(client, "SELECT * FROM one");
+    ASSERT_EQ(r.kind, WireResponse::Kind::kCTable);
+    ASSERT_EQ(r.rows.size(), 1u);
+  }
+  double elapsed_ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  EXPECT_LT(elapsed_ms, 2000.0);
+}
+
+/// A 2,000-row table behind a gate of 4 weight units (1 unit ~ 1000
+/// draws), for reading what single statements admit.
+class AdmissionWeightTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kCapacity = 4;
+
+  AdmissionWeightTest() : db_(17), server_(&db_, Options()) {
+    sql::Session setup(&db_);
+    PIP_CHECK(setup.Execute("CREATE TABLE t (k, v)").ok());
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int k = 0; k < 2000; ++k) {
+      if (k > 0) insert += ", ";
+      insert += "(" + std::to_string(k) + ", Normal(0, 1))";
+    }
+    PIP_CHECK(setup.Execute(insert).ok());
+    PIP_CHECK(server_.Start().ok());
+    PIP_CHECK(client_.Connect("127.0.0.1", server_.port()).ok());
+    PIP_CHECK(client_.Execute("SET FIXED_SAMPLES = 2000").value().ok());
+  }
+
+  static ServerOptions Options() {
+    ServerOptions options;
+    options.max_sampling = kCapacity;
+    return options;
+  }
+
+  /// Runs `stmt`; returns the tickets and weight units it was admitted
+  /// with, and its reply in `*reply`.
+  std::pair<uint64_t, uint64_t> Admitted(const std::string& stmt,
+                                         WireResponse* reply) {
+    AdmissionGate::Stats before = server_.admission_stats();
+    auto r = client_.Execute(stmt);
+    PIP_CHECK_MSG(r.ok(), r.status().ToString());
+    *reply = std::move(r).value();
+    AdmissionGate::Stats after = server_.admission_stats();
+    return {after.admitted - before.admitted,
+            after.admitted_weight - before.admitted_weight};
+  }
+
+  Database db_;
+  Server server_;
+  Client client_;
+};
+
+TEST_F(AdmissionWeightTest, PointLookupWeighsTheRowsAfterWhere) {
+  // One row survives WHERE: 1 row x 2000 draws = 2 units, not the
+  // 2000 x 2000 draws of the whole table.
+  WireResponse reply;
+  auto [tickets, weight] =
+      Admitted("SELECT expectation(v) FROM t WHERE k = 5", &reply);
+  ASSERT_TRUE(reply.ok()) << reply.message;
+  EXPECT_EQ(reply.rows.size(), 1u);
+  EXPECT_EQ(tickets, 1u);
+  EXPECT_EQ(weight, 2u);
+}
+
+TEST_F(AdmissionWeightTest, FullTableSweepClampsToCapacity) {
+  WireResponse reply;
+  auto [tickets, weight] = Admitted("SELECT expected_sum(v) FROM t", &reply);
+  ASSERT_TRUE(reply.ok()) << reply.message;
+  EXPECT_EQ(tickets, 1u);
+  EXPECT_EQ(weight, kCapacity);
+}
+
+TEST_F(AdmissionWeightTest, FailureBeforeSamplingAdmitsNothing) {
+  for (const char* stmt :
+       {"SELECT expectation(nosuch) FROM t WHERE k = 5",
+        "SELECT expected_sum(v) FROM t WHERE nosuch = 5"}) {
+    WireResponse reply;
+    auto [tickets, weight] = Admitted(stmt, &reply);
+    EXPECT_FALSE(reply.ok()) << stmt;
+    EXPECT_EQ(tickets, 0u) << stmt;
+    EXPECT_EQ(weight, 0u) << stmt;
+  }
+  // Symbolic SELECTs never reach the gate either.
+  WireResponse reply;
+  EXPECT_EQ(Admitted("SELECT v FROM t WHERE k = 5", &reply).first, 0u);
+  EXPECT_TRUE(reply.ok());
+}
+
 TEST(ServerLifecycleTest, StopUnblocksLiveConnections) {
   Database db(1);
   Server srv(&db, ServerOptions{});
