@@ -27,11 +27,10 @@ bool CellsEqual(const std::vector<ExprPtr>& a, const std::vector<ExprPtr>& b) {
 
 StatusOr<CTable> Select(const CTable& in, const ColPredicate& pred) {
   CTable out(in.schema());
-  // Selection preserves row identity (rows are only filtered or get a
-  // tighter condition), so index provenance carries through; the changed
-  // condition is part of the index's exact result key, never of the row
-  // identity.
-  out.SetProvenance(in.table_id(), in.generation());
+  // Selection only filters rows or tightens their conditions, so its
+  // output still counts as catalogue rows for the index; the changed
+  // condition is part of the index's exact result key.
+  out.set_table_id(in.table_id());
   for (const auto& row : in.rows()) {
     Condition cond = row.condition;
     bool dropped = false;
@@ -58,13 +57,12 @@ StatusOr<CTable> Project(const CTable& in,
   names.reserve(targets.size());
   for (const auto& t : targets) names.push_back(t.name);
   CTable out((Schema(std::move(names))));
-  // Projection is row-preserving: provenance carries through so the
+  // Projection is row-preserving: the table id carries through so the
   // index can serve the projected cells' expectations.
-  out.SetProvenance(in.table_id(), in.generation());
+  out.set_table_id(in.table_id());
   for (const auto& row : in.rows()) {
     CTableRow projected;
     projected.condition = row.condition;
-    projected.row_id = row.row_id;
     projected.cells.reserve(targets.size());
     for (const auto& t : targets) {
       PIP_ASSIGN_OR_RETURN(ExprPtr cell, t.expr->Bind(in.schema(), row.cells));
@@ -233,8 +231,8 @@ StatusOr<std::vector<CTableGroup>> GroupBy(
       candidates.push_back(groups.size());
       CTable members(in.schema());
       // Groups partition the input's rows, so each group keeps the
-      // source provenance (rows carry their original ids).
-      members.SetProvenance(in.table_id(), in.generation());
+      // source's table id.
+      members.set_table_id(in.table_id());
       groups.push_back(CTableGroup{std::move(key), std::move(members)});
       group = &groups.back();
     }

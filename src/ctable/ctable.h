@@ -22,12 +22,6 @@ namespace pip {
 struct CTableRow {
   std::vector<ExprPtr> cells;
   Condition condition;
-  /// Provenance for the expectation index: position of this row in its
-  /// base catalogue table (1-based; 0 = not from a catalogue table).
-  /// Stamped by the Database on writes; carried through row-preserving
-  /// operators (Select / Project / GroupBy), dropped by row-combining
-  /// ones.
-  uint64_t row_id = 0;
 
   /// True when every cell is a constant and the condition mentions no
   /// random variables.
@@ -49,24 +43,14 @@ class CTable {
 
   const Schema& schema() const { return schema_; }
 
-  // -- Provenance (expectation-index keying) ---------------------------
-  // Catalogue identity of the snapshot these rows came from. table_id 0
-  // means "not a catalogue table" (inline values, joins, unions, ...);
-  // the index skips such rows. The generation counts the table's writes:
-  // the Database bumps it on every AppendRows / MaterializeView, which
-  // invalidates exactly this table's index entries.
+  /// Catalogue identity of the snapshot these rows came from, assigned
+  /// by the Database when it publishes the table and carried through
+  /// row-preserving operators (Select / Project / GroupBy). 0 means "not
+  /// a catalogue table" (inline values, joins, unions, ...). It is only
+  /// the marker for whether the expectation index is consulted: entries
+  /// are keyed by row content, so writes never need to re-stamp rows.
   uint64_t table_id() const { return table_id_; }
-  uint64_t generation() const { return generation_; }
-  void SetProvenance(uint64_t table_id, uint64_t generation) {
-    table_id_ = table_id;
-    generation_ = generation;
-  }
-  /// Re-stamps every row's id with its (1-based) position. Positional
-  /// ids are unique within one (table_id, generation), which is all the
-  /// index requires — a generation bump retires the whole id space.
-  void StampRowIds() {
-    for (size_t i = 0; i < rows_.size(); ++i) rows_[i].row_id = i + 1;
-  }
+  void set_table_id(uint64_t table_id) { table_id_ = table_id; }
 
   size_t num_rows() const { return rows_.size(); }
   const CTableRow& row(size_t i) const { return rows_[i]; }
@@ -94,7 +78,6 @@ class CTable {
   Schema schema_;
   std::vector<CTableRow> rows_;
   uint64_t table_id_ = 0;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace pip

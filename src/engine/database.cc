@@ -6,17 +6,6 @@
 
 namespace pip {
 
-void Database::StampForPublishLocked(CTable* table, uint64_t table_id,
-                                     uint64_t generation) {
-  table->SetProvenance(table_id, generation);
-  table->StampRowIds();
-  // Advancing the generation purges exactly this table's stale index
-  // entries and makes racing backfills against older snapshots
-  // rejectable. Done before publication so no reader can hit a stale
-  // entry through the new snapshot.
-  result_index_->BeginGeneration(table_id, generation);
-}
-
 Status Database::RegisterTable(const std::string& name, Table table) {
   return RegisterCTable(name, CTable::FromTable(table));
 }
@@ -26,7 +15,7 @@ Status Database::RegisterCTable(const std::string& name, CTable table) {
   if (tables_.count(name)) {
     return Status::AlreadyExists("table '" + name + "' already exists");
   }
-  StampForPublishLocked(&table, next_table_id_++, 1);
+  table.set_table_id(next_table_id_++);
   tables_.emplace(name, std::make_shared<const CTable>(std::move(table)));
   return Status::OK();
 }
@@ -34,16 +23,12 @@ Status Database::RegisterCTable(const std::string& name, CTable table) {
 void Database::MaterializeView(const std::string& name, CTable table) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = tables_.find(name);
-  if (it != tables_.end()) {
-    // Replacement keeps the table id (readers of old snapshots see the
-    // generation gap) and retires the previous generation's entries.
-    StampForPublishLocked(&table, it->second->table_id(),
-                          it->second->generation() + 1);
-    it->second = std::make_shared<const CTable>(std::move(table));
-    return;
-  }
-  StampForPublishLocked(&table, next_table_id_++, 1);
-  tables_.emplace(name, std::make_shared<const CTable>(std::move(table)));
+  // A replacement keeps the table id. The index needs no purge: rows
+  // identical to the old ones keep their keys (and their entries), and
+  // different rows have different keys.
+  table.set_table_id(it != tables_.end() ? it->second->table_id()
+                                         : next_table_id_++);
+  tables_[name] = std::make_shared<const CTable>(std::move(table));
 }
 
 Status Database::AppendRows(const std::string& name,
@@ -58,8 +43,6 @@ Status Database::AppendRows(const std::string& name,
     for (CTableRow& row : rows) {
       PIP_RETURN_IF_ERROR(updated.Append(std::move(row)));
     }
-    StampForPublishLocked(&updated, it->second->table_id(),
-                          it->second->generation() + 1);
     it->second = std::make_shared<const CTable>(std::move(updated));
   }
   // Knob-gated eager materialization under the database defaults,
@@ -78,9 +61,9 @@ Status Database::BuildIndex(const std::string& name,
   if (!options.index_enabled) return Status::OK();
   PIP_ASSIGN_OR_RETURN(std::shared_ptr<const CTable> snapshot,
                        GetTable(name));
-  // Sampling runs outside the catalogue lock on the immutable snapshot;
-  // if a writer advances the table meanwhile, the index rejects the
-  // stale backfills by generation.
+  // Sampling runs outside the catalogue lock on the immutable snapshot.
+  // Its backfills stay valid if a writer publishes meanwhile: entries are
+  // keyed by row content, which the write does not change.
   return EagerBuildIndex(*snapshot, MakeEngine(options));
 }
 

@@ -12,8 +12,10 @@
 /// lock — so concurrent DDL/DML/SELECT across sessions is safe, and a
 /// long-running SELECT keeps sampling its snapshot even while another
 /// session replaces the table. The variable pool is internally
-/// synchronized (lock-free reads), and the plan cache handed to every
-/// engine is one shared, internally synchronized instance.
+/// synchronized (lock-free reads), and the plan cache and expectation
+/// index handed to every engine are shared, internally synchronized
+/// instances. Writes never purge the index: its entries are keyed by
+/// the content of a row's expressions, not by where the row lives.
 
 #ifndef PIP_ENGINE_DATABASE_H_
 #define PIP_ENGINE_DATABASE_H_
@@ -81,13 +83,16 @@ class Database {
 
   /// Replaces a table if present, else registers it (view
   /// materialization: "intermediate query results or views may be
-  /// materialized", §III-A).
+  /// materialized", §III-A). Rows identical to the replaced table's keep
+  /// hitting the expectation index.
   void MaterializeView(const std::string& name, CTable table);
 
   /// Appends rows to an existing table atomically (the SQL INSERT path).
-  /// The read-copy-update runs under the exclusive catalogue lock, so
-  /// concurrent INSERTs into one table never lose rows; concurrent
-  /// readers keep their pre-insert snapshot.
+  /// The read-copy-update (copy, append, publish) runs under the
+  /// exclusive catalogue lock, so concurrent INSERTs into one table never
+  /// lose rows; concurrent readers keep their pre-insert snapshot. The
+  /// expectation index is not touched: it is keyed by row content, so
+  /// the old rows' entries stay valid.
   Status AppendRows(const std::string& name, std::vector<CTableRow> rows);
 
   /// Immutable snapshot of a table. The snapshot stays valid (and
@@ -129,13 +134,6 @@ class Database {
   }
 
  private:
-  /// Stamps catalogue provenance onto a table about to be published:
-  /// assigns/keeps its table id, sets the new generation, re-stamps row
-  /// ids, and purges the index's now-stale entries for that table. Must
-  /// run under the exclusive catalogue lock.
-  void StampForPublishLocked(CTable* table, uint64_t table_id,
-                             uint64_t generation);
-
   VariablePool pool_;
   SamplingOptions default_options_;
   std::shared_ptr<PlanCache> plan_cache_;

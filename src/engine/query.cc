@@ -265,11 +265,6 @@ StatusOr<Table> Analyze(const CTable& table, const SamplingEngine& engine,
         // row has failed (this row's slot is discarded either way).
         const SamplingEngine row_engine =
             engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
-        // Catalogue provenance routes the engine calls through the
-        // materialized expectation index: hits replay the exact cached
-        // result, misses run the engine and backfill. Rows without
-        // provenance go straight to the engine.
-        RowProvenance prov = ProvenanceOf(table, r);
         slot.cells.reserve(out_columns.size());
         for (size_t idx : pass_idx) {
           if (!row.cells[idx]->IsConstant()) {
@@ -279,11 +274,15 @@ StatusOr<Table> Analyze(const CTable& table, const SamplingEngine& engine,
           }
           slot.cells.push_back(row.cells[idx]->value());
         }
+        // Rows of catalogue snapshots route the engine calls through the
+        // materialized expectation index: hits replay the exact cached
+        // result, misses run the engine and backfill. Rows of ad-hoc
+        // tables go straight to the engine.
         double confidence = 1.0;
         for (size_t i = 0; i < exp_idx.size(); ++i) {
           PIP_ASSIGN_OR_RETURN(
               ExpectationResult res,
-              IndexedExpectation(row_engine, prov, row.cells[exp_idx[i]],
+              IndexedExpectation(row_engine, table, row.cells[exp_idx[i]],
                                  row.condition,
                                  spec.with_confidence && i == 0));
           if (std::isnan(res.expectation) && res.probability == 0.0) {
@@ -297,7 +296,7 @@ StatusOr<Table> Analyze(const CTable& table, const SamplingEngine& engine,
           if (exp_idx.empty()) {
             PIP_ASSIGN_OR_RETURN(
                 ExpectationResult res,
-                IndexedConfidence(row_engine, prov, row.condition));
+                IndexedConfidence(row_engine, table, row.condition));
             if (res.probability <= 0.0) {
               slot.emit = false;
               return Status::OK();
@@ -323,9 +322,6 @@ StatusOr<Table> AnalyzeJointConfidence(const CTable& table,
     const CTableRow* exemplar;
     std::vector<Condition> disjuncts;
   };
-  // Index anchor for the per-group aconf entries: the exemplar row of
-  // each group (the key itself serializes the full disjunct list, so the
-  // anchor only scopes invalidation).
   std::vector<Group> groups;
   std::unordered_map<size_t, std::vector<size_t>> buckets;
   auto hash_cells = [](const std::vector<ExprPtr>& cells) {
@@ -379,13 +375,11 @@ StatusOr<Table> AnalyzeJointConfidence(const CTable& table,
                 "project to deterministic columns first");
           }
         }
-        RowProvenance prov{table.table_id(), table.generation(),
-                           groups[g].exemplar->row_id};
         const SamplingEngine group_engine =
             engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
         PIP_ASSIGN_OR_RETURN(
             probs[g],
-            IndexedJointConfidence(group_engine, prov, groups[g].disjuncts));
+            IndexedJointConfidence(group_engine, table, groups[g].disjuncts));
         return Status::OK();
       }));
   for (size_t g = 0; g < groups.size(); ++g) {

@@ -4,42 +4,16 @@
 
 namespace pip {
 
-namespace {
-
-/// Full map key: provenance prefix + the sampling layer's result key.
-/// Generation is part of the key, so entries from different snapshots of
-/// one table can coexist briefly (until the purge) without aliasing.
-std::string FullKey(uint64_t table_id, uint64_t generation, uint64_t row_id,
-                    const std::string& result_key) {
-  std::string key;
-  key.reserve(result_key.size() + 40);
-  key += 'T';
-  key += std::to_string(table_id);
-  key += '.';
-  key += std::to_string(generation);
-  key += '.';
-  key += std::to_string(row_id);
-  key += '|';
-  key += result_key;
-  return key;
-}
-
-}  // namespace
-
-size_t ExpectationIndex::EntryBytes(const std::string& full_key,
-                                    const IndexedValue& value) const {
+size_t ExpectationIndex::EntryBytes(const std::string& key) {
   // The key is stored twice (map key + LRU list node) plus hash-map and
   // list node overhead, approximated at 64 bytes.
-  size_t bytes = 2 * full_key.size() + sizeof(Entry) + 64;
-  if (value.summary != nullptr) bytes += value.summary->ByteSize();
-  return bytes;
+  return 2 * key.size() + sizeof(Entry) + 64;
 }
 
 std::optional<IndexedValue> ExpectationIndex::Lookup(
-    uint64_t table_id, uint64_t generation, uint64_t row_id,
     const std::string& result_key) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(FullKey(table_id, generation, row_id, result_key));
+  auto it = map_.find(result_key);
   if (it == map_.end()) {
     ++stats_.misses;
     return std::nullopt;
@@ -49,8 +23,7 @@ std::optional<IndexedValue> ExpectationIndex::Lookup(
   return it->second.value;
 }
 
-void ExpectationIndex::Insert(uint64_t table_id, uint64_t generation,
-                              uint64_t row_id, const std::string& result_key,
+void ExpectationIndex::Insert(const std::string& result_key,
                               IndexedValue value) {
   std::lock_guard<std::mutex> lock(mu_);
   // Chaos site: allocation failure while materializing the entry. The
@@ -60,76 +33,29 @@ void ExpectationIndex::Insert(uint64_t table_id, uint64_t generation,
     ++stats_.insert_failures;
     return;
   }
-  auto gen_it = current_generation_.find(table_id);
-  if (gen_it != current_generation_.end() && generation < gen_it->second) {
-    // A writer advanced the table while this result was being computed
-    // on the old snapshot; caching it would resurrect purged state.
-    ++stats_.stale_rejects;
-    return;
-  }
-  if (gen_it == current_generation_.end() || generation > gen_it->second) {
-    current_generation_[table_id] = generation;
-  }
-  std::string full_key = FullKey(table_id, generation, row_id, result_key);
-  auto it = map_.find(full_key);
+  auto it = map_.find(result_key);
   if (it != map_.end()) {
-    // Concurrent backfills of one entry produce bit-identical replay
-    // payloads, so replacing is safe; it also lets the eager builder
-    // attach a summary to an entry the lazy path stored first.
-    bytes_ -= it->second.bytes;
-    it->second.bytes = EntryBytes(full_key, value);
+    // Concurrent backfills of one key produce bit-identical replay
+    // payloads, so replacing is safe.
     it->second.value = std::move(value);
-    bytes_ += it->second.bytes;
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    EvictToBudgetLocked();
     return;
   }
   Entry entry;
-  entry.table_id = table_id;
-  entry.generation = generation;
-  entry.bytes = EntryBytes(full_key, value);
   entry.value = std::move(value);
-  lru_.push_front(full_key);
+  lru_.push_front(result_key);
   entry.lru_it = lru_.begin();
-  bytes_ += entry.bytes;
-  table_keys_[table_id].insert(full_key);
-  map_.emplace(std::move(full_key), std::move(entry));
+  bytes_ += EntryBytes(result_key);
+  map_.emplace(result_key, std::move(entry));
   ++stats_.inserts;
   EvictToBudgetLocked();
 }
 
-void ExpectationIndex::BeginGeneration(uint64_t table_id,
-                                       uint64_t generation) {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t& current = current_generation_[table_id];
-  if (generation > current) current = generation;
-  auto tk = table_keys_.find(table_id);
-  if (tk == table_keys_.end()) return;
-  // Purge exactly this table's out-of-date entries; other tables' and
-  // current-generation entries are untouched.
-  std::vector<std::string> doomed;
-  for (const std::string& key : tk->second) {
-    auto it = map_.find(key);
-    if (it != map_.end() && it->second.generation < current) {
-      doomed.push_back(key);
-    }
-  }
-  for (const std::string& key : doomed) {
-    EraseLocked(key);
-    ++stats_.invalidations;
-  }
-}
-
-void ExpectationIndex::EraseLocked(const std::string& full_key) {
-  auto it = map_.find(full_key);
+void ExpectationIndex::EraseLocked(const std::string& key) {
+  auto it = map_.find(key);
   if (it == map_.end()) return;
-  bytes_ -= it->second.bytes;
+  bytes_ -= EntryBytes(key);
   lru_.erase(it->second.lru_it);
-  auto tk = table_keys_.find(it->second.table_id);
-  if (tk != table_keys_.end()) {
-    tk->second.erase(full_key);
-    if (tk->second.empty()) table_keys_.erase(tk);
-  }
   map_.erase(it);
 }
 
@@ -166,7 +92,6 @@ void ExpectationIndex::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   map_.clear();
   lru_.clear();
-  table_keys_.clear();
   bytes_ = 0;
 }
 

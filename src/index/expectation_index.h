@@ -1,96 +1,56 @@
 /// \file expectation_index.h
-/// \brief Materialized per-row expectation/confidence summaries.
+/// \brief Materialized per-row expectation/confidence results.
 ///
 /// The PesTrie idea transplanted to probabilistic query answering: spend
-/// bounded offline (or first-touch) work materializing a compressed
-/// per-row summary so repeated online queries answer in near-constant
-/// time instead of re-running Monte Carlo integration. Entries are keyed
-/// by (table id, table generation, row id) — the write-invalidation
-/// anchor stamped by the Database's copy-on-write catalogue — plus an
-/// exact result key built by the sampling layer (operator tag, registry
-/// generation, pool seed, options fingerprint, bit-exact expression and
-/// condition serialization; see shape_key.h). Because the engine's draw
-/// scheme is a pure function of (seed, var, sample, attempt), equal keys
-/// imply bit-identical recomputation, so serving a hit is an exact
-/// replay, not an approximation.
+/// bounded first-touch work materializing a row's result so repeated
+/// online queries answer in near-constant time instead of re-running
+/// Monte Carlo integration. The index is content-addressed: an entry is
+/// keyed by the exact result key the sampling layer builds (operator
+/// tag, registry generation, pool seed, options fingerprint, bit-exact
+/// expression and condition serialization; see shape_key.h) and by
+/// nothing else. PIP keeps uncertain values symbolic, so a result is a
+/// pure function of that key: the engine's draw scheme depends only on
+/// (seed, var, sample, attempt), and variable ids are never reused.
+/// Equal keys therefore imply bit-identical recomputation, so serving a
+/// hit is an exact replay, not an approximation, whichever table or row
+/// the lookup came from.
 ///
-/// The index is a process-wide, internally synchronized LRU bounded by a
-/// byte budget. Writers bump a table's generation through
-/// BeginGeneration, which purges exactly that table's stale entries;
-/// backfills racing a writer are rejected by generation (stale_rejects)
-/// so a purged entry can never be resurrected by a reader holding an old
-/// snapshot.
+/// It follows that writes invalidate nothing. An INSERT leaves every old
+/// row's expression and condition, hence its key, unchanged; a replaced
+/// table's new rows have new keys. Entries for rows that no longer exist
+/// simply stop being looked up and age out through the LRU byte budget
+/// (with an unlimited budget they are never reclaimed).
 ///
-/// This layer deliberately knows nothing about the sampling engine: it
-/// stores plain-data payloads (IndexedValue / IndexSummary) and opaque
-/// key strings, so it sits below sampling in the dependency graph and
-/// both the engine and the SQL surface can share one instance.
+/// The index is a process-wide, internally synchronized LRU. It knows
+/// nothing about the sampling engine: it stores plain-data payloads
+/// (IndexedValue) under opaque key strings, so it sits below sampling in
+/// the dependency graph and both the engine and the SQL surface can
+/// share one instance.
 
 #ifndef PIP_INDEX_EXPECTATION_INDEX_H_
 #define PIP_INDEX_EXPECTATION_INDEX_H_
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
-#include <vector>
 
 namespace pip {
 
-/// \brief Distribution summary of one row's target cell: running moments
-/// plus quantile and CDF tables (built by the eager indexer from a fixed
-/// deterministic sample sweep).
-struct IndexSummary {
-  /// Running moments (count / mean / sum of squared deviations — the
-  /// RunningStats representation, mergeable and numerically stable).
-  uint64_t moment_count = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-
-  /// quantiles[i] is the quantile_probs[i]-quantile of the sampled
-  /// conditional distribution.
-  std::vector<double> quantile_probs;
-  std::vector<double> quantiles;
-
-  /// Empirical CDF grid: P[X <= cdf_xs[i]] = cdf_ps[i].
-  std::vector<double> cdf_xs;
-  std::vector<double> cdf_ps;
-
-  double variance() const {
-    return moment_count > 1
-               ? m2 / static_cast<double>(moment_count - 1)
-               : 0.0;
-  }
-
-  /// Heap bytes of the vectors (for the index's byte accounting).
-  size_t ByteSize() const {
-    return sizeof(IndexSummary) +
-           (quantile_probs.capacity() + quantiles.capacity() +
-            cdf_xs.capacity() + cdf_ps.capacity()) *
-               sizeof(double);
-  }
-};
-
 /// \brief One materialized result: the exact replay payload of an
-/// expectation / confidence / joint-confidence call, optionally with a
-/// distribution summary attached by the eager builder.
+/// expectation / confidence / joint-confidence call.
 struct IndexedValue {
   double expectation = 0.0;
   double probability = 1.0;
   uint64_t samples_used = 0;
   uint64_t attempts = 0;
   bool exact = false;
-  /// Present only for eagerly built entries (summaries cost a bounded
-  /// extra sample sweep that the lazy miss path must not pay).
-  std::shared_ptr<const IndexSummary> summary;
 };
 
-/// \brief Thread-safe LRU index of materialized results with
-/// generation-exact write invalidation.
+/// \brief Thread-safe, byte-budgeted LRU index of materialized results,
+/// keyed by exact result key.
 class ExpectationIndex {
  public:
   /// Default byte budget (64 MiB). 0 means unlimited, mirroring the
@@ -105,8 +65,9 @@ class ExpectationIndex {
     uint64_t misses = 0;
     uint64_t inserts = 0;
     uint64_t evictions = 0;      ///< Entries dropped by the LRU budget.
-    uint64_t invalidations = 0;  ///< Entries purged by generation bumps.
-    uint64_t stale_rejects = 0;  ///< Backfills rejected as outdated.
+    /// Always 0: writes purge nothing (see the file comment). Kept
+    /// because pipbench reports it.
+    uint64_t invalidations = 0;
     uint64_t insert_failures = 0;  ///< Backfills dropped by allocation
                                    ///< failure (real or injected). The
                                    ///< index stays cold but correct.
@@ -118,26 +79,13 @@ class ExpectationIndex {
   ExpectationIndex(const ExpectationIndex&) = delete;
   ExpectationIndex& operator=(const ExpectationIndex&) = delete;
 
-  /// Cached value for the row under `result_key`, or nullopt (counted as
-  /// hit/miss). A lookup from a snapshot older than the table's current
-  /// generation can never match: its entries were purged when the
-  /// generation advanced.
-  std::optional<IndexedValue> Lookup(uint64_t table_id, uint64_t generation,
-                                     uint64_t row_id,
-                                     const std::string& result_key);
+  /// Cached value under `result_key`, or nullopt (counted as hit/miss).
+  std::optional<IndexedValue> Lookup(const std::string& result_key);
 
-  /// Backfills one result. Rejected (stale_rejects) when `generation` is
-  /// older than the table's current generation — a reader racing a
-  /// writer must not resurrect purged entries. Re-inserting an existing
-  /// key replaces its value (payloads for one key are bit-identical by
-  /// construction; the eager builder uses this to attach summaries) and
-  /// refreshes recency.
-  void Insert(uint64_t table_id, uint64_t generation, uint64_t row_id,
-              const std::string& result_key, IndexedValue value);
-
-  /// Write-invalidation hook: advances `table_id`'s current generation
-  /// and purges exactly that table's entries from older generations.
-  void BeginGeneration(uint64_t table_id, uint64_t generation);
+  /// Backfills one result. Re-inserting an existing key replaces its
+  /// value (concurrent backfills of one key are bit-identical by
+  /// construction) and refreshes recency; it never adds an entry.
+  void Insert(const std::string& result_key, IndexedValue value);
 
   /// Adjusts the byte budget, evicting LRU entries if now over it.
   void SetMemoryBudget(size_t bytes);
@@ -149,27 +97,20 @@ class ExpectationIndex {
 
  private:
   struct Entry {
-    uint64_t table_id = 0;
-    uint64_t generation = 0;
     IndexedValue value;
-    size_t bytes = 0;
     std::list<std::string>::iterator lru_it;
   };
 
-  size_t EntryBytes(const std::string& full_key,
-                    const IndexedValue& value) const;
-  void EraseLocked(const std::string& full_key);
+  static size_t EntryBytes(const std::string& key);
+  void EraseLocked(const std::string& key);
   void EvictToBudgetLocked();
 
   mutable std::mutex mu_;
   size_t memory_budget_;
   size_t bytes_ = 0;
-  /// Front = most recently used; values are full keys into map_.
+  /// Front = most recently used; values are keys into map_.
   std::list<std::string> lru_;
   std::unordered_map<std::string, Entry> map_;
-  /// Exact-purge support: the full keys each table currently owns.
-  std::unordered_map<uint64_t, std::unordered_set<std::string>> table_keys_;
-  std::unordered_map<uint64_t, uint64_t> current_generation_;
   Stats stats_;
 };
 

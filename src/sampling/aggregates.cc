@@ -48,7 +48,7 @@ StatusOr<double> AggregateEvaluator::ExpectedSum(
             row_engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
         PIP_ASSIGN_OR_RETURN(
             ExpectationResult res,
-            IndexedExpectation(cancel_engine, ProvenanceOf(table, r),
+            IndexedExpectation(cancel_engine, table,
                                rows[r].cells[col], rows[r].condition,
                                /*compute_probability=*/true));
         if (!std::isnan(res.expectation) && res.probability > 0.0) {
@@ -74,8 +74,7 @@ StatusOr<double> AggregateEvaluator::ExpectedCount(const CTable& table) const {
             row_engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
         PIP_ASSIGN_OR_RETURN(
             ExpectationResult res,
-            IndexedConfidence(cancel_engine, ProvenanceOf(table, r),
-                              rows[r].condition));
+            IndexedConfidence(cancel_engine, table, rows[r].condition));
         probs[r] = res.probability;
         return Status::OK();
       }));
@@ -105,7 +104,7 @@ StatusOr<double> AggregateEvaluator::ExpectedAvg(
             row_engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
         PIP_ASSIGN_OR_RETURN(
             ExpectationResult res,
-            IndexedExpectation(cancel_engine, ProvenanceOf(table, r),
+            IndexedExpectation(cancel_engine, table,
                                rows[r].cells[col], rows[r].condition,
                                /*compute_probability=*/true));
         // Unsatisfiable (or collapsed) rows contribute to neither sum

@@ -1,27 +1,11 @@
 #include "src/sampling/index_ops.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "src/common/row_parallel.h"
-#include "src/common/running_stats.h"
 #include "src/sampling/shape_key.h"
 
 namespace pip {
 
 namespace {
-
-/// Sample sweep behind an eager entry's summary. Bounded and fixed: the
-/// offline cost per row is ~kSummarySamples draws regardless of the
-/// session's precision knobs.
-constexpr size_t kSummarySamples = 256;
-
-/// Quantile grid of the summary tables.
-constexpr double kQuantileProbs[] = {0.01, 0.05, 0.1,  0.25, 0.5,
-                                     0.75, 0.9,  0.95, 0.99};
-
-/// Points of the empirical CDF grid.
-constexpr size_t kCdfGridPoints = 33;
 
 IndexedValue ToIndexedValue(const ExpectationResult& result) {
   IndexedValue value;
@@ -43,56 +27,22 @@ ExpectationResult ToExpectationResult(const IndexedValue& value) {
   return result;
 }
 
-/// True when the index applies to this call at all.
-bool IndexApplies(const SamplingEngine& engine, const RowProvenance& prov) {
+/// True when the index applies to rows of `source` at all.
+bool IndexApplies(const SamplingEngine& engine, const CTable& source) {
   return engine.result_index() != nullptr && engine.options().index_enabled &&
-         prov.valid();
-}
-
-/// Empirical summary of `samples` (sorted in place).
-std::shared_ptr<const IndexSummary> BuildSummary(std::vector<double> samples) {
-  auto summary = std::make_shared<IndexSummary>();
-  RunningStats stats;
-  for (double s : samples) stats.Add(s);
-  summary->moment_count = stats.count();
-  summary->mean = stats.mean();
-  summary->m2 = stats.m2();
-  if (samples.empty()) return summary;
-  std::sort(samples.begin(), samples.end());
-  const size_t n = samples.size();
-  for (double p : kQuantileProbs) {
-    summary->quantile_probs.push_back(p);
-    size_t rank = static_cast<size_t>(p * static_cast<double>(n - 1));
-    summary->quantiles.push_back(samples[rank]);
-  }
-  // Equi-spaced value grid over the sampled range; ps are exact ranks of
-  // the sorted sweep, so the grid is a genuine empirical CDF.
-  double lo = samples.front(), hi = samples.back();
-  if (hi <= lo) hi = lo + 1.0;
-  summary->cdf_xs.reserve(kCdfGridPoints);
-  summary->cdf_ps.reserve(kCdfGridPoints);
-  for (size_t i = 0; i < kCdfGridPoints; ++i) {
-    double x = lo + (hi - lo) * static_cast<double>(i) /
-                        static_cast<double>(kCdfGridPoints - 1);
-    size_t below = std::upper_bound(samples.begin(), samples.end(), x) -
-                   samples.begin();
-    summary->cdf_xs.push_back(x);
-    summary->cdf_ps.push_back(static_cast<double>(below) /
-                              static_cast<double>(n));
-  }
-  return summary;
+         source.table_id() != 0;
 }
 
 }  // namespace
 
 StatusOr<ExpectationResult> IndexedExpectation(const SamplingEngine& engine,
-                                               const RowProvenance& prov,
+                                               const CTable& source,
                                                const ExprPtr& expr,
                                                const Condition& condition,
                                                bool compute_probability) {
   // Deterministic calls short-circuit inside the engine faster than a
   // key could be built; don't pollute the index with them.
-  if (!IndexApplies(engine, prov) ||
+  if (!IndexApplies(engine, source) ||
       (expr->IsDeterministic() && condition.IsDeterministic())) {
     return engine.Expectation(expr, condition, compute_probability);
   }
@@ -100,41 +50,37 @@ StatusOr<ExpectationResult> IndexedExpectation(const SamplingEngine& engine,
   std::string key = ExactResultKey(compute_probability ? 'P' : 'E', expr,
                                    {&condition}, engine.pool(),
                                    engine.options());
-  if (auto hit = index->Lookup(prov.table_id, prov.generation, prov.row_id,
-                               key)) {
+  if (auto hit = index->Lookup(key)) {
     return ToExpectationResult(*hit);
   }
   PIP_ASSIGN_OR_RETURN(ExpectationResult result,
                        engine.Expectation(expr, condition,
                                           compute_probability));
-  index->Insert(prov.table_id, prov.generation, prov.row_id, key,
-                ToIndexedValue(result));
+  index->Insert(key, ToIndexedValue(result));
   return result;
 }
 
 StatusOr<ExpectationResult> IndexedConfidence(const SamplingEngine& engine,
-                                              const RowProvenance& prov,
+                                              const CTable& source,
                                               const Condition& condition) {
-  if (!IndexApplies(engine, prov) || condition.IsDeterministic()) {
+  if (!IndexApplies(engine, source) || condition.IsDeterministic()) {
     return engine.Confidence(condition);
   }
   ExpectationIndex* index = engine.result_index();
   std::string key = ExactResultKey('C', nullptr, {&condition}, engine.pool(),
                                    engine.options());
-  if (auto hit = index->Lookup(prov.table_id, prov.generation, prov.row_id,
-                               key)) {
+  if (auto hit = index->Lookup(key)) {
     return ToExpectationResult(*hit);
   }
   PIP_ASSIGN_OR_RETURN(ExpectationResult result, engine.Confidence(condition));
-  index->Insert(prov.table_id, prov.generation, prov.row_id, key,
-                ToIndexedValue(result));
+  index->Insert(key, ToIndexedValue(result));
   return result;
 }
 
 StatusOr<double> IndexedJointConfidence(
-    const SamplingEngine& engine, const RowProvenance& prov,
+    const SamplingEngine& engine, const CTable& source,
     const std::vector<Condition>& disjuncts) {
-  if (!IndexApplies(engine, prov)) {
+  if (!IndexApplies(engine, source)) {
     return engine.JointConfidence(disjuncts);
   }
   ExpectationIndex* index = engine.result_index();
@@ -143,32 +89,24 @@ StatusOr<double> IndexedJointConfidence(
   for (const Condition& c : disjuncts) conditions.push_back(&c);
   std::string key = ExactResultKey('J', nullptr, conditions, engine.pool(),
                                    engine.options());
-  if (auto hit = index->Lookup(prov.table_id, prov.generation, prov.row_id,
-                               key)) {
+  if (auto hit = index->Lookup(key)) {
     return hit->probability;
   }
   PIP_ASSIGN_OR_RETURN(double probability, engine.JointConfidence(disjuncts));
   IndexedValue value;
   value.expectation = probability;
   value.probability = probability;
-  index->Insert(prov.table_id, prov.generation, prov.row_id, key,
-                std::move(value));
+  index->Insert(key, std::move(value));
   return probability;
 }
 
 Status EagerBuildIndex(const CTable& table, const SamplingEngine& engine) {
-  if (engine.result_index() == nullptr || !engine.options().index_enabled ||
-      table.table_id() == 0) {
-    return Status::OK();
-  }
-  ExpectationIndex* index = engine.result_index();
+  if (!IndexApplies(engine, table)) return Status::OK();
   const auto& rows = table.rows();
   return ParallelRows(
       rows.size(), engine.options().num_threads,
       [&](size_t r, const RowBatchContext& ctx) -> Status {
         const CTableRow& row = rows[r];
-        RowProvenance prov = ProvenanceOf(table, r);
-        if (!prov.valid()) return Status::OK();
         // Cancel-wired engine: index keys exclude cancel_check (like
         // num_threads), so entries built here stay byte-identical to
         // lazily backfilled ones.
@@ -178,7 +116,7 @@ Status EagerBuildIndex(const CTable& table, const SamplingEngine& engine) {
         // The row confidence serves conf() targets and expected_count.
         if (row_probabilistic) {
           PIP_RETURN_IF_ERROR(
-              IndexedConfidence(row_engine, prov, row.condition).status());
+              IndexedConfidence(row_engine, table, row.condition).status());
         }
         // Cell expectations, mirroring Analyze's call pattern: the first
         // probabilistic cell also carries P[condition].
@@ -187,28 +125,8 @@ Status EagerBuildIndex(const CTable& table, const SamplingEngine& engine) {
           if (cell->IsDeterministic() && !row_probabilistic) continue;
           if (cell->IsDeterministic() && !first) continue;
           PIP_RETURN_IF_ERROR(
-              IndexedExpectation(row_engine, prov, cell, row.condition, first)
+              IndexedExpectation(row_engine, table, cell, row.condition, first)
                   .status());
-          if (first && !cell->IsDeterministic()) {
-            // Attach the moment/quantile/CDF summary to the first
-            // probabilistic cell's 'P' entry: a bounded deterministic
-            // sample sweep of the conditional distribution.
-            PIP_ASSIGN_OR_RETURN(
-                std::vector<double> samples,
-                row_engine.SampleConditional(cell, row.condition,
-                                             kSummarySamples));
-            std::string key =
-                ExactResultKey('P', cell, {&row.condition}, engine.pool(),
-                               engine.options());
-            if (auto existing = index->Lookup(prov.table_id, prov.generation,
-                                              prov.row_id, key);
-                existing && existing->summary == nullptr) {
-              IndexedValue updated = *existing;
-              updated.summary = BuildSummary(std::move(samples));
-              index->Insert(prov.table_id, prov.generation, prov.row_id, key,
-                            std::move(updated));
-            }
-          }
           first = false;
         }
         return Status::OK();

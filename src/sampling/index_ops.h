@@ -9,9 +9,12 @@
 /// because the draw scheme is a pure function of (seed, var, sample,
 /// attempt) and the exact result key (shape_key.h) pins everything that
 /// feeds it. On a miss the normal engine path runs and the result
-/// backfills the index. Rows without catalogue provenance (joins,
-/// unions, inline values) and fully deterministic calls bypass the index
-/// entirely, as does any engine without an attached index.
+/// backfills the index. The key is the whole identity of an entry: the
+/// source table only decides whether the index is consulted at all.
+/// Rows of catalogue snapshots (CTable::table_id() != 0, including
+/// their selections, projections and groups) use it; rows of ad-hoc
+/// tables (joins, unions, inline values) and fully deterministic calls
+/// bypass it, as does any engine without an attached index.
 
 #ifndef PIP_SAMPLING_INDEX_OPS_H_
 #define PIP_SAMPLING_INDEX_OPS_H_
@@ -24,50 +27,33 @@
 
 namespace pip {
 
-/// \brief Index anchor of one row: where it lives in the catalogue.
-struct RowProvenance {
-  uint64_t table_id = 0;
-  uint64_t generation = 0;
-  uint64_t row_id = 0;
-
-  bool valid() const { return table_id != 0 && row_id != 0; }
-};
-
-/// The provenance of row `row_index` of `table` (invalid when the table
-/// is not a catalogue snapshot).
-inline RowProvenance ProvenanceOf(const CTable& table, size_t row_index) {
-  return RowProvenance{table.table_id(), table.generation(),
-                       table.row(row_index).row_id};
-}
-
 /// engine.Expectation through the index: hit → cached replay, miss →
-/// compute and backfill.
+/// compute and backfill. `source` is the table the row belongs to.
 StatusOr<ExpectationResult> IndexedExpectation(const SamplingEngine& engine,
-                                               const RowProvenance& prov,
+                                               const CTable& source,
                                                const ExprPtr& expr,
                                                const Condition& condition,
                                                bool compute_probability);
 
 /// engine.Confidence through the index.
 StatusOr<ExpectationResult> IndexedConfidence(const SamplingEngine& engine,
-                                              const RowProvenance& prov,
+                                              const CTable& source,
                                               const Condition& condition);
 
 /// engine.JointConfidence through the index. The ordered disjunct list
-/// is part of the key; `prov` should be the group's exemplar row (the
-/// anchor only controls invalidation, the key controls correctness).
+/// is part of the key.
 StatusOr<double> IndexedJointConfidence(const SamplingEngine& engine,
-                                        const RowProvenance& prov,
+                                        const CTable& source,
                                         const std::vector<Condition>& disjuncts);
 
 /// Eagerly materializes index entries for every row of a catalogue
-/// snapshot: the row confidence, each probabilistic cell's expectation
-/// (the first one with probability, matching Analyze's call pattern),
-/// and a moment/quantile/CDF summary of the first probabilistic cell.
-/// Rows fan out across the engine's thread budget. No-op for tables
-/// without provenance or engines without an index. Per-row sampling
-/// errors abort the build and surface as its Status; already-present
-/// entries are skipped via the normal hit path.
+/// snapshot: the row confidence and each probabilistic cell's
+/// expectation (the first one with probability, matching Analyze's call
+/// pattern). Rows fan out across the engine's thread budget. No-op for
+/// ad-hoc tables or engines without an index. Per-row sampling errors
+/// abort the build and surface as its Status; already-present entries
+/// are served by the normal hit path, so a build after an INSERT
+/// samples only the new rows.
 Status EagerBuildIndex(const CTable& table, const SamplingEngine& engine);
 
 }  // namespace pip

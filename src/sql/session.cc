@@ -468,8 +468,6 @@ class Parser {
           {"misses", stats.misses},
           {"inserts", stats.inserts},
           {"evictions", stats.evictions},
-          {"invalidations", stats.invalidations},
-          {"stale_rejects", stats.stale_rejects},
           {"insert_failures", stats.insert_failures},
       };
       for (const auto& [metric, value] : rows) {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/engine/database.h"
+#include "src/sampling/index_ops.h"
 #include "src/sql/session.h"
 
 namespace pip {
@@ -26,9 +29,9 @@ IndexedValue MakeValue(double expectation) {
 
 TEST(ExpectationIndexTest, MissThenInsertThenHit) {
   ExpectationIndex index;
-  EXPECT_FALSE(index.Lookup(1, 1, 1, "k").has_value());
-  index.Insert(1, 1, 1, "k", MakeValue(3.5));
-  auto hit = index.Lookup(1, 1, 1, "k");
+  EXPECT_FALSE(index.Lookup("k").has_value());
+  index.Insert("k", MakeValue(3.5));
+  auto hit = index.Lookup("k");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->expectation, 3.5);
   ExpectationIndex::Stats stats = index.stats();
@@ -38,41 +41,21 @@ TEST(ExpectationIndexTest, MissThenInsertThenHit) {
   EXPECT_GT(stats.bytes, 0u);
 }
 
-TEST(ExpectationIndexTest, KeysSeparateRowsAndTables) {
+TEST(ExpectationIndexTest, DistinctResultKeysNeverAlias) {
   ExpectationIndex index;
-  index.Insert(1, 1, 1, "k", MakeValue(1.0));
-  EXPECT_FALSE(index.Lookup(1, 1, 2, "k").has_value());   // Other row.
-  EXPECT_FALSE(index.Lookup(2, 1, 1, "k").has_value());   // Other table.
-  EXPECT_FALSE(index.Lookup(1, 1, 1, "k2").has_value());  // Other query.
-}
-
-TEST(ExpectationIndexTest, GenerationBumpPurgesExactlyThatTable) {
-  ExpectationIndex index;
-  index.Insert(1, 1, 1, "k", MakeValue(1.0));
-  index.Insert(1, 1, 2, "k", MakeValue(2.0));
-  index.Insert(9, 1, 1, "k", MakeValue(9.0));
-  index.BeginGeneration(1, 2);
-  // Table 1's old-generation entries are gone; table 9 is untouched.
-  EXPECT_FALSE(index.Lookup(1, 1, 1, "k").has_value());
-  EXPECT_FALSE(index.Lookup(1, 1, 2, "k").has_value());
-  EXPECT_TRUE(index.Lookup(9, 1, 1, "k").has_value());
-  EXPECT_EQ(index.stats().invalidations, 2u);
-}
-
-TEST(ExpectationIndexTest, StaleBackfillRejected) {
-  ExpectationIndex index;
-  index.BeginGeneration(1, 3);
-  index.Insert(1, 2, 1, "k", MakeValue(1.0));  // Older snapshot's backfill.
-  EXPECT_FALSE(index.Lookup(1, 2, 1, "k").has_value());
-  EXPECT_EQ(index.stats().stale_rejects, 1u);
-  index.Insert(1, 3, 1, "k", MakeValue(2.0));  // Current generation lands.
-  EXPECT_TRUE(index.Lookup(1, 3, 1, "k").has_value());
+  index.Insert("k", MakeValue(1.0));
+  index.Insert("kk", MakeValue(2.0));
+  EXPECT_FALSE(index.Lookup("k2").has_value());  // Other query.
+  EXPECT_FALSE(index.Lookup("").has_value());    // Empty prefix.
+  EXPECT_EQ(index.Lookup("k")->expectation, 1.0);
+  EXPECT_EQ(index.Lookup("kk")->expectation, 2.0);
+  EXPECT_EQ(index.stats().entries, 2u);
 }
 
 TEST(ExpectationIndexTest, LruEvictionUnderTinyBudget) {
   ExpectationIndex index(/*memory_budget=*/1);  // Nothing fits twice over.
-  index.Insert(1, 1, 1, "k", MakeValue(1.0));
-  index.Insert(1, 1, 2, "k", MakeValue(2.0));
+  index.Insert("a", MakeValue(1.0));
+  index.Insert("b", MakeValue(2.0));
   ExpectationIndex::Stats stats = index.stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.entries, 1u);
@@ -80,31 +63,29 @@ TEST(ExpectationIndexTest, LruEvictionUnderTinyBudget) {
 
 TEST(ExpectationIndexTest, LruKeepsRecentlyTouchedEntry) {
   ExpectationIndex index(/*memory_budget=*/0);  // Unlimited while filling.
-  index.Insert(1, 1, 1, "old", MakeValue(1.0));
-  index.Insert(1, 1, 2, "new", MakeValue(2.0));
+  index.Insert("old", MakeValue(1.0));
+  index.Insert("new", MakeValue(2.0));
   // Touch the older entry, then shrink so only one survives: the
   // untouched one must be the victim.
-  EXPECT_TRUE(index.Lookup(1, 1, 1, "old").has_value());
+  EXPECT_TRUE(index.Lookup("old").has_value());
   ExpectationIndex::Stats full = index.stats();
   index.SetMemoryBudget(full.bytes - 1);
-  EXPECT_TRUE(index.Lookup(1, 1, 1, "old").has_value());
-  EXPECT_FALSE(index.Lookup(1, 1, 2, "new").has_value());
+  EXPECT_TRUE(index.Lookup("old").has_value());
+  EXPECT_FALSE(index.Lookup("new").has_value());
 }
 
-TEST(ExpectationIndexTest, ReinsertAttachesSummaryAndKeepsOneEntry) {
+TEST(ExpectationIndexTest, ReinsertKeepsOneEntry) {
   ExpectationIndex index;
-  index.Insert(1, 1, 1, "k", MakeValue(1.0));
-  IndexedValue with_summary = MakeValue(1.0);
-  auto summary = std::make_shared<IndexSummary>();
-  summary->moment_count = 10;
-  summary->mean = 1.0;
-  with_summary.summary = summary;
-  index.Insert(1, 1, 1, "k", with_summary);
-  auto hit = index.Lookup(1, 1, 1, "k");
+  index.Insert("k", MakeValue(1.0));
+  const ExpectationIndex::Stats first = index.stats();
+  index.Insert("k", MakeValue(1.0));  // A racing backfill of one key.
+  const ExpectationIndex::Stats second = index.stats();
+  EXPECT_EQ(second.entries, 1u);
+  EXPECT_EQ(second.inserts, first.inserts);
+  EXPECT_EQ(second.bytes, first.bytes);
+  auto hit = index.Lookup("k");
   ASSERT_TRUE(hit.has_value());
-  ASSERT_NE(hit->summary, nullptr);
-  EXPECT_EQ(hit->summary->moment_count, 10u);
-  EXPECT_EQ(index.stats().entries, 1u);
+  EXPECT_EQ(hit->expectation, 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -178,28 +159,118 @@ TEST_F(IndexSqlTest, AggregatesShareIndexWithAnalyze) {
   EXPECT_EQ(after_warm.inserts, after_cold.inserts);  // Fully served.
 }
 
-TEST_F(IndexSqlTest, InsertInvalidatesExactlyTheWrittenTable) {
+TEST_F(IndexSqlTest, OneKeyFromTwoTablesIsOneEntry) {
+  // Two tables holding the same named variable under the same condition
+  // ask the same question, so they share one entry.
+  Run("CREATE VARIABLE x AS Normal(10, 1)");
   Run("CREATE TABLE m (tag, v)");
   Run("CREATE TABLE other (tag, v)");
-  Run("INSERT INTO m VALUES ('a', Normal(10, 1))");
-  Run("INSERT INTO other VALUES ('x', Normal(5, 1))");
-  AnalyzeRow(&session_);  // Warm m's entries.
-  Run(&session_,
-      "SELECT tag, expectation(v) AS ev FROM other");  // Warm other's.
+  Run("INSERT INTO m VALUES ('a', x)");
+  Run("INSERT INTO other VALUES ('a', x)");
+  const std::string query = "SELECT tag, expectation(v) AS ev, conf() FROM ";
+  sql::SqlResult from_m = Run(query + "m WHERE v > 0");
+  ExpectationIndex::Stats after_m = db_.result_index_stats();
+  sql::SqlResult from_other = Run(query + "other WHERE v > 0");
+  ExpectationIndex::Stats after_other = db_.result_index_stats();
+  EXPECT_EQ(from_other.table.row(0)[1].double_value(),
+            from_m.table.row(0)[1].double_value());
+  EXPECT_EQ(after_other.entries, after_m.entries);
+  EXPECT_EQ(after_other.misses, after_m.misses);
+  EXPECT_GT(after_other.hits, after_m.hits);
+
+  // A different variable with equal parameters is a different question.
+  Run("INSERT INTO other VALUES ('b', Normal(10, 1))");
+  Run(query + "other WHERE v > 0");
+  ExpectationIndex::Stats after_new = db_.result_index_stats();
+  EXPECT_EQ(after_new.entries, after_other.entries + 1);
+}
+
+TEST_F(IndexSqlTest, InsertKeepsOldRowsHitting) {
+  Run("CREATE TABLE m (tag, v)");
+  Run("INSERT INTO m VALUES ('a', Normal(10, 1)), ('b', Exponential(0.5))");
+  const std::vector<double> before = AnalyzeRow(&session_);  // Warms m.
   ExpectationIndex::Stats warm = db_.result_index_stats();
-  ASSERT_GT(warm.entries, 0u);
+  ASSERT_EQ(before.size(), 4u);
 
-  Run("INSERT INTO m VALUES ('b', Normal(20, 1))");
+  Run("INSERT INTO m VALUES ('c', Normal(20, 1))");
+  ExpectationIndex::Stats written = db_.result_index_stats();
+  EXPECT_EQ(written.entries, warm.entries);  // The write purged nothing.
+  EXPECT_EQ(written.invalidations, 0u);
+
+  std::vector<double> after = AnalyzeRow(&session_);
+  ExpectationIndex::Stats swept = db_.result_index_stats();
+  // AnalyzeRow makes one lookup per row: both old rows hit and only the
+  // new row misses and backfills.
+  EXPECT_EQ(swept.hits - written.hits, 2u);
+  EXPECT_EQ(swept.misses - written.misses, 1u);
+  EXPECT_EQ(swept.inserts - written.inserts, 1u);
+  // Old rows' cells are byte-identical to the pre-insert sweep, and the
+  // new row appears.
+  ASSERT_EQ(after.size(), 6u);
+  EXPECT_EQ(std::memcmp(after.data(), before.data(),
+                        before.size() * sizeof(double)),
+            0);
+  EXPECT_NEAR(after[4], 20.0, 0.5);
+}
+
+TEST_F(IndexSqlTest, MaterializeViewKeepsIdenticalRowsAndMissesNewOnes) {
+  Run("CREATE TABLE m (tag, v)");
+  Run("INSERT INTO m VALUES ('a', Normal(10, 1)), ('b', Normal(12, 1))");
+  const std::vector<double> warm = AnalyzeRow(&session_);
+  ExpectationIndex::Stats warmed = db_.result_index_stats();
+
+  // Re-materializing the same rows keeps every entry hitting.
+  db_.MaterializeView("m", *db_.GetTable("m").value());
+  EXPECT_EQ(AnalyzeRow(&session_), warm);
+  ExpectationIndex::Stats same = db_.result_index_stats();
+  EXPECT_EQ(same.misses, warmed.misses);
+  EXPECT_EQ(same.hits - warmed.hits, 2u);
+
+  // Re-creating the table with different parameters allocates new
+  // variables: every row misses and the answers are fresh.
+  Run("CREATE TABLE staging (tag, v)");
+  Run("INSERT INTO staging VALUES ('a', Normal(30, 1)), ('b', "
+      "Normal(32, 1))");
+  db_.MaterializeView("m", *db_.GetTable("staging").value());
+  const std::vector<double> fresh = AnalyzeRow(&session_);
+  ExpectationIndex::Stats recreated = db_.result_index_stats();
+  EXPECT_EQ(recreated.misses - same.misses, 2u);
+  EXPECT_EQ(recreated.hits, same.hits);
+  ASSERT_EQ(fresh.size(), 4u);
+  EXPECT_NEAR(fresh[0], 30.0, 0.5);
+  EXPECT_NEAR(fresh[2], 32.0, 0.5);
+}
+
+TEST_F(IndexSqlTest, BackfillFromPreInsertSnapshotServesLaterReaders) {
+  Run("CREATE TABLE m (tag, v)");
+  Run("INSERT INTO m VALUES ('a', Normal(10, 1)), ('b', Exponential(0.5))");
+  std::shared_ptr<const CTable> old_snapshot = db_.GetTable("m").value();
+  Run("INSERT INTO m VALUES ('c', Normal(20, 1))");
+
+  // A reader still holding the pre-insert snapshot backfills after the
+  // write has published; its entries must serve post-insert readers.
+  ASSERT_TRUE(
+      EagerBuildIndex(*old_snapshot, db_.MakeEngine(*session_.mutable_options()))
+          .ok());
+  ExpectationIndex::Stats backfilled = db_.result_index_stats();
+  const std::string query = "SELECT tag, expectation(v) AS ev, conf() FROM m";
+  sql::SqlResult served = Run(query);
   ExpectationIndex::Stats after = db_.result_index_stats();
-  EXPECT_GT(after.invalidations, warm.invalidations);
-  // The untouched table's entries survive the write.
-  EXPECT_GT(after.entries, 0u);
+  EXPECT_EQ(after.hits - backfilled.hits, 2u);      // Both old rows.
+  EXPECT_EQ(after.misses - backfilled.misses, 1u);  // Only the new row.
 
-  // Post-write answers are fresh (and the new row appears).
-  std::vector<double> fresh = AnalyzeRow(&session_);
-  EXPECT_EQ(fresh.size(), 4u);
-  EXPECT_NEAR(fresh[0], 10.0, 0.5);
-  EXPECT_NEAR(fresh[2], 20.0, 0.5);
+  Run("SET index_enabled = 0");
+  sql::SqlResult recomputed = Run(query);
+  ASSERT_EQ(served.table.num_rows(), 3u);
+  ASSERT_EQ(recomputed.table.num_rows(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t c = 1; c < 3; ++c) {
+      const double a = served.table.row(i)[c].double_value();
+      const double b = recomputed.table.row(i)[c].double_value();
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+          << "row " << i << " column " << c;
+    }
+  }
 }
 
 TEST_F(IndexSqlTest, TinyBudgetEvictsThroughSqlKnob) {
@@ -271,7 +342,7 @@ TEST_F(IndexSqlTest, ShowIndexAndKnobsSurfaces) {
   sql::SqlResult index = Run("SHOW INDEX");
   EXPECT_EQ(index.table.schema().columns(),
             (std::vector<std::string>{"metric", "value"}));
-  EXPECT_EQ(index.table.num_rows(), 10u);  // incl. insert_failures
+  EXPECT_EQ(index.table.num_rows(), 8u);  // incl. insert_failures
   EXPECT_EQ(index.table.row(0)[0].string_value(), "entries");
 
   // Bad knob values are rejected; good ones round-trip through SHOW.

@@ -39,6 +39,7 @@ TEST(AdmissionGateTest, BoundsConcurrency) {
   AdmissionGate gate(2);
   std::atomic<int> in_flight{0};
   std::atomic<int> max_seen{0};
+  std::atomic<int> admitted_order{0};
   std::vector<std::thread> threads;
   for (int i = 0; i < 8; ++i) {
     threads.emplace_back([&] {
@@ -47,6 +48,17 @@ TEST(AdmissionGateTest, BoundsConcurrency) {
         int now = in_flight.fetch_add(1) + 1;
         int seen = max_seen.load();
         while (now > seen && !max_seen.compare_exchange_weak(seen, now)) {
+        }
+        // The first two tickets hold both slots until another acquirer
+        // is queued behind them (bounded), so the run always exercises
+        // queueing instead of relying on yields to interleave.
+        if (admitted_order.fetch_add(1) < 2) {
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (gate.stats().waiting == 0 &&
+                 std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+          }
         }
         std::this_thread::yield();
         in_flight.fetch_sub(1);
