@@ -17,7 +17,9 @@
 #include "bench/bench_json.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
+#include "src/dist/registry.h"
 #include "src/engine/query.h"
+#include "src/sampling/aggregates.h"
 #include "src/workload/queries.h"
 
 namespace {
@@ -199,8 +201,10 @@ void ThreadSweep() {
   struct SweepRun {
     size_t threads;
     double q_wall[4];
+    double q_cpu[4];
     double q_value[4];
     double total_wall = 0.0;
+    double total_cpu = 0.0;
   };
   std::vector<SweepRun> runs;
 
@@ -215,24 +219,31 @@ void ThreadSweep() {
     SweepRun run;
     run.threads = threads;
 
+    // Wall and CPU time of each query, read back to back.
     pip::WallTimer timer;
+    double cpu = pip::bench::ProcessCpuSeconds();
+    auto lap = [&](int q) {
+      run.q_wall[q] = timer.Seconds();
+      const double now = pip::bench::ProcessCpuSeconds();
+      run.q_cpu[q] = now - cpu;
+      cpu = now;
+      timer.Restart();
+    };
     auto q1 = pip::workload::RunQ1Pip(Data(), 1, opts);
-    run.q_wall[0] = timer.Seconds();
-    timer.Restart();
+    lap(0);
     auto q2 = pip::workload::RunQ2Pip(Data(), 2, opts, samples);
-    run.q_wall[1] = timer.Seconds();
-    timer.Restart();
+    lap(1);
     auto q3 = pip::workload::RunQ3Pip(Data(), 3, opts);
-    run.q_wall[2] = timer.Seconds();
-    timer.Restart();
+    lap(2);
     auto q4 = pip::workload::RunQ4Pip(Data(), kQ4Selectivity, 4, opts);
-    run.q_wall[3] = timer.Seconds();
+    lap(3);
     PIP_CHECK(q1.ok() && q2.ok() && q3.ok() && q4.ok());
     run.q_value[0] = q1.value().value;
     run.q_value[1] = q2.value().value;
     run.q_value[2] = q3.value().value;
     run.q_value[3] = q4.value().total;
     for (double w : run.q_wall) run.total_wall += w;
+    for (double c : run.q_cpu) run.total_cpu += c;
     std::printf("%8zu %10.3f %10.3f %10.3f %10.3f %12.3f\n", threads,
                 run.q_wall[0], run.q_wall[1], run.q_wall[2], run.q_wall[3],
                 run.total_wall);
@@ -266,6 +277,7 @@ void ThreadSweep() {
       r.query = names[q];
       r.threads = static_cast<double>(run.threads);
       r.wall_seconds = run.q_wall[q];
+      r.cpu_seconds = run.q_cpu[q];
       r.samples = static_cast<double>(samples);
       r.samples_per_sec =
           run.q_wall[q] > 0 ? static_cast<double>(samples) / run.q_wall[q]
@@ -278,6 +290,7 @@ void ThreadSweep() {
     total.query = "end_to_end";
     total.threads = static_cast<double>(run.threads);
     total.wall_seconds = run.total_wall;
+    total.cpu_seconds = run.total_cpu;
     total.samples = static_cast<double>(samples);
     records.push_back(total);
   }
@@ -314,6 +327,7 @@ void AnalyzeRowSweep() {
   struct SweepRun {
     size_t threads;
     double wall;
+    double cpu;
     std::string output;
   };
   std::vector<SweepRun> runs;
@@ -323,12 +337,14 @@ void AnalyzeRowSweep() {
     opts.num_threads = threads;
     opts.use_numeric_integration = false;  // Keep the sampling path hot.
     pip::SamplingEngine engine = db.MakeEngine(opts);
+    const double cpu0 = pip::bench::ProcessCpuSeconds();
     pip::WallTimer timer;
     auto out = pip::Analyze(table, engine, spec);
     double wall = timer.Seconds();
+    const double cpu = pip::bench::ProcessCpuSeconds() - cpu0;
     PIP_CHECK(out.ok());
     PIP_CHECK(out.value().num_rows() == rows);
-    runs.push_back({threads, wall, out.value().ToString()});
+    runs.push_back({threads, wall, cpu, out.value().ToString()});
     std::printf("%8zu %10.3f %12.1f\n", threads, wall,
                 wall > 0 ? static_cast<double>(rows) / wall : 0.0);
   }
@@ -348,6 +364,7 @@ void AnalyzeRowSweep() {
     r.query = "analyze_batch";
     r.threads = static_cast<double>(run.threads);
     r.wall_seconds = run.wall;
+    r.cpu_seconds = run.cpu;
     r.samples = static_cast<double>(rows);
     // For the row-parallel axis the throughput figure is rows/sec.
     r.samples_per_sec =
@@ -525,6 +542,154 @@ void BatchDrawAblation() {
   AppendBenchRecords(BenchJsonPath(), records);
 }
 
+/// The cost of one Monte Carlo attempt, layer by layer (kernel_draws
+/// records), over pipbench-shaped order lines: price ~ Normal(mu, sigma)
+/// with mu in [80, 120] and sigma in [5, 15], qty ~ Poisson(lambda) with
+/// lambda in [3, 10].
+///   * poisson_draws / normal_draws: GenerateBatch draws per second in
+///     64-sample blocks that cycle the lines' parameters, so consecutive
+///     blocks change rate (the Poisson memo's multi-rate path).
+///   * probe_attempt: one probe-shaped row, E[price * qty | price * qty > c]
+///     with conf at 500 fixed samples and P ~ 0.35; wall_seconds is the
+///     whole sweep of rows, samples_per_sec is attempts per second, and
+///     value (bit-compared) is the sum of the rows' expectations.
+///   * expected_max_worlds / aconf_7: expected_max over a variable-cell
+///     table (world sampling) and aconf over 7 disjuncts (joint hit-rate
+///     Monte Carlo), the two other loops that share the draw kernels.
+/// Everything runs on one thread to isolate per-attempt cost.
+/// bench-smoke asserts poisson_draws >= 0.5 x normal_draws within the run.
+void KernelDraws() {
+  const bool smoke = SmokeMode();
+  constexpr int kLines = 150;
+  constexpr uint64_t kBlock = 64;
+  std::vector<std::vector<double>> normal, poisson;
+  for (int i = 0; i < kLines; ++i) {
+    const double a = static_cast<double>((i * 37) % kLines) / kLines;
+    const double b = static_cast<double>((i * 11) % kLines) / kLines;
+    const double c = static_cast<double>((i * 53) % kLines) / kLines;
+    normal.push_back({80.0 + 40.0 * a, 5.0 + 10.0 * b});
+    poisson.push_back({3.0 + 7.0 * c});
+  }
+  std::vector<BenchRecord> records;
+  auto record = [&](const char* query, double wall, double cpu, double work,
+                    double value) {
+    BenchRecord r;
+    r.bench = "kernel_draws";
+    r.query = query;
+    r.threads = 1;
+    r.wall_seconds = wall;
+    r.cpu_seconds = cpu;
+    r.samples = work;
+    r.samples_per_sec = wall > 0 ? work / wall : 0.0;
+    r.value = value;
+    records.push_back(r);
+    std::printf("%20s %10.4fs %14.0f /s  cpu %.4fs\n", query, wall,
+                r.samples_per_sec, cpu);
+  };
+  std::printf("=== Kernel draws: per-attempt cost layers, 1 thread ===\n");
+
+  const uint64_t blocks = smoke ? 4000 : 40000;
+  for (const char* name : {"Normal", "Poisson"}) {
+    const pip::Distribution* dist =
+        pip::DistributionRegistry::Global().Lookup(name).value();
+    const auto& params = std::strcmp(name, "Normal") == 0 ? normal : poisson;
+    double out[kBlock];
+    double sum = 0.0;
+    const double cpu0 = pip::bench::ProcessCpuSeconds();
+    pip::WallTimer timer;
+    for (uint64_t block = 0; block < blocks; ++block) {
+      const size_t line = block % params.size();
+      pip::SampleContext ctx{20261017, line + 1, block * kBlock, 0};
+      PIP_CHECK(dist->GenerateBatch(params[line], ctx, kBlock, out).ok());
+      for (double x : out) sum += x;
+    }
+    const double wall = timer.Seconds();
+    record(std::strcmp(name, "Normal") == 0 ? "normal_draws" : "poisson_draws",
+           wall, pip::bench::ProcessCpuSeconds() - cpu0,
+           static_cast<double>(blocks * kBlock), sum);
+  }
+
+  pip::VariablePool pool(20261017);
+  std::vector<pip::ExprPtr> lines;
+  std::vector<double> centers;
+  for (int i = 0; i < kLines; ++i) {
+    auto price = pool.Create("Normal", normal[i]).value();
+    auto qty = pool.Create("Poisson", poisson[i]).value();
+    lines.push_back(pip::Expr::Var(price) * pip::Expr::Var(qty));
+    centers.push_back(normal[i][0] * poisson[i][0]);
+  }
+  SamplingOptions fixed;
+  fixed.num_threads = 1;
+  fixed.fixed_samples = 500;
+  SamplingOptions adaptive;
+  adaptive.num_threads = 1;
+
+  {
+    const int rows = smoke ? 30 : 300;
+    pip::SamplingEngine engine(&pool, fixed);
+    double attempts = 0.0, sum = 0.0;
+    const double cpu0 = pip::bench::ProcessCpuSeconds();
+    pip::WallTimer timer;
+    for (int r = 0; r < rows; ++r) {
+      const pip::ExprPtr& line = lines[r % kLines];
+      pip::Condition cond(line >
+                          pip::Expr::Constant(1.15 * centers[r % kLines]));
+      auto result = engine.Expectation(line, cond, true);
+      PIP_CHECK(result.ok());
+      attempts += static_cast<double>(result.value().attempts);
+      sum += result.value().expectation;
+    }
+    const double wall = timer.Seconds();
+    record("probe_attempt", wall, pip::bench::ProcessCpuSeconds() - cpu0,
+           attempts, sum);
+    std::printf("%20s %10.1f ns/attempt\n", "", 1e9 * wall / attempts);
+  }
+
+  {
+    pip::CTable table((pip::Schema({"v"})));
+    for (int i = 0; i < 40; ++i) {
+      pip::Condition present(lines[i] >
+                             pip::Expr::Constant(0.9 * centers[i]));
+      PIP_CHECK(table.Append({lines[i]}, present).ok());
+    }
+    pip::AggregateOptions agg_options;
+    agg_options.world_samples = smoke ? 500 : 5000;
+    pip::SamplingEngine engine(&pool, fixed);
+    pip::AggregateEvaluator agg(&engine, agg_options);
+    const double cpu0 = pip::bench::ProcessCpuSeconds();
+    pip::WallTimer timer;
+    auto max = agg.ExpectedMax(table, "v");
+    const double wall = timer.Seconds();
+    PIP_CHECK(max.ok());
+    record("expected_max_worlds", wall, pip::bench::ProcessCpuSeconds() - cpu0,
+           static_cast<double>(agg_options.world_samples), max.value());
+  }
+
+  {
+    const int sets = smoke ? 3 : 20;
+    pip::SamplingEngine engine(&pool, adaptive);
+    double sum = 0.0;
+    const double cpu0 = pip::bench::ProcessCpuSeconds();
+    pip::WallTimer timer;
+    for (int set = 0; set < sets; ++set) {
+      std::vector<pip::Condition> disjuncts;
+      for (int d = 0; d < 7; ++d) {
+        const int i = (7 * set + d) % kLines;
+        disjuncts.emplace_back(lines[i] >
+                               pip::Expr::Constant(1.6 * centers[i]));
+      }
+      auto p = engine.JointConfidence(disjuncts);
+      PIP_CHECK(p.ok());
+      sum += p.value();
+    }
+    const double wall = timer.Seconds();
+    record("aconf_7", wall, pip::bench::ProcessCpuSeconds() - cpu0,
+           static_cast<double>(sets), sum);
+  }
+  std::printf("\n");
+  AppendBenchRecords(BenchJsonPath(), records);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -533,6 +698,7 @@ int main(int argc, char** argv) {
   AnalyzeRowSweep();
   NestedShapeSweep();
   BatchDrawAblation();
+  KernelDraws();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

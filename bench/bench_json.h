@@ -11,6 +11,8 @@
 #ifndef PIP_BENCH_BENCH_JSON_H_
 #define PIP_BENCH_BENCH_JSON_H_
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,7 +41,24 @@ struct BenchRecord {
   double pool_joiner_tasks = 0;  ///< Tasks executed inside ParallelFor joins.
   double pool_steals = 0;        ///< Cross-deque task takes.
   double pool_join_wait_micros = 0;  ///< Blocked join wait time.
+  /// Process CPU time (user + system, every thread) over the measured
+  /// region. cpu_seconds / wall_seconds is the parallelism the run got:
+  /// near 1 for a serial region, and below the thread count when the
+  /// machine lent fewer cores than asked for.
+  double cpu_seconds = 0;
 };
+
+/// User + system CPU seconds this process has used so far, summed over
+/// all threads. Differences bracket a region for BenchRecord::cpu_seconds.
+inline double ProcessCpuSeconds() {
+  struct rusage usage;
+  getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const struct timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           1e-6 * static_cast<double>(t.tv_usec);
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
 
 inline std::string BenchJsonPath() {
   const char* env = std::getenv("PIP_BENCH_JSON");
@@ -63,7 +82,8 @@ inline std::string ToJson(const BenchRecord& r) {
      << ",\"pool_nested_tasks\":" << r.pool_nested_tasks
      << ",\"pool_joiner_tasks\":" << r.pool_joiner_tasks
      << ",\"pool_steals\":" << r.pool_steals
-     << ",\"pool_join_wait_micros\":" << r.pool_join_wait_micros << "}";
+     << ",\"pool_join_wait_micros\":" << r.pool_join_wait_micros
+     << ",\"cpu_seconds\":" << r.cpu_seconds << "}";
   return os.str();
 }
 

@@ -107,7 +107,12 @@ double NormalQuantile(double p) {
   return M_SQRT2 * ErfInv(2.0 * p - 1.0);
 }
 
-double LogGamma(double x) { return std::lgamma(x); }
+double LogGamma(double x) {
+  // std::lgamma stores the sign of Gamma(x) in the global `signgam`, a data
+  // race between threads; lgamma_r returns the same bits through a local.
+  int sign = 0;
+  return lgamma_r(x, &sign);
+}
 
 namespace {
 

@@ -25,7 +25,8 @@ double NormalPdf(double x);
 /// Returns -inf at 0 and +inf at 1.
 double NormalQuantile(double p);
 
-/// Natural log of the Gamma function for x > 0 (Lanczos approximation).
+/// Natural log of |Gamma(x)|. Reentrant: it never writes the C library's
+/// global `signgam`, so pool workers may call it concurrently.
 double LogGamma(double x);
 
 /// Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0.

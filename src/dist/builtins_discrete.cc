@@ -8,6 +8,7 @@
 /// (zero-mass points omitted), which unlocks possible-world enumeration.
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -37,6 +38,75 @@ void FillFirstUniforms(const SampleContext& ctx, uint64_t n, double* u) {
 // Poisson(lambda) — infinite lattice.
 // ---------------------------------------------------------------------------
 
+/// The Poisson quantile's CDF ladder: rungs cum[k] = PoissonCdf(lambda, k)
+/// for k = 0..K with K = ceil(lambda + 9 sqrt(lambda)) + 10, memoized per
+/// rate. On the ladder a quantile is one binary search instead of a
+/// NormalQuantile plus two or three PoissonCdf calls.
+///
+/// Same lattice point as the walk (PoissonDist::Quantile), bit for bit,
+/// whenever 0 < q <= cum[K] and the rungs are non-decreasing:
+///   * The walk starts at k0 = max(0, floor(lambda + sqrt(lambda) z + 0.5))
+///     with z = NormalQuantile(q). The largest double below 1 is 1 - 2^-53
+///     and NormalQuantile(1 - 2^-53) = 8.2095 < 9, so k0 <= K: the walk
+///     starts on the ladder.
+///   * Stepping up from k0 it stops at the first k with cum[k] >= q, which
+///     exists at or below K because cum[K] >= q; stepping down it stops
+///     above the first k - 1 with cum[k - 1] < q. Either way it evaluates
+///     PoissonCdf only at rungs (the same calls, so the same bits), and on
+///     a monotone ladder both stops are the smallest k with cum[k] >= q —
+///     which is what lower_bound returns.
+/// A q above cum[K] (the far tail), a NaN q, a ladder that is not monotone
+/// (PoissonCdf switches between an incomplete-gamma series and a continued
+/// fraction, which need not meet monotonically) and rates whose ladder
+/// would exceed kMaxRungs all take the walk.
+class PoissonLadder {
+ public:
+  /// The rungs for `lambda`, or nullptr when only the walk applies. The
+  /// pointer stays valid until the calling thread's next For().
+  static const std::vector<double>* For(double lambda) {
+    // Negated compare: a NaN or negative rate (sqrt -> NaN) walks too.
+    const double top = std::ceil(lambda + 9.0 * std::sqrt(lambda)) + 10.0;
+    if (!(top < kMaxRungs)) return nullptr;
+    // Thread-local so lookups take no lock (the Categorical and Zipf
+    // tables' pattern); keyed by the rate's bits. Several rates stay
+    // resident, because one sampling chunk alternates its variables.
+    static thread_local std::unordered_map<uint64_t, std::vector<double>>
+        cache;
+    static thread_local size_t cached_rungs = 0;
+    uint64_t key = 0;
+    std::memcpy(&key, &lambda, sizeof(key));
+    auto it = cache.find(key);
+    if (it == cache.end()) {
+      const size_t rungs = static_cast<size_t>(top) + 1;
+      if (cached_rungs + rungs > kMaxCachedRungs) {
+        cache.clear();
+        cached_rungs = 0;
+      }
+      cached_rungs += rungs;
+      it = cache.emplace(key, Build(lambda, rungs)).first;
+    }
+    return it->second.empty() ? nullptr : &it->second;
+  }
+
+ private:
+  /// Largest ladder built (lambda up to about 3500).
+  static constexpr double kMaxRungs = 4096;
+  /// Bound on one thread's memo: 64Ki rungs (512 KiB), about 1,300 ladders
+  /// of rates near 10.
+  static constexpr size_t kMaxCachedRungs = size_t{1} << 16;
+
+  /// The ladder, or an empty vector (remembered, so the walk is not
+  /// re-checked) when the rungs are not monotone.
+  static std::vector<double> Build(double lambda, size_t rungs) {
+    std::vector<double> cum(rungs);
+    for (size_t k = 0; k < rungs; ++k) {
+      cum[k] = PoissonCdf(lambda, static_cast<double>(k));
+      if (k > 0 && cum[k] < cum[k - 1]) return {};
+    }
+    return cum;
+  }
+};
+
 class PoissonDist : public Distribution {
  public:
   const std::string& name() const override {
@@ -62,7 +132,8 @@ class PoissonDist : public Distribution {
                        uint64_t n, double* out) const override {
     FillFirstUniforms(ctx, n, out);
     const double lambda = p[0];
-    for (uint64_t s = 0; s < n; ++s) out[s] = Quantile(lambda, out[s]);
+    const std::vector<double>* ladder = PoissonLadder::For(lambda);
+    for (uint64_t s = 0; s < n; ++s) out[s] = Quantile(lambda, out[s], ladder);
     return Status::OK();
   }
   StatusOr<double> Pdf(const std::vector<double>& p, uint32_t,
@@ -92,12 +163,22 @@ class PoissonDist : public Distribution {
   }
 
  private:
-  /// Smallest k with CDF(k) >= q. A normal-approximation starting point
-  /// followed by a short lattice walk keeps this O(1) expected even for
-  /// large lambda.
+  /// Smallest k with CDF(k) >= q: a binary search of the rate's CDF
+  /// ladder, or, off the ladder, a normal-approximation starting point
+  /// followed by a short lattice walk (O(1) expected even for large
+  /// lambda). Both give the same bits; see PoissonLadder.
   static double Quantile(double lambda, double q) {
+    return Quantile(lambda, q, PoissonLadder::For(lambda));
+  }
+  static double Quantile(double lambda, double q,
+                         const std::vector<double>* ladder) {
     if (q <= 0.0) return 0.0;
     if (q >= 1.0) return kInf;
+    if (ladder != nullptr && q <= ladder->back()) {
+      return static_cast<double>(
+          std::lower_bound(ladder->begin(), ladder->end(), q) -
+          ladder->begin());
+    }
     double guess =
         std::floor(lambda + std::sqrt(lambda) * NormalQuantile(q) + 0.5);
     double k = std::max(0.0, guess);

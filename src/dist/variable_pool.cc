@@ -128,7 +128,7 @@ Interval VariablePool::Support(VarRef v) const {
 StatusOr<double> VariablePool::Generate(VarRef v, uint64_t sample_index,
                                         uint64_t attempt) const {
   PIP_RETURN_IF_ERROR(CheckedInfo(v).status());
-  std::vector<double> joint;
+  static thread_local std::vector<double> joint;  // Reused across calls.
   PIP_RETURN_IF_ERROR(GenerateJoint(v.var_id, sample_index, attempt, &joint));
   return joint[v.component];
 }

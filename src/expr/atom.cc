@@ -82,6 +82,10 @@ StatusOr<bool> ConstraintAtom::EvalDeterministic() const {
 }
 
 StatusOr<bool> ConstraintAtom::Eval(const Assignment& a) const {
+  double x = 0.0, y = 0.0;
+  if (numeric_ && lhs_->TryEvalNumber(a, &x) && rhs_->TryEvalNumber(a, &y)) {
+    return Decide(op_, x < y ? -1 : (x > y ? 1 : 0));
+  }
   PIP_ASSIGN_OR_RETURN(Value l, lhs_->Eval(a));
   PIP_ASSIGN_OR_RETURN(Value r, rhs_->Eval(a));
   return Decide(op_, l.Compare(r));

@@ -28,7 +28,10 @@ CmpOp FlipCmp(CmpOp op);
 class ConstraintAtom {
  public:
   ConstraintAtom(ExprPtr lhs, CmpOp op, ExprPtr rhs)
-      : lhs_(std::move(lhs)), op_(op), rhs_(std::move(rhs)) {}
+      : lhs_(std::move(lhs)),
+        op_(op),
+        rhs_(std::move(rhs)),
+        numeric_(NumericSides(*lhs_, *rhs_)) {}
 
   const ExprPtr& lhs() const { return lhs_; }
   const ExprPtr& rhs() const { return rhs_; }
@@ -45,6 +48,11 @@ class ConstraintAtom {
   StatusOr<bool> EvalDeterministic() const;
 
   /// Truth value under a complete assignment of the mentioned variables.
+  /// When neither side is a bool, string or null constant (and not both
+  /// are constants), the sides are evaluated with Expr::TryEvalNumber and
+  /// compared in double by Value::Compare's numeric rule, so NaN compares
+  /// equal to everything. Any failure, and every other shape, falls back
+  /// to comparing the Values from Expr::Eval, which decides all errors.
   StatusOr<bool> Eval(const Assignment& a) const;
 
   void CollectVariables(VarSet* out) const {
@@ -74,9 +82,21 @@ class ConstraintAtom {
   std::string ToString() const;
 
  private:
+  /// True when both sides compare as numbers under Value::Compare: a side
+  /// that is a bool, string or null constant compares by type tag, and
+  /// two int constants compare as int64, not as double.
+  static bool NumericSides(const Expr& lhs, const Expr& rhs) {
+    auto numeric = [](const Expr& e) {
+      return !e.IsConstant() || e.value().is_numeric();
+    };
+    return numeric(lhs) && numeric(rhs) &&
+           !(lhs.IsConstant() && rhs.IsConstant());
+  }
+
   ExprPtr lhs_;
   CmpOp op_;
   ExprPtr rhs_;
+  bool numeric_;
 };
 
 // Sugar for building atoms from expressions.

@@ -245,7 +245,86 @@ StatusOr<Value> Expr::Eval(const Assignment& a) const {
   return Status::Internal("unknown expression op");
 }
 
+bool Expr::TryEvalNumber(const Assignment& a, double* out) const {
+  // The same double operations as Eval, with every error branch turned
+  // into `return false`. Children evaluate first: they are pure, and a
+  // failure anywhere sends the caller to Eval for the error.
+  switch (op_) {
+    case ExprOp::kConst:
+      if (value_.type() == ValueType::kBool) {
+        *out = value_.bool_value() ? 1.0 : 0.0;
+        return true;
+      }
+      if (!value_.is_numeric()) return false;
+      *out = value_.type() == ValueType::kInt
+                 ? static_cast<double>(value_.int_value())
+                 : value_.double_value();
+      return true;
+    case ExprOp::kVar: {
+      std::optional<double> v = a.Get(var_);
+      if (!v) return false;
+      *out = *v;
+      return true;
+    }
+    default:
+      break;
+  }
+  double x = 0.0, y = 0.0;
+  if (!children_[0]->TryEvalNumber(a, &x)) return false;
+  if (children_.size() > 1 && !children_[1]->TryEvalNumber(a, &y)) {
+    return false;
+  }
+  switch (op_) {
+    case ExprOp::kNeg:
+      *out = -x;
+      return true;
+    case ExprOp::kAdd:
+      *out = x + y;
+      return true;
+    case ExprOp::kSub:
+      *out = x - y;
+      return true;
+    case ExprOp::kMul:
+      *out = x * y;
+      return true;
+    case ExprOp::kDiv:
+      if (y == 0.0) return false;
+      *out = x / y;
+      return true;
+    default:
+      break;
+  }
+  switch (func_) {
+    case FuncKind::kExp:
+      *out = std::exp(x);
+      return true;
+    case FuncKind::kLog:
+      if (x <= 0.0) return false;
+      *out = std::log(x);
+      return true;
+    case FuncKind::kSqrt:
+      if (x < 0.0) return false;
+      *out = std::sqrt(x);
+      return true;
+    case FuncKind::kAbs:
+      *out = std::fabs(x);
+      return true;
+    case FuncKind::kMin:
+      *out = std::min(x, y);
+      return true;
+    case FuncKind::kMax:
+      *out = std::max(x, y);
+      return true;
+    case FuncKind::kPow:
+      *out = std::pow(x, y);
+      return true;
+  }
+  return false;
+}
+
 StatusOr<double> Expr::EvalDouble(const Assignment& a) const {
+  double out = 0.0;
+  if (TryEvalNumber(a, &out)) return out;
   PIP_ASSIGN_OR_RETURN(Value v, Eval(a));
   return v.AsDouble();
 }

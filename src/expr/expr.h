@@ -104,8 +104,17 @@ class Expr {
   /// non-positive number etc.
   StatusOr<Value> Eval(const Assignment& a) const;
 
-  /// Convenience: Eval + AsDouble.
+  /// Eval + AsDouble, computed without building a Value: the numeric path
+  /// (TryEvalNumber) recurses in double and returns the same bits as Eval
+  /// would. On any error or non-numeric constant it falls back to Eval,
+  /// which stays the reference for every error status and message.
   StatusOr<double> EvalDouble(const Assignment& a) const;
+
+  /// The numeric path of EvalDouble: stores the value and returns true
+  /// when every leaf is a number, a bool (read as 0/1) or an assigned
+  /// variable and no operation fails; returns false otherwise, without
+  /// saying why. The Monte Carlo loops call this once per attempt.
+  bool TryEvalNumber(const Assignment& a, double* out) const;
 
   /// Interval enclosure of the expression's range when each variable v
   /// ranges over bounds(v) (missing entries mean unbounded). Sound but not

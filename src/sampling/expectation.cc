@@ -208,6 +208,8 @@ struct SamplingEngine::GroupPlan {
   std::unique_ptr<MetropolisSampler> metropolis;
   uint64_t chain_key = 0;
   ConsistencyResult consistency;  // Shared bounds (copied per group).
+  /// SampleGroupOnce's natural-draw buffer, kept so attempts reuse it.
+  std::vector<double> joint;
 
   /// A counter-reset copy for one shard of the sample-index space.
   /// `chunk_salt` decorrelates any chain this clone might otherwise seed
@@ -822,7 +824,7 @@ StatusOr<bool> SamplingEngine::SampleGroupOnce(GroupPlan* plan,
     return true;
   }
 
-  std::vector<double> joint;
+  std::vector<double>& joint = plan->joint;
   for (uint64_t attempt = 0;; ++attempt) {
     if (++(*total_attempts) > attempt_budget) return false;
     ++plan->attempts;

@@ -50,7 +50,8 @@ bool MetropolisSampler::CanHandle(const VariablePool& pool,
 
 bool MetropolisSampler::SatisfiesConstraints(
     const std::vector<double>& point) const {
-  Assignment a;
+  Assignment& a = scratch_;
+  a.Clear();
   for (size_t i = 0; i < vars_.size(); ++i) a.Set(vars_[i], point[i]);
   for (const auto& atom : atoms_) {
     auto t = atom.Eval(a);
@@ -119,16 +120,16 @@ void MetropolisSampler::Step() {
   // Component-wise Gaussian random-walk proposal with Metropolis
   // acceptance; symmetric proposal, so the acceptance ratio is just the
   // density ratio.
-  std::vector<double> proposal = current_;
+  proposal_.resize(current_.size());
   for (size_t i = 0; i < vars_.size(); ++i) {
-    proposal[i] = current_[i] + step_sizes_[i] * rng_.NextGaussian();
+    proposal_[i] = current_[i] + step_sizes_[i] * rng_.NextGaussian();
   }
-  double ld = LogDensity(proposal);
+  double ld = LogDensity(proposal_);
   ++steps_taken_;
   if (ld == kNegInf) return;
   double log_accept = ld - current_log_density_;
   if (log_accept >= 0.0 || std::log(rng_.NextUniform() + 1e-300) < log_accept) {
-    current_ = std::move(proposal);
+    current_.swap(proposal_);
     current_log_density_ = ld;
   }
 }

@@ -82,6 +82,11 @@ class MetropolisSampler {
   Rng rng_;
 
   std::vector<double> current_;
+  /// Per-step scratch, kept so a chain step allocates nothing: the
+  /// proposal buffer (swapped with current_ on acceptance) and the
+  /// Assignment the constraint check fills.
+  std::vector<double> proposal_;
+  mutable Assignment scratch_;
   double current_log_density_ = 0.0;
   bool initialized_ = false;
   size_t steps_taken_ = 0;

@@ -1,0 +1,661 @@
+/// \file sampling_kernel_test.cc
+/// \brief Differential tests for the Monte Carlo attempt fast paths, plus
+/// golden bits of end-to-end sampling answers.
+///
+/// Each fast path is checked against a reference that the test builds from
+/// public APIs only:
+///   * the Poisson quantile (a memoized CDF ladder) against the
+///     normal-approximation lattice walk, written here from
+///     NormalQuantile and PoissonCdf;
+///   * Expr::EvalDouble and ConstraintAtom::Eval (double arithmetic with
+///     no Value on success) against Expr::Eval plus Value::Compare, on
+///     seeded random trees that include every error the Value path can
+///     report;
+///   * Assignment (an open-addressing map cleared by generation) against
+///     std::map semantics.
+/// The golden table pins the bits of answers from every sampling loop
+/// (rejection, Metropolis, the hit-rate estimator, aconf,
+/// SampleConditional, world sampling) at 1 and 8 threads. The values were
+/// produced by the lattice-walk quantile and the Value evaluator; a
+/// mismatch means an answer changed.
+
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <random>
+#include <set>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "src/common/random.h"
+#include "src/common/special_math.h"
+#include "src/ctable/ctable.h"
+#include "src/dist/registry.h"
+#include "src/dist/variable_pool.h"
+#include "src/expr/assignment.h"
+#include "src/expr/atom.h"
+#include "src/expr/condition.h"
+#include "src/expr/expr.h"
+#include "src/sampling/aggregates.h"
+#include "src/sampling/expectation.h"
+
+namespace pip {
+namespace {
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+std::string Hex(double x) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(Bits(x)));
+  return buf;
+}
+
+// ---------------------------------------------------------------------------
+// Poisson quantile: ladder vs the reference lattice walk
+// ---------------------------------------------------------------------------
+
+/// The lattice walk the ladder must reproduce: a normal-approximation
+/// guess, then steps until the smallest k with PoissonCdf(k) >= q.
+double ReferenceQuantile(double lambda, double q) {
+  if (q <= 0.0) return 0.0;
+  if (q >= 1.0) return kInf;
+  double guess =
+      std::floor(lambda + std::sqrt(lambda) * NormalQuantile(q) + 0.5);
+  double k = std::max(0.0, guess);
+  while (PoissonCdf(lambda, k) < q) k += 1.0;
+  while (k > 0.0 && PoissonCdf(lambda, k - 1.0) >= q) k -= 1.0;
+  return k;
+}
+
+const Distribution& Poisson() {
+  return *DistributionRegistry::Global().Lookup("Poisson").value();
+}
+
+double InverseCdf(double lambda, double q) {
+  return Poisson().InverseCdf({lambda}, 0, q).value();
+}
+
+const double kLambdas[] = {1e-3, 0.5, 3.0, 6.2, 10.0, 37.5, 500.0, 1e5};
+
+TEST(PoissonLadderTest, StreamUniformsMatchReferenceWalk) {
+  RandomStream stream(2026, 17, 0, 0);
+  for (double lambda : kLambdas) {
+    SCOPED_TRACE(lambda);
+    for (int i = 0; i < 100000; ++i) {
+      double q = stream.NextUniform();
+      ASSERT_EQ(Bits(InverseCdf(lambda, q)), Bits(ReferenceQuantile(lambda, q)))
+          << "q=" << Hex(q);
+    }
+  }
+}
+
+TEST(PoissonLadderTest, EdgeQuantilesMatchReferenceWalk) {
+  for (double lambda : kLambdas) {
+    SCOPED_TRACE(lambda);
+    std::set<double> qs = {0x1.0p-53, 1.0 - 0x1.0p-53, 0.0, 1.0,
+                           -1.0, 2.0, std::nextafter(1.0, 0.0)};
+    // Every rung of the ladder and both neighbours. Far above the ladder's
+    // size cap only the bulk is walked: from a tiny q the normal guess
+    // lands thousands of rungs low, and both walks would crawl up.
+    const double top = std::ceil(lambda + 9.0 * std::sqrt(lambda)) + 12.0;
+    const double bottom =
+        lambda > 1e4 ? std::floor(lambda - 6.0 * std::sqrt(lambda)) : 0.0;
+    for (double k = bottom; k <= top; k += 1.0) {
+      double c = PoissonCdf(lambda, k);
+      qs.insert(c);
+      qs.insert(std::nextafter(c, 0.0));
+      qs.insert(std::nextafter(c, 2.0));
+    }
+    for (double q : qs) {
+      ASSERT_EQ(Bits(InverseCdf(lambda, q)), Bits(ReferenceQuantile(lambda, q)))
+          << "q=" << Hex(q);
+    }
+    EXPECT_EQ(Bits(InverseCdf(lambda, kNan)),
+              Bits(ReferenceQuantile(lambda, kNan)));
+  }
+}
+
+TEST(PoissonLadderTest, DrawPathsMatchReferenceWalk) {
+  // GenerateJoint and GenerateBatch draw u from the component-0 stream of
+  // each sample and return the quantile of u.
+  constexpr uint64_t kSeed = 99;
+  for (double lambda : {0.5, 6.2, 500.0}) {
+    SCOPED_TRACE(lambda);
+    const uint64_t n = 512;
+    SampleContext ctx{kSeed, 3, 1000, 7};
+    std::vector<double> batch(n);
+    ASSERT_TRUE(Poisson().GenerateBatch({lambda}, ctx, n, batch.data()).ok());
+    for (uint64_t s = 0; s < n; ++s) {
+      SampleContext one{kSeed, 3, 1000 + s, 7};
+      double u = one.StreamFor(0).NextUniform();
+      std::vector<double> joint;
+      ASSERT_TRUE(Poisson().GenerateJoint({lambda}, one, &joint).ok());
+      ASSERT_EQ(Bits(joint[0]), Bits(ReferenceQuantile(lambda, u)));
+      ASSERT_EQ(Bits(batch[s]), Bits(joint[0]));
+    }
+  }
+}
+
+std::vector<double> QuantilesOf(double lambda, uint64_t key, int n) {
+  std::vector<double> out;
+  RandomStream stream(5, key, 0, 0);
+  for (int i = 0; i < n; ++i) {
+    out.push_back(InverseCdf(lambda, stream.NextUniform()));
+  }
+  return out;
+}
+
+TEST(PoissonLadderTest, InterleavedRatesMatchEachRunAlone) {
+  // Fresh threads start with an empty per-thread memo.
+  constexpr int n = 4000;
+  std::vector<double> alone_a, alone_b, mixed_a, mixed_b;
+  std::thread([&] { alone_a = QuantilesOf(3.0, 1, n); }).join();
+  std::thread([&] { alone_b = QuantilesOf(9.75, 2, n); }).join();
+  std::thread([&] {
+    RandomStream sa(5, 1, 0, 0), sb(5, 2, 0, 0);
+    for (int i = 0; i < n; ++i) {
+      mixed_a.push_back(InverseCdf(3.0, sa.NextUniform()));
+      mixed_b.push_back(InverseCdf(9.75, sb.NextUniform()));
+    }
+  }).join();
+  ASSERT_EQ(alone_a.size(), mixed_a.size());
+  for (int i = 0; i < n; ++i) {
+    ASSERT_EQ(Bits(alone_a[i]), Bits(mixed_a[i]));
+    ASSERT_EQ(Bits(alone_b[i]), Bits(mixed_b[i]));
+  }
+}
+
+TEST(PoissonLadderTest, ManyRatesOnOneThreadMatchReferenceWalk) {
+  // More distinct rates than the memo holds, revisited: evictions never
+  // change an answer.
+  RandomStream stream(8, 8, 0, 0);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 3000; ++i) {
+      double lambda = 3.0 + 7.0 * (i / 3000.0);
+      double q = stream.NextUniform();
+      ASSERT_EQ(Bits(InverseCdf(lambda, q)),
+                Bits(ReferenceQuantile(lambda, q)));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Numeric evaluation vs the Value evaluator
+// ---------------------------------------------------------------------------
+
+const VarRef kVars[] = {{1, 0}, {2, 0}, {2, 1}, {3, 0}};
+const VarRef kMissing{77, 0};
+
+class TreeGen {
+ public:
+  explicit TreeGen(uint32_t seed) : rng_(seed) {}
+
+  ExprPtr Leaf() {
+    switch (Pick(9)) {
+      case 0:
+      case 1:
+      case 2:
+        return Expr::Var(kVars[Pick(4)]);
+      case 3:
+        return Expr::Var(kMissing);
+      case 4: {
+        static const int64_t ints[] = {0, 1, -3, 7, int64_t{1} << 60};
+        return Expr::ConstantInt(ints[Pick(5)]);
+      }
+      case 5:
+        return Expr::Constant(Double());
+      case 6:
+        return Expr::Constant(Value(Pick(2) == 0));
+      case 7:
+        return Expr::String(Pick(2) == 0 ? "abc" : "");
+      default:
+        return Expr::Constant(Value::Null());
+    }
+  }
+
+  ExprPtr Tree(int depth) {
+    if (depth == 0 || Pick(4) == 0) return Leaf();
+    switch (Pick(7)) {
+      case 0:
+        return Expr::Add(Tree(depth - 1), Tree(depth - 1));
+      case 1:
+        return Expr::Sub(Tree(depth - 1), Tree(depth - 1));
+      case 2:
+        return Expr::Mul(Tree(depth - 1), Tree(depth - 1));
+      case 3:
+        return Expr::Div(Tree(depth - 1), Tree(depth - 1));
+      case 4:
+        return Expr::Neg(Tree(depth - 1));
+      case 5: {
+        static const FuncKind unary[] = {FuncKind::kExp, FuncKind::kLog,
+                                         FuncKind::kSqrt, FuncKind::kAbs};
+        return Expr::Func(unary[Pick(4)], Tree(depth - 1));
+      }
+      default: {
+        static const FuncKind binary[] = {FuncKind::kMin, FuncKind::kMax,
+                                          FuncKind::kPow};
+        return Expr::Func(binary[Pick(3)], Tree(depth - 1), Tree(depth - 1));
+      }
+    }
+  }
+
+  double Double() {
+    static const double specials[] = {0.0, -0.0, 1.0, -2.5, kNan, kInf,
+                                      -kInf, 1e-300, 4.0};
+    if (Pick(3) == 0) return specials[Pick(9)];
+    return std::uniform_real_distribution<double>(-10.0, 10.0)(rng_);
+  }
+
+  void Fill(Assignment* a) {
+    a->Clear();
+    for (VarRef v : kVars) a->Set(v, Double());
+  }
+
+  uint32_t Pick(uint32_t n) { return rng_() % n; }
+
+ private:
+  std::mt19937 rng_;
+};
+
+/// Expr::Eval followed by AsDouble: the Value path's answer.
+StatusOr<double> ReferenceEvalDouble(const Expr& e, const Assignment& a) {
+  PIP_ASSIGN_OR_RETURN(Value v, e.Eval(a));
+  return v.AsDouble();
+}
+
+StatusOr<bool> ReferenceAtom(const ConstraintAtom& atom, const Assignment& a) {
+  PIP_ASSIGN_OR_RETURN(Value l, atom.lhs()->Eval(a));
+  PIP_ASSIGN_OR_RETURN(Value r, atom.rhs()->Eval(a));
+  int c = l.Compare(r);
+  switch (atom.op()) {
+    case CmpOp::kLt:
+      return c < 0;
+    case CmpOp::kLe:
+      return c <= 0;
+    case CmpOp::kGt:
+      return c > 0;
+    case CmpOp::kGe:
+      return c >= 0;
+    case CmpOp::kEq:
+      return c == 0;
+    case CmpOp::kNe:
+      return c != 0;
+  }
+  return false;
+}
+
+template <typename T>
+void ExpectSameOutcome(const StatusOr<T>& got, const StatusOr<T>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.ok(), want.ok()) << what;
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code()) << what;
+    EXPECT_EQ(got.status().message(), want.status().message()) << what;
+  }
+}
+
+TEST(NumericEvalTest, RandomTreesMatchValueEvaluator) {
+  TreeGen gen(4242);
+  Assignment a;
+  size_t ok = 0, failed = 0;
+  for (int i = 0; i < 20000; ++i) {
+    ExprPtr e = gen.Tree(5);
+    gen.Fill(&a);
+    const std::string what = e->ToString();
+    StatusOr<double> got = e->EvalDouble(a);
+    StatusOr<double> want = ReferenceEvalDouble(*e, a);
+    ExpectSameOutcome(got, want, what);
+    if (want.ok()) {
+      ASSERT_EQ(Bits(got.value()), Bits(want.value())) << what;
+      ++ok;
+    } else {
+      ++failed;
+    }
+  }
+  // The generator must exercise both outcomes substantially.
+  EXPECT_GT(ok, 4000u);
+  EXPECT_GT(failed, 4000u);
+}
+
+TEST(NumericEvalTest, NamedErrorsMatchValueEvaluator) {
+  Assignment a;
+  a.Set(kVars[0], -4.0);
+  a.Set(kVars[1], 0.0);
+  ExprPtr x = Expr::Var(kVars[0]), zero = Expr::Var(kVars[1]);
+  const ExprPtr cases[] = {
+      x / zero,
+      Expr::Func(FuncKind::kLog, x),
+      Expr::Func(FuncKind::kLog, zero),
+      Expr::Func(FuncKind::kSqrt, x),
+      x + Expr::Var(kMissing),
+      x + Expr::String("s"),
+      Expr::String("s"),
+      Expr::Constant(Value::Null()),
+      Expr::Func(FuncKind::kPow, x, Expr::Constant(Value::Null())),
+      // The left side is a valid string leaf; the right side's error wins.
+      Expr::String("s") * (x / zero),
+  };
+  for (const ExprPtr& e : cases) {
+    StatusOr<double> got = e->EvalDouble(a);
+    ASSERT_FALSE(got.ok()) << e->ToString();
+    ExpectSameOutcome(got, ReferenceEvalDouble(*e, a), e->ToString());
+  }
+  // Bool leaves read as 0/1 inside arithmetic and at the root.
+  EXPECT_EQ(Expr::Constant(Value(true))->EvalDouble(a).value(), 1.0);
+  EXPECT_EQ((x + Expr::Constant(Value(true)))->EvalDouble(a).value(), -3.0);
+}
+
+TEST(NumericEvalTest, RandomAtomsMatchValueCompare) {
+  TreeGen gen(777);
+  Assignment a;
+  const CmpOp ops[] = {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
+                       CmpOp::kGe, CmpOp::kEq, CmpOp::kNe};
+  size_t ok = 0;
+  for (int i = 0; i < 20000; ++i) {
+    ConstraintAtom atom(gen.Tree(3), ops[gen.Pick(6)], gen.Tree(3));
+    gen.Fill(&a);
+    const std::string what = atom.ToString();
+    StatusOr<bool> got = atom.Eval(a);
+    StatusOr<bool> want = ReferenceAtom(atom, a);
+    ExpectSameOutcome(got, want, what);
+    if (want.ok()) {
+      ASSERT_EQ(got.value(), want.value()) << what;
+      ++ok;
+    }
+  }
+  EXPECT_GT(ok, 2000u);
+}
+
+TEST(NumericEvalTest, AtomEdgeCasesMatchValueCompare) {
+  Assignment a;
+  a.Set(kVars[0], kNan);
+  a.Set(kVars[1], 3.0);
+  ExprPtr nan = Expr::Var(kVars[0]), three = Expr::Var(kVars[1]);
+  const ExprPtr sides[] = {
+      nan,
+      three,
+      Expr::ConstantInt(3),
+      Expr::Constant(3.0),
+      Expr::ConstantInt((int64_t{1} << 53) + 1),
+      Expr::ConstantInt(int64_t{1} << 53),
+      Expr::Constant(Value(true)),
+      Expr::Constant(Value(false)),
+      Expr::String("3"),
+      Expr::Constant(Value::Null()),
+      three + Expr::Constant(Value(true)),
+  };
+  const CmpOp ops[] = {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
+                       CmpOp::kGe, CmpOp::kEq, CmpOp::kNe};
+  for (const ExprPtr& l : sides) {
+    for (const ExprPtr& r : sides) {
+      for (CmpOp op : ops) {
+        ConstraintAtom atom(l, op, r);
+        StatusOr<bool> got = atom.Eval(a);
+        StatusOr<bool> want = ReferenceAtom(atom, a);
+        ExpectSameOutcome(got, want, atom.ToString());
+        if (want.ok()) {
+          ASSERT_EQ(got.value(), want.value()) << atom.ToString();
+        }
+      }
+    }
+  }
+  // NaN compares equal under Value::Compare.
+  EXPECT_TRUE(ConstraintAtom(nan, CmpOp::kEq, three).Eval(a).value());
+  EXPECT_FALSE(ConstraintAtom(nan, CmpOp::kLt, three).Eval(a).value());
+}
+
+// ---------------------------------------------------------------------------
+// Assignment semantics
+// ---------------------------------------------------------------------------
+
+TEST(AssignmentTest, OverwriteClearAndReuse) {
+  Assignment a;
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_FALSE(a.Get({1, 0}).has_value());
+  a.Set({1, 0}, 2.0);
+  a.Set({1, 0}, 3.0);
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.Get({1, 0}).value(), 3.0);
+  a.Clear();
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_FALSE(a.Has({1, 0}));
+  a.Set({2, 0}, -1.0);
+  EXPECT_FALSE(a.Has({1, 0}));
+  EXPECT_EQ(a.Get({2, 0}).value(), -1.0);
+  EXPECT_EQ(a.size(), 1u);
+  Assignment copy = a;
+  copy.Set({3, 0}, 4.0);
+  EXPECT_FALSE(a.Has({3, 0}));
+  EXPECT_TRUE(copy.Has({2, 0}));
+}
+
+TEST(AssignmentTest, ComponentsAreDistinctKeys) {
+  Assignment a;
+  a.Set({5, 0}, 1.0);
+  a.Set({5, 1}, 2.0);
+  a.Set({5, 65535}, 3.0);
+  a.Set({0, 0}, 4.0);
+  EXPECT_EQ(a.size(), 4u);
+  EXPECT_EQ(a.Get({5, 0}).value(), 1.0);
+  EXPECT_EQ(a.Get({5, 1}).value(), 2.0);
+  EXPECT_EQ(a.Get({5, 65535}).value(), 3.0);
+  EXPECT_EQ(a.Get({0, 0}).value(), 4.0);
+  EXPECT_FALSE(a.Has({5, 2}));
+  EXPECT_FALSE(a.Has({6, 0}));
+}
+
+TEST(AssignmentTest, MatchesOrderedMapThroughGrowthAndClears) {
+  std::mt19937_64 rng(11);
+  Assignment a;
+  std::map<uint64_t, double> ref;
+  for (int round = 0; round < 4; ++round) {
+    a.Clear();
+    ref.clear();
+    const int n = round == 2 ? 30000 : 500 * (round + 1);
+    for (int i = 0; i < n; ++i) {
+      VarRef v{rng() % 20000, static_cast<uint32_t>(rng() % 3)};
+      double x = static_cast<double>(i);
+      a.Set(v, x);
+      ref[v.Key()] = x;
+    }
+    ASSERT_EQ(a.size(), ref.size());
+    if (round == 2) {
+      EXPECT_GT(a.size(), 10000u);
+    }
+    for (const auto& [key, x] : ref) {
+      VarRef v{key >> 16, static_cast<uint32_t>(key & 0xffff)};
+      ASSERT_EQ(a.Get(v).value(), x);
+    }
+    for (int i = 0; i < 2000; ++i) {
+      VarRef v{20000 + rng() % 1000, 0};
+      ASSERT_FALSE(a.Has(v));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden bits of end-to-end answers
+// ---------------------------------------------------------------------------
+
+std::string Describe(const ExpectationResult& r) {
+  return "e=" + Hex(r.expectation) + " p=" + Hex(r.probability) +
+         " n=" + std::to_string(r.samples_used) +
+         " a=" + std::to_string(r.attempts);
+}
+
+/// The golden variables: pipbench-shaped order lines (price ~ Normal,
+/// qty ~ Poisson) plus two Normals for a rare product.
+struct GoldenPool {
+  VariablePool pool{20261017};
+  std::vector<ExprPtr> price, qty;
+  ExprPtr x, y;
+
+  GoldenPool() {
+    for (int i = 0; i < 8; ++i) {
+      price.push_back(Expr::Var(
+          pool.Create("Normal", {90.0 + 4.0 * i, 8.0 + i}).value()));
+      qty.push_back(Expr::Var(pool.Create("Poisson", {3.0 + i}).value()));
+    }
+    x = Expr::Var(pool.Create("Normal", {10.0, 2.0}).value());
+    y = Expr::Var(pool.Create("Normal", {10.0, 2.0}).value());
+  }
+};
+
+/// The golden cases, evaluated at `threads`: one line per case.
+std::map<std::string, std::string> GoldenRun(size_t threads) {
+  GoldenPool g;
+  const VariablePool& pool = g.pool;
+  const std::vector<ExprPtr>& price = g.price;
+  const std::vector<ExprPtr>& qty = g.qty;
+  const ExprPtr& x = g.x;
+  const ExprPtr& y = g.y;
+  ExprPtr line = price[3] * qty[3];  // Normal(102, 11) x Poisson(6).
+
+  SamplingOptions fixed;
+  fixed.num_threads = threads;
+  fixed.fixed_samples = 500;
+  SamplingOptions adaptive;
+  adaptive.num_threads = threads;
+
+  std::map<std::string, std::string> out;
+  SamplingEngine probe(&pool, fixed);
+  for (double c : {450.0, 700.0, 1000.0}) {
+    auto r = probe.Expectation(line, Condition(line > Expr::Constant(c)),
+                               /*compute_probability=*/true);
+    out["probe_" + std::to_string(static_cast<int>(c))] =
+        r.ok() ? Describe(r.value()) : r.status().ToString();
+  }
+
+  SamplingOptions rare = fixed;
+  rare.fixed_samples = 300;
+  SamplingEngine chain(&pool, rare);
+  auto xy = chain.Expectation(x * y, Condition(x * y > Expr::Constant(190.0)),
+                              true);
+  out["metropolis_normal_normal"] =
+      xy.ok() ? Describe(xy.value()) : xy.status().ToString();
+  auto pq = chain.Expectation(line, Condition(line > Expr::Constant(1600.0)),
+                              true);
+  out["metropolis_normal_poisson"] =
+      pq.ok() ? Describe(pq.value()) : pq.status().ToString();
+
+  SamplingEngine conf(&pool, adaptive);
+  auto hit = conf.Confidence(Condition(line > Expr::Constant(700.0)));
+  out["conf_hit_rate"] =
+      hit.ok() ? Describe(hit.value()) : hit.status().ToString();
+
+  std::vector<Condition> disjuncts;
+  for (int i = 0; i < 7; ++i) {
+    disjuncts.emplace_back(price[i] * qty[i] >
+                           Expr::Constant(700.0 + 150.0 * i));
+  }
+  auto aconf = conf.JointConfidence(disjuncts);
+  out["aconf_7"] =
+      aconf.ok() ? "p=" + Hex(aconf.value()) : aconf.status().ToString();
+
+  auto samples =
+      probe.SampleConditional(line, Condition(line > Expr::Constant(700.0)),
+                              300);
+  if (samples.ok()) {
+    uint64_t h = 1469598103934665603ULL;
+    double sum = 0.0;
+    for (double s : samples.value()) {
+      h = (h ^ Bits(s)) * 1099511628211ULL;
+      sum += s;
+    }
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(h));
+    out["sample_conditional"] = "n=" + std::to_string(samples.value().size()) +
+                                " h=" + buf + " s=" + Hex(sum);
+  } else {
+    out["sample_conditional"] = samples.status().ToString();
+  }
+
+  CTable table(Schema({"v"}));
+  for (int i = 0; i < 6; ++i) {
+    ExprPtr v = price[i] * qty[i];
+    EXPECT_TRUE(
+        table.Append({v}, Condition(qty[i] > Expr::ConstantInt(3 + i))).ok());
+  }
+  AggregateOptions agg_options;
+  agg_options.world_samples = 2000;
+  AggregateEvaluator agg(&probe, agg_options);
+  auto max = agg.ExpectedMax(table, "v");
+  out["expected_max_worlds"] =
+      max.ok() ? "v=" + Hex(max.value()) : max.status().ToString();
+  return out;
+}
+
+TEST(SamplingGoldenTest, AnswersKeepTheirBits) {
+  // Captured from the lattice-walk quantile and the Value evaluator.
+  const std::map<std::string, std::string> golden = {
+      {"aconf_7",
+       "p=3fcce4a9027c4598"},
+      {"conf_hit_rate",
+       "e=3ff0000000000000 p=3fd58eb3e45306eb n=0 a=18944"},
+      {"expected_max_worlds",
+       "v=408dd68e3b8058ec"},
+      {"metropolis_normal_normal",
+       "e=40693f45b3a2a8d7 p=3f7b4e81b4e81b4f n=300 a=2300"},
+      {"metropolis_normal_poisson",
+       "e=4099545288cee954 p=0000000000000000 n=300 a=2300"},
+      {"probe_1000",
+       "e=409214200002e33d p=3fb327ebc5759e13 n=500 a=6682"},
+      {"probe_450",
+       "e=40864fa2a7523db2 p=3fe75b8fe21a291c n=500 a=685"},
+      {"probe_700",
+       "e=408c361b25ac680a p=3fd579fc90527845 n=500 a=1490"},
+      {"sample_conditional",
+       "n=300 h=ea110b044f151215 s=411061628c1bf0fd"},
+  };
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE(threads);
+    std::map<std::string, std::string> got = GoldenRun(threads);
+    ASSERT_EQ(got.size(), golden.size());
+    for (const auto& [name, want] : golden) {
+      EXPECT_EQ(got[name], want) << name;
+    }
+  }
+}
+
+TEST(SamplingGoldenTest, RareRowsReallySwitchToMetropolis) {
+  // The golden Metropolis rows must take the chain: without it the same
+  // calls spend far more attempts.
+  GoldenPool g;
+  const ExprPtr normal_normal = g.x * g.y;
+  const ExprPtr normal_poisson = g.price[3] * g.qty[3];
+  const std::pair<ExprPtr, double> rows[] = {{normal_normal, 190.0},
+                                             {normal_poisson, 1600.0}};
+  for (const auto& [target, c] : rows) {
+    SCOPED_TRACE(target->ToString());
+    Condition rare(target > Expr::Constant(c));
+    SamplingOptions opts;
+    opts.fixed_samples = 300;
+    opts.num_threads = 1;
+    auto with_chain =
+        SamplingEngine(&g.pool, opts).Expectation(target, rare, true);
+    opts.use_metropolis = false;
+    auto without =
+        SamplingEngine(&g.pool, opts).Expectation(target, rare, true);
+    ASSERT_TRUE(with_chain.ok() && without.ok());
+    EXPECT_LT(with_chain.value().attempts * 5, without.value().attempts);
+  }
+}
+
+}  // namespace
+}  // namespace pip
