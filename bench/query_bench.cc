@@ -1,0 +1,134 @@
+/// \file query_bench.cc
+/// \brief The symbolic phase alone: SQL SELECTs that draw nothing, over a
+/// 2,000-row orders table shaped like pipbench's (constant key and
+/// customer cells, a Normal price and a Poisson quantity per row).
+///
+///   where_point  SELECT price * qty AS v FROM orders WHERE k = <key>
+///   where_probe  a six-key range plus price * qty > 500 (probe's
+///                symbolic form)
+///   project_all  SELECT price * qty AS v FROM orders (binds every row)
+///   scan_all     SELECT * FROM orders
+///
+/// A WHERE on constant cells is decided before any row is copied, so
+/// where_point costs a scan of the snapshot plus one kept row, where
+/// project_all must bind and copy all 2,000. Statements run round-robin
+/// so drift on the machine hits all four alike. Each record carries the
+/// median wall seconds per statement (wall_seconds), the process CPU
+/// seconds per statement over the whole run (cpu_seconds), the rows the
+/// statement returns (value) and the table rows scanned per wall second
+/// (samples_per_sec). Emits BENCH_query.json records via PIP_BENCH_JSON;
+/// CI asserts where_point <= 0.1 x project_all from the artifact.
+/// PIP_BENCH_SMOKE=1 runs fewer repetitions over the same table.
+
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "bench/bench_json.h"
+#include "src/common/timer.h"
+#include "src/engine/database.h"
+#include "src/sql/session.h"
+
+namespace {
+
+using pip::bench::AppendBenchRecords;
+using pip::bench::BenchJsonPath;
+using pip::bench::BenchRecord;
+using pip::bench::ProcessCpuSeconds;
+using pip::bench::SmokeMode;
+
+constexpr size_t kRows = 2000;
+
+size_t ResultRows(const pip::sql::SqlResult& r) {
+  return r.kind == pip::sql::SqlResult::Kind::kCTable ? r.ctable.num_rows()
+                                                      : r.table.num_rows();
+}
+
+pip::sql::SqlResult Run(pip::sql::Session* session, const std::string& stmt) {
+  pip::sql::SqlResult r = session->Execute(stmt);
+  PIP_CHECK_MSG(r.ok(), stmt + ": " + r.ToString());
+  return r;
+}
+
+struct Case {
+  const char* name;
+  std::string sql;
+  size_t expected_rows;
+  std::vector<double> walls;
+};
+
+}  // namespace
+
+int main() {
+  const size_t reps = SmokeMode() ? 100 : 1000;
+  const size_t warmup = 10;
+
+  pip::Database db(4242);
+  pip::sql::Session session(&db);
+  Run(&session, "CREATE TABLE orders (k, cust, price, qty)");
+  std::string insert;
+  for (size_t k = 0; k < kRows; ++k) {
+    insert += insert.empty() ? "INSERT INTO orders VALUES " : ", ";
+    insert += "(" + std::to_string(k) + ", 'c" + std::to_string(k % 100) +
+              "', Normal(" + std::to_string(80 + (k * 37) % 41) + ", " +
+              std::to_string(5 + k % 11) + "), Poisson(" +
+              std::to_string(3 + k % 8) + "))";
+    if (k % 200 == 199) {
+      Run(&session, insert);
+      insert.clear();
+    }
+  }
+
+  std::vector<Case> cases = {
+      {"where_point", "SELECT price * qty AS v FROM orders WHERE k = 1717", 1,
+       {}},
+      {"where_probe",
+       "SELECT price * qty AS v FROM orders WHERE k >= 1200 AND k < 1206 "
+       "AND price * qty > 500",
+       6,
+       {}},
+      {"project_all", "SELECT price * qty AS v FROM orders", kRows, {}},
+      {"scan_all", "SELECT * FROM orders", kRows, {}},
+  };
+  for (auto& c : cases) {
+    for (size_t i = 0; i < warmup; ++i) {
+      PIP_CHECK_MSG(ResultRows(Run(&session, c.sql)) == c.expected_rows,
+                    std::string(c.name) + " returned the wrong row count");
+    }
+    c.walls.reserve(reps);
+  }
+  std::vector<double> cpu(cases.size(), 0.0);
+  for (size_t rep = 0; rep < reps; ++rep) {
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const double cpu_start = ProcessCpuSeconds();
+      pip::WallTimer timer;
+      Run(&session, cases[i].sql);
+      cases[i].walls.push_back(timer.Seconds());
+      cpu[i] += ProcessCpuSeconds() - cpu_start;
+    }
+  }
+
+  std::printf("=== Symbolic SELECTs over %zu rows, %zu reps ===\n", kRows,
+              reps);
+  std::vector<BenchRecord> records;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    Case& c = cases[i];
+    std::nth_element(c.walls.begin(), c.walls.begin() + reps / 2,
+                     c.walls.end());
+    BenchRecord r;
+    r.bench = "query_symbolic";
+    r.query = c.name;
+    r.wall_seconds = c.walls[reps / 2];
+    r.cpu_seconds = cpu[i] / static_cast<double>(reps);
+    r.value = static_cast<double>(c.expected_rows);
+    r.samples_per_sec = static_cast<double>(kRows) / r.wall_seconds;
+    std::printf("%14s %10.1f us  (cpu %.1f us, %zu rows)\n", c.name,
+                r.wall_seconds * 1e6, r.cpu_seconds * 1e6, c.expected_rows);
+    records.push_back(r);
+  }
+  std::printf("where_point / project_all = %.3f\n",
+              records[0].wall_seconds / records[2].wall_seconds);
+  AppendBenchRecords(BenchJsonPath(), records);
+  return 0;
+}

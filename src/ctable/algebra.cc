@@ -1,5 +1,6 @@
 #include "src/ctable/algebra.h"
 
+#include <optional>
 #include <unordered_map>
 
 namespace pip {
@@ -31,22 +32,47 @@ StatusOr<CTable> Select(const CTable& in, const ColPredicate& pred) {
   // output still counts as catalogue rows for the index; the changed
   // condition is part of the index's exact result key.
   out.set_table_id(in.table_id());
+  struct ResolvedAtom {
+    ResolvedColExpr lhs;
+    CmpOp op;
+    ResolvedColExpr rhs;
+  };
+  std::vector<ResolvedAtom> atoms;
+  atoms.reserve(pred.atoms().size());
+  for (const auto& atom : pred.atoms()) {
+    atoms.push_back({ResolvedColExpr(*atom.lhs, in.schema()), atom.op,
+                     ResolvedColExpr(*atom.rhs, in.schema())});
+  }
   for (const auto& row : in.rows()) {
-    Condition cond = row.condition;
+    // The row's condition is copied once an atom is conjoined onto it.
+    std::optional<Condition> cond;
     bool dropped = false;
-    for (const auto& atom : pred.atoms()) {
-      PIP_ASSIGN_OR_RETURN(ConstraintAtom bound,
-                           atom.Bind(in.schema(), row.cells));
-      cond.AddAtom(std::move(bound));
-      if (cond.IsKnownFalse()) {
+    for (const auto& atom : atoms) {
+      const ExprPtr* l = atom.lhs.Leaf(row.cells);
+      const ExprPtr* r = atom.rhs.Leaf(row.cells);
+      if (l != nullptr && r != nullptr && (*l)->IsConstant() &&
+          (*r)->IsConstant()) {
+        // Two constant cells: decided as Condition::AddAtom decides the
+        // bound atom (ConstraintAtom::Eval compares two constants by
+        // Value::Compare), without building it. True is elided.
+        dropped = !DecideCmp(atom.op, (*l)->value().Compare((*r)->value()));
+      } else {
+        PIP_ASSIGN_OR_RETURN(ExprPtr lhs, atom.lhs.Bind(row.cells));
+        PIP_ASSIGN_OR_RETURN(ExprPtr rhs, atom.rhs.Bind(row.cells));
+        if (!cond) cond = row.condition;
+        cond->AddAtom(ConstraintAtom(std::move(lhs), atom.op, std::move(rhs)));
+      }
+      if (dropped || (cond ? *cond : row.condition).IsKnownFalse()) {
         dropped = true;
         break;
       }
     }
     if (dropped) continue;
-    CTableRow copy = row;
-    copy.condition = std::move(cond);
-    PIP_RETURN_IF_ERROR(out.Append(std::move(copy)));
+    // Only surviving rows are copied; their cells stay shared.
+    CTableRow kept;
+    kept.cells = row.cells;
+    kept.condition = cond ? std::move(*cond) : row.condition;
+    PIP_RETURN_IF_ERROR(out.Append(std::move(kept)));
   }
   return out;
 }
@@ -54,8 +80,13 @@ StatusOr<CTable> Select(const CTable& in, const ColPredicate& pred) {
 StatusOr<CTable> Project(const CTable& in,
                          const std::vector<NamedColExpr>& targets) {
   std::vector<std::string> names;
+  std::vector<ResolvedColExpr> exprs;
   names.reserve(targets.size());
-  for (const auto& t : targets) names.push_back(t.name);
+  exprs.reserve(targets.size());
+  for (const auto& t : targets) {
+    names.push_back(t.name);
+    exprs.emplace_back(*t.expr, in.schema());
+  }
   CTable out((Schema(std::move(names))));
   // Projection is row-preserving: the table id carries through so the
   // index can serve the projected cells' expectations.
@@ -63,9 +94,9 @@ StatusOr<CTable> Project(const CTable& in,
   for (const auto& row : in.rows()) {
     CTableRow projected;
     projected.condition = row.condition;
-    projected.cells.reserve(targets.size());
-    for (const auto& t : targets) {
-      PIP_ASSIGN_OR_RETURN(ExprPtr cell, t.expr->Bind(in.schema(), row.cells));
+    projected.cells.reserve(exprs.size());
+    for (const auto& expr : exprs) {
+      PIP_ASSIGN_OR_RETURN(ExprPtr cell, expr.Bind(row.cells));
       projected.cells.push_back(std::move(cell));
     }
     PIP_RETURN_IF_ERROR(out.Append(std::move(projected)));

@@ -7,6 +7,10 @@
 /// are conjoined into the row's local condition. This is exactly the
 /// "lossless symbolic phase" that lets PIP defer integration until the
 /// full expression is known.
+///
+/// Operators read their inputs in place (the query engine passes a
+/// catalogue snapshot itself, not a copy) and copy only the rows they
+/// emit. Column names are looked up once per call, not once per row.
 
 #ifndef PIP_CTABLE_ALGEBRA_H_
 #define PIP_CTABLE_ALGEBRA_H_
@@ -21,7 +25,11 @@
 namespace pip {
 
 /// sigma_psi(R): conjoins psi[r] onto each row's condition (Fig. 1).
-/// Rows whose condition becomes decidably false are dropped.
+/// Rows whose condition becomes decidably false are dropped. An atom
+/// whose two sides are a column or literal holding constant cells is
+/// decided by DecideCmp on Value::Compare, exactly as Condition::AddAtom
+/// would decide it, without building it; other atoms are bound and
+/// conjoined in predicate order. A row is copied only if it survives.
 StatusOr<CTable> Select(const CTable& in, const ColPredicate& pred);
 
 /// pi_A(R): generalized projection — each target may be any column

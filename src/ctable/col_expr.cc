@@ -21,7 +21,7 @@ ColExprPtr ColExpr::Column(std::string name) {
 ColExprPtr ColExpr::Literal(Value v) {
   auto e = std::shared_ptr<ColExpr>(new ColExpr());
   e->kind_ = Kind::kLiteral;
-  e->literal_ = std::move(v);
+  e->embedded_ = Expr::Constant(std::move(v));
   return e;
 }
 
@@ -66,41 +66,7 @@ ColExprPtr ColExpr::Func(FuncKind f, ColExprPtr a, ColExprPtr b) {
 
 StatusOr<ExprPtr> ColExpr::Bind(const Schema& schema,
                                 const std::vector<ExprPtr>& cells) const {
-  switch (kind_) {
-    case Kind::kColumn: {
-      PIP_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(column_));
-      return cells[idx];
-    }
-    case Kind::kLiteral:
-      return Expr::Constant(literal_);
-    case Kind::kEmbed:
-      return embedded_;
-    default:
-      break;
-  }
-  std::vector<ExprPtr> bound;
-  bound.reserve(children_.size());
-  for (const auto& c : children_) {
-    PIP_ASSIGN_OR_RETURN(ExprPtr b, c->Bind(schema, cells));
-    bound.push_back(std::move(b));
-  }
-  switch (kind_) {
-    case Kind::kAdd:
-      return Expr::Add(bound[0], bound[1]);
-    case Kind::kSub:
-      return Expr::Sub(bound[0], bound[1]);
-    case Kind::kMul:
-      return Expr::Mul(bound[0], bound[1]);
-    case Kind::kDiv:
-      return Expr::Div(bound[0], bound[1]);
-    case Kind::kNeg:
-      return Expr::Neg(bound[0]);
-    case Kind::kFunc:
-      return bound.size() == 1 ? Expr::Func(func_, bound[0])
-                               : Expr::Func(func_, bound[0], bound[1]);
-    default:
-      return Status::Internal("unexpected ColExpr kind");
-  }
+  return ResolvedColExpr(*this, schema).Bind(cells);
 }
 
 void ColExpr::CollectColumns(std::vector<std::string>* out) const {
@@ -116,7 +82,7 @@ std::string ColExpr::ToString() const {
     case Kind::kColumn:
       return column_;
     case Kind::kLiteral:
-      return literal_.ToString();
+      return literal().ToString();
     case Kind::kEmbed:
       return embedded_->ToString();
     case Kind::kNeg:
@@ -143,6 +109,79 @@ std::string ColExpr::ToString() const {
     }
   }
   return "?";
+}
+
+ResolvedColExpr::ResolvedColExpr(const ColExpr& expr, const Schema& schema)
+    : expr_(&expr) {
+  std::vector<std::string> names;
+  expr.CollectColumns(&names);  // The same order as BindNode visits them.
+  columns_.reserve(names.size());
+  for (const auto& name : names) {
+    StatusOr<size_t> idx = schema.IndexOf(name);
+    if (!idx.ok()) {
+      unknown_ = idx.status();
+      break;
+    }
+    columns_.push_back(idx.value());
+  }
+  switch (expr.kind()) {
+    case ColExpr::Kind::kColumn:
+      column_leaf_ = unknown_.ok();
+      break;
+    case ColExpr::Kind::kLiteral:
+    case ColExpr::Kind::kEmbed:
+      fixed_leaf_ = &expr.embedded();
+      break;
+    default:
+      break;
+  }
+}
+
+StatusOr<ExprPtr> ResolvedColExpr::Bind(
+    const std::vector<ExprPtr>& cells) const {
+  // Binding only builds equations, so failing before the walk returns
+  // what failing at the unknown column would.
+  if (!unknown_.ok()) return unknown_;
+  size_t next_column = 0;
+  return BindNode(*expr_, cells, &next_column);
+}
+
+StatusOr<ExprPtr> ResolvedColExpr::BindNode(const ColExpr& e,
+                                            const std::vector<ExprPtr>& cells,
+                                            size_t* next_column) const {
+  using Kind = ColExpr::Kind;
+  switch (e.kind()) {
+    case Kind::kColumn:
+      return cells[columns_[(*next_column)++]];
+    case Kind::kLiteral:
+    case Kind::kEmbed:
+      return e.embedded();
+    default:
+      break;
+  }
+  std::vector<ExprPtr> bound;
+  bound.reserve(e.children().size());
+  for (const auto& c : e.children()) {
+    PIP_ASSIGN_OR_RETURN(ExprPtr b, BindNode(*c, cells, next_column));
+    bound.push_back(std::move(b));
+  }
+  switch (e.kind()) {
+    case Kind::kAdd:
+      return Expr::Add(bound[0], bound[1]);
+    case Kind::kSub:
+      return Expr::Sub(bound[0], bound[1]);
+    case Kind::kMul:
+      return Expr::Mul(bound[0], bound[1]);
+    case Kind::kDiv:
+      return Expr::Div(bound[0], bound[1]);
+    case Kind::kNeg:
+      return Expr::Neg(bound[0]);
+    case Kind::kFunc:
+      return bound.size() == 1 ? Expr::Func(e.func(), bound[0])
+                               : Expr::Func(e.func(), bound[0], bound[1]);
+    default:
+      return Status::Internal("unexpected ColExpr kind");
+  }
 }
 
 StatusOr<ConstraintAtom> ColAtom::Bind(

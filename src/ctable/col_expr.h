@@ -52,13 +52,14 @@ class ColExpr {
 
   Kind kind() const { return kind_; }
   const std::string& column() const { return column_; }
-  const Value& literal() const { return literal_; }
+  const Value& literal() const { return embedded_->value(); }
   const ExprPtr& embedded() const { return embedded_; }
   FuncKind func() const { return func_; }
   const std::vector<ColExprPtr>& children() const { return children_; }
 
   /// Substitutes the row's cells for column references, producing an
   /// equation. NotFound if a referenced column is missing from the schema.
+  /// Binding many rows of one schema: see ResolvedColExpr.
   StatusOr<ExprPtr> Bind(const Schema& schema,
                          const std::vector<ExprPtr>& cells) const;
 
@@ -74,10 +75,49 @@ class ColExpr {
 
   Kind kind_ = Kind::kLiteral;
   std::string column_;
-  Value literal_;
+  /// kEmbed's equation, or kLiteral's constant: built once, at
+  /// construction, and shared by every row it binds into (Expr is
+  /// immutable).
   ExprPtr embedded_;
   FuncKind func_ = FuncKind::kExp;
   std::vector<ColExprPtr> children_;
+};
+
+/// \brief A ColExpr with its column references looked up in one schema
+/// once, so that binding it to many rows of that schema searches no names
+/// per row. ColExpr::Bind is this class used for a single row.
+///
+/// The ColExpr must outlive the ResolvedColExpr.
+class ResolvedColExpr {
+ public:
+  ResolvedColExpr(const ColExpr& expr, const Schema& schema);
+
+  /// ColExpr::Bind(schema, cells): the same equation, or, for an unknown
+  /// column, the same NotFound (the first one Bind's left-to-right walk
+  /// reaches).
+  StatusOr<ExprPtr> Bind(const std::vector<ExprPtr>& cells) const;
+
+  /// What Bind returns without building anything: the row's cell for a
+  /// bare known column, the shared constant of a literal, the equation of
+  /// an embed; nullptr for every other expression.
+  const ExprPtr* Leaf(const std::vector<ExprPtr>& cells) const {
+    return column_leaf_ ? &cells[columns_[0]] : fixed_leaf_;
+  }
+
+ private:
+  StatusOr<ExprPtr> BindNode(const ColExpr& e,
+                             const std::vector<ExprPtr>& cells,
+                             size_t* next_column) const;
+
+  const ColExpr* expr_;
+  /// Schema index of each column reference, in Bind's visiting order.
+  std::vector<size_t> columns_;
+  /// The first unknown column's NotFound, or OK.
+  Status unknown_;
+  /// Leaf's answer: a bare known column, or a literal's or embed's
+  /// equation (else nullptr).
+  bool column_leaf_ = false;
+  const ExprPtr* fixed_leaf_ = nullptr;
 };
 
 /// \brief A named projection/map target.

@@ -113,6 +113,18 @@ namespace {
 
 StatusOr<CTable> ExecuteNode(const Query::Node* node, const Database& db);
 
+/// An operator's input: a Scan's catalogue snapshot, read in place (the
+/// query holds it while it runs), or the subplan's own result. Operators
+/// copy only the rows they keep, so no catalogue table is copied here.
+StatusOr<std::shared_ptr<const CTable>> ExecuteInput(const Query::Node* node,
+                                                     const Database& db) {
+  if (node->kind == Query::Node::Kind::kScan) {
+    return db.GetTable(node->table_name);
+  }
+  PIP_ASSIGN_OR_RETURN(CTable t, ExecuteNode(node, db));
+  return std::make_shared<const CTable>(std::move(t));
+}
+
 }  // namespace
 
 StatusOr<CTable> Query::Execute(const Database& db) const {
@@ -123,8 +135,12 @@ namespace {
 
 StatusOr<CTable> ExecuteNode(const Query::Node* node, const Database& db) {
   using Kind = Query::Node::Kind;
+  auto input = [&](size_t i) {
+    return ExecuteInput(node->children[i].get(), db);
+  };
   switch (node->kind) {
     case Kind::kScan: {
+      // A bare scan is the statement's whole result, so it is a copy.
       PIP_ASSIGN_OR_RETURN(std::shared_ptr<const CTable> t,
                            db.GetTable(node->table_name));
       return *t;
@@ -132,40 +148,40 @@ StatusOr<CTable> ExecuteNode(const Query::Node* node, const Database& db) {
     case Kind::kValues:
       return node->inline_table;
     case Kind::kWhere: {
-      PIP_ASSIGN_OR_RETURN(CTable in, ExecuteNode(node->children[0].get(), db));
-      return Select(in, node->predicate);
+      PIP_ASSIGN_OR_RETURN(auto in, input(0));
+      return Select(*in, node->predicate);
     }
     case Kind::kSelect: {
-      PIP_ASSIGN_OR_RETURN(CTable in, ExecuteNode(node->children[0].get(), db));
-      return Project(in, node->targets);
+      PIP_ASSIGN_OR_RETURN(auto in, input(0));
+      return Project(*in, node->targets);
     }
     case Kind::kProduct: {
-      PIP_ASSIGN_OR_RETURN(CTable l, ExecuteNode(node->children[0].get(), db));
-      PIP_ASSIGN_OR_RETURN(CTable r, ExecuteNode(node->children[1].get(), db));
-      return Product(l, r, node->rhs_prefix);
+      PIP_ASSIGN_OR_RETURN(auto l, input(0));
+      PIP_ASSIGN_OR_RETURN(auto r, input(1));
+      return Product(*l, *r, node->rhs_prefix);
     }
     case Kind::kJoin: {
-      PIP_ASSIGN_OR_RETURN(CTable l, ExecuteNode(node->children[0].get(), db));
-      PIP_ASSIGN_OR_RETURN(CTable r, ExecuteNode(node->children[1].get(), db));
-      return Join(l, r, node->predicate, node->rhs_prefix);
+      PIP_ASSIGN_OR_RETURN(auto l, input(0));
+      PIP_ASSIGN_OR_RETURN(auto r, input(1));
+      return Join(*l, *r, node->predicate, node->rhs_prefix);
     }
     case Kind::kUnion: {
-      PIP_ASSIGN_OR_RETURN(CTable l, ExecuteNode(node->children[0].get(), db));
-      PIP_ASSIGN_OR_RETURN(CTable r, ExecuteNode(node->children[1].get(), db));
-      return Union(l, r);
+      PIP_ASSIGN_OR_RETURN(auto l, input(0));
+      PIP_ASSIGN_OR_RETURN(auto r, input(1));
+      return Union(*l, *r);
     }
     case Kind::kDistinct: {
-      PIP_ASSIGN_OR_RETURN(CTable in, ExecuteNode(node->children[0].get(), db));
-      return Distinct(in);
+      PIP_ASSIGN_OR_RETURN(auto in, input(0));
+      return Distinct(*in);
     }
     case Kind::kExcept: {
-      PIP_ASSIGN_OR_RETURN(CTable l, ExecuteNode(node->children[0].get(), db));
-      PIP_ASSIGN_OR_RETURN(CTable r, ExecuteNode(node->children[1].get(), db));
-      return Difference(l, r);
+      PIP_ASSIGN_OR_RETURN(auto l, input(0));
+      PIP_ASSIGN_OR_RETURN(auto r, input(1));
+      return Difference(*l, *r);
     }
     case Kind::kExplode: {
-      PIP_ASSIGN_OR_RETURN(CTable in, ExecuteNode(node->children[0].get(), db));
-      return ExplodeDiscrete(in, db.pool());
+      PIP_ASSIGN_OR_RETURN(auto in, input(0));
+      return ExplodeDiscrete(*in, db.pool());
     }
   }
   return Status::Internal("unknown plan node");

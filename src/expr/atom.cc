@@ -55,9 +55,7 @@ CmpOp FlipCmp(CmpOp op) {
   return op;
 }
 
-namespace {
-
-bool Decide(CmpOp op, int cmp) {
+bool DecideCmp(CmpOp op, int cmp) {
   switch (op) {
     case CmpOp::kLt:
       return cmp < 0;
@@ -75,8 +73,6 @@ bool Decide(CmpOp op, int cmp) {
   return false;
 }
 
-}  // namespace
-
 StatusOr<bool> ConstraintAtom::EvalDeterministic() const {
   return Eval(Assignment());
 }
@@ -84,11 +80,11 @@ StatusOr<bool> ConstraintAtom::EvalDeterministic() const {
 StatusOr<bool> ConstraintAtom::Eval(const Assignment& a) const {
   double x = 0.0, y = 0.0;
   if (numeric_ && lhs_->TryEvalNumber(a, &x) && rhs_->TryEvalNumber(a, &y)) {
-    return Decide(op_, x < y ? -1 : (x > y ? 1 : 0));
+    return DecideCmp(op_, x < y ? -1 : (x > y ? 1 : 0));
   }
   PIP_ASSIGN_OR_RETURN(Value l, lhs_->Eval(a));
   PIP_ASSIGN_OR_RETURN(Value r, rhs_->Eval(a));
-  return Decide(op_, l.Compare(r));
+  return DecideCmp(op_, l.Compare(r));
 }
 
 size_t ConstraintAtom::Hash() const {

@@ -23,6 +23,10 @@ const char* CmpOpName(CmpOp op);
 CmpOp NegateCmp(CmpOp op);
 /// The operator c such that (b c a) == (a op b).
 CmpOp FlipCmp(CmpOp op);
+/// Decides (a op b) from cmp, the sign of a three-way comparison of a and
+/// b (e.g. Value::Compare). The one comparison rule of the engine: atoms,
+/// selection and the sample-first operators all decide through it.
+bool DecideCmp(CmpOp op, int cmp);
 
 /// \brief One atomic condition: lhs op rhs.
 class ConstraintAtom {

@@ -5,28 +5,6 @@
 namespace pip {
 namespace samplefirst {
 
-namespace {
-
-bool DecideCmp(CmpOp op, int cmp) {
-  switch (op) {
-    case CmpOp::kLt:
-      return cmp < 0;
-    case CmpOp::kLe:
-      return cmp <= 0;
-    case CmpOp::kGt:
-      return cmp > 0;
-    case CmpOp::kGe:
-      return cmp >= 0;
-    case CmpOp::kEq:
-      return cmp == 0;
-    case CmpOp::kNe:
-      return cmp != 0;
-  }
-  return false;
-}
-
-}  // namespace
-
 StatusOr<Value> EvalColExpr(const ColExpr& expr, const SFTable& table,
                             const SFTuple& tuple, size_t world) {
   using Kind = ColExpr::Kind;

@@ -142,14 +142,35 @@ void Server::AcceptLoop() {
     // would only hold them back.
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard<std::mutex> lock(conn_mu_);
+      if (stopping_.load(std::memory_order_acquire)) {
+        ::close(fd);
+        break;
+      }
+      for (std::thread::id id : finished_threads_) {
+        auto it = conn_threads_.find(id);
+        finished.push_back(std::move(it->second));
+        conn_threads_.erase(it);
+      }
+      finished_threads_.clear();
+      live_fds_.insert(fd);
+      // The thread cannot report itself finished before it is in the
+      // map: that also takes conn_mu_.
+      std::thread t([this, fd] { ServeConnection(fd); });
+      std::thread::id id = t.get_id();
+      conn_threads_.emplace(id, std::move(t));
     }
-    live_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    // Finished threads have left ServeConnection; joining them waits at
+    // most for their return.
+    for (std::thread& t : finished) t.join();
   }
+}
+
+size_t Server::connection_threads() const {
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return conn_threads_.size();
 }
 
 void Server::ServeConnection(int fd) {
@@ -203,6 +224,7 @@ void Server::ServeConnection(int fd) {
   ::close(fd);
   std::lock_guard<std::mutex> lock(conn_mu_);
   live_fds_.erase(fd);
+  finished_threads_.push_back(std::this_thread::get_id());
 }
 
 void Server::Stop() {
@@ -222,16 +244,15 @@ void Server::Stop() {
     std::lock_guard<std::mutex> lock(conn_mu_);
     for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  // No new threads can appear now (accept loop is dead), so the vector
-  // is stable enough to join without holding the lock.
-  std::vector<std::thread> threads;
+  // No new threads can appear now (accept loop is dead), so the map is
+  // stable enough to join without holding the lock.
+  std::unordered_map<std::thread::id, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     threads.swap(conn_threads_);
+    finished_threads_.clear();
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& entry : threads) entry.second.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
 }

@@ -15,8 +15,11 @@
 /// per-response (see wire.h).
 ///
 /// Lifecycle: Start() binds (port 0 picks an ephemeral port, readable
-/// via port()) and returns once the accept loop is running; Stop() shuts
-/// down the listener and every live connection and joins all threads.
+/// via port()) and returns once the accept loop is running. The accept
+/// loop joins the threads of closed connections, so a long-running server
+/// holds a thread (and its stack) per live connection, not per connection
+/// ever accepted. Stop() shuts down the listener and every live
+/// connection and joins all threads.
 /// The destructor calls Stop().
 
 #ifndef PIP_SERVER_SERVER_H_
@@ -27,6 +30,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -67,6 +71,9 @@ class Server {
 
   AdmissionGate::Stats admission_stats() const { return gate_.stats(); }
   uint64_t connections_accepted() const { return connections_accepted_; }
+  /// Connection threads not yet joined: the live connections plus any
+  /// that finished since the last accept (which joins them).
+  size_t connection_threads() const;
 
  private:
   void AcceptLoop();
@@ -82,8 +89,10 @@ class Server {
   std::atomic<uint64_t> connections_accepted_{0};
   std::thread accept_thread_;
 
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
+  mutable std::mutex conn_mu_;
+  std::unordered_map<std::thread::id, std::thread> conn_threads_;
+  /// Threads whose connection has closed, for the accept loop to join.
+  std::vector<std::thread::id> finished_threads_;
   std::unordered_set<int> live_fds_;
 };
 

@@ -83,6 +83,20 @@ TEST_F(ColExprTest, ToStringShapes) {
   EXPECT_EQ(CE::Neg(CE::Column("a"))->ToString(), "-(a)");
 }
 
+TEST_F(ColExprTest, LiteralBindsOneSharedConstant) {
+  // Expr is immutable, so every row a literal binds into shares the one
+  // constant built when the literal was.
+  ColExprPtr lit = CE::Literal(int64_t{7});
+  ExprPtr first = lit->Bind(schema_, cells_).value();
+  EXPECT_EQ(first.get(), lit->Bind(schema_, cells_).value().get());
+  EXPECT_EQ(first.get(), lit->embedded().get());
+  EXPECT_EQ(first->value(), Value(int64_t{7}));
+  EXPECT_EQ(lit->literal(), Value(int64_t{7}));
+  ResolvedColExpr resolved(*lit, schema_);
+  EXPECT_EQ(resolved.Bind(cells_).value().get(), first.get());
+  EXPECT_EQ(resolved.Leaf(cells_)->get(), first.get());
+}
+
 TEST_F(ColExprTest, ColAtomBindsBothSides) {
   ColAtom atom = CE::Column("a") < CE::Column("b");
   ConstraintAtom bound = atom.Bind(schema_, cells_).value();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
+
 #include "src/ctable/ctable.h"
 
 namespace pip {
@@ -397,6 +400,201 @@ TEST(AlgebraTest, WorldEquivalenceOfExplosion) {
       EXPECT_EQ(before.row(i)[0], after.row(i)[0]);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Select against a reference that binds every atom of every row.
+// ---------------------------------------------------------------------------
+
+/// ColExpr::Bind written out naively: a name search per column reference
+/// and a fresh constant per literal, on every call.
+StatusOr<ExprPtr> ReferenceBind(const ColExpr& e, const Schema& schema,
+                                const std::vector<ExprPtr>& cells) {
+  switch (e.kind()) {
+    case CE::Kind::kColumn: {
+      PIP_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(e.column()));
+      return cells[idx];
+    }
+    case CE::Kind::kLiteral:
+      return Expr::Constant(e.literal());
+    case CE::Kind::kEmbed:
+      return e.embedded();
+    default:
+      break;
+  }
+  std::vector<ExprPtr> bound;
+  for (const auto& c : e.children()) {
+    PIP_ASSIGN_OR_RETURN(ExprPtr b, ReferenceBind(*c, schema, cells));
+    bound.push_back(std::move(b));
+  }
+  switch (e.kind()) {
+    case CE::Kind::kAdd:
+      return Expr::Add(bound[0], bound[1]);
+    case CE::Kind::kSub:
+      return Expr::Sub(bound[0], bound[1]);
+    case CE::Kind::kMul:
+      return Expr::Mul(bound[0], bound[1]);
+    case CE::Kind::kDiv:
+      return Expr::Div(bound[0], bound[1]);
+    case CE::Kind::kNeg:
+      return Expr::Neg(bound[0]);
+    default:
+      return Status::Internal("kind not generated by this test");
+  }
+}
+
+/// Selection as Fig. 1 states it: every atom is bound against the row and
+/// conjoined with Condition::AddAtom, which decides deterministic atoms.
+StatusOr<CTable> ReferenceSelect(const CTable& in, const ColPredicate& pred) {
+  CTable out(in.schema());
+  out.set_table_id(in.table_id());
+  for (const auto& row : in.rows()) {
+    Condition cond = row.condition;
+    for (const auto& atom : pred.atoms()) {
+      PIP_ASSIGN_OR_RETURN(ExprPtr l,
+                           ReferenceBind(*atom.lhs, in.schema(), row.cells));
+      PIP_ASSIGN_OR_RETURN(ExprPtr r,
+                           ReferenceBind(*atom.rhs, in.schema(), row.cells));
+      cond.AddAtom(ConstraintAtom(std::move(l), atom.op, std::move(r)));
+      if (cond.IsKnownFalse()) break;
+    }
+    if (cond.IsKnownFalse()) continue;
+    CTableRow copy = row;
+    copy.condition = std::move(cond);
+    PIP_RETURN_IF_ERROR(out.Append(std::move(copy)));
+  }
+  return out;
+}
+
+/// Same outcome: the same error (code and message), or the same rows in
+/// the same order, sharing the input's cell pointers, with equal
+/// conditions and the same table id.
+void ExpectSameSelect(const CTable& in, const ColPredicate& pred) {
+  SCOPED_TRACE(pred.ToString());
+  StatusOr<CTable> got = Select(in, pred);
+  StatusOr<CTable> want = ReferenceSelect(in, pred);
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    return;
+  }
+  const CTable& g = got.value();
+  const CTable& w = want.value();
+  EXPECT_EQ(g.table_id(), w.table_id());
+  EXPECT_EQ(g.schema().columns(), w.schema().columns());
+  ASSERT_EQ(g.num_rows(), w.num_rows());
+  for (size_t i = 0; i < w.num_rows(); ++i) {
+    ASSERT_EQ(g.row(i).cells.size(), w.row(i).cells.size());
+    for (size_t j = 0; j < w.row(i).cells.size(); ++j) {
+      EXPECT_EQ(g.row(i).cells[j].get(), w.row(i).cells[j].get())
+          << "row " << i << " cell " << j;
+    }
+    EXPECT_TRUE(g.row(i).condition.Equals(w.row(i).condition))
+        << g.row(i).condition.ToString() << " vs "
+        << w.row(i).condition.ToString();
+    EXPECT_EQ(g.row(i).condition.ToString(), w.row(i).condition.ToString());
+  }
+}
+
+/// Constants of every Value type, chosen to hit Value::Compare's edges:
+/// NaN, signed zeros, and 2^53 as a double against the int 2^53 + 1
+/// (equal as doubles, unequal as ints).
+std::vector<Value> EdgeValues() {
+  const int64_t two53 = int64_t{1} << 53;
+  return {Value(int64_t{0}),      Value(int64_t{3}),
+          Value(int64_t{-2}),     Value(two53),
+          Value(two53 + 1),       Value(0.0),
+          Value(-0.0),            Value(3.0),
+          Value(-1.5),            Value(std::nan("")),
+          Value(9007199254740992.0), Value("c5"),
+          Value("c50"),           Value(""),
+          Value(true),            Value(false),
+          Value()};
+}
+
+TEST(SelectDifferentialTest, MatchesBindEveryAtomOnRandomCTables) {
+  const std::vector<Value> values = EdgeValues();
+  const std::vector<std::string> columns = {"a", "b", "c", "d"};
+  const CmpOp ops[] = {CmpOp::kLt, CmpOp::kLe, CmpOp::kGt,
+                       CmpOp::kGe, CmpOp::kEq, CmpOp::kNe};
+  std::mt19937_64 rng(20260917);
+  auto pick = [&](size_t n) { return static_cast<size_t>(rng() % n); };
+  auto random_cell = [&]() -> ExprPtr {
+    switch (pick(8)) {
+      case 0:
+        return Expr::Var(X1);
+      case 1:
+        return Expr::Add(Expr::Var(X2), Expr::Constant(1.0));
+      default:
+        return Expr::Constant(values[pick(values.size())]);
+    }
+  };
+  auto random_side = [&]() -> ColExprPtr {
+    switch (pick(12)) {
+      case 0:
+        return CE::Column("zz");  // Unknown column.
+      case 1:
+        return CE::Column(columns[pick(columns.size())]) +
+               CE::Literal(values[pick(values.size())]);
+      case 2:
+        return CE::Column(columns[pick(columns.size())]) *
+               CE::Column(columns[pick(columns.size())]);
+      case 3:
+        return CE::Neg(CE::Column(columns[pick(columns.size())]));
+      case 4:
+      case 5:
+      case 6:
+        return CE::Literal(values[pick(values.size())]);
+      default:
+        return CE::Column(columns[pick(columns.size())]);
+    }
+  };
+  for (int trial = 0; trial < 3000; ++trial) {
+    CTable t((Schema(columns)));
+    t.set_table_id(trial % 3);
+    const size_t rows = pick(12);
+    for (size_t r = 0; r < rows; ++r) {
+      std::vector<ExprPtr> cells;
+      for (size_t c = 0; c < columns.size(); ++c) {
+        cells.push_back(random_cell());
+      }
+      Condition cond;
+      if (pick(4) == 0) cond.AddAtom(Expr::Var(X3) > Expr::Constant(0.5));
+      ASSERT_TRUE(t.Append(std::move(cells), std::move(cond)).ok());
+    }
+    ColPredicate pred;
+    const size_t atoms = 1 + pick(3);
+    for (size_t a = 0; a < atoms; ++a) {
+      pred.And(random_side(), ops[pick(6)], random_side());
+    }
+    ExpectSameSelect(t, pred);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(SelectDifferentialTest, UnknownColumnErrorsMatch) {
+  CTable t(Schema({"k", "v"}));
+  for (int64_t k = 0; k < 5; ++k) {
+    ASSERT_TRUE(t.Append({Expr::ConstantInt(k), Expr::Var(X1)}).ok());
+  }
+  // Unknown column on the first row reached.
+  ExpectSameSelect(t, ColPredicate{CE::Column("nope") == CE::Literal(1.0)});
+  ExpectSameSelect(
+      t, ColPredicate{CE::Column("k") == CE::Literal(int64_t{3}),
+                      CE::Column("v") + CE::Column("nope") > CE::Literal(0.0)});
+  // An earlier atom drops every row, so the unknown column is never bound.
+  ExpectSameSelect(
+      t, ColPredicate{CE::Column("k") > CE::Literal(int64_t{99}),
+                      CE::Column("nope") == CE::Literal(1.0)});
+  // An empty table binds nothing.
+  ExpectSameSelect(CTable(Schema({"k", "v"})),
+                   ColPredicate{CE::Column("nope") == CE::Literal(1.0)});
+  EXPECT_FALSE(
+      Select(t, ColPredicate{CE::Column("nope") == CE::Literal(1.0)}).ok());
+  EXPECT_TRUE(Select(t, ColPredicate{CE::Column("k") > CE::Literal(int64_t{99}),
+                                     CE::Column("nope") == CE::Literal(1.0)})
+                  .ok());
 }
 
 }  // namespace

@@ -144,6 +144,115 @@ TEST_F(SqlSessionTest, CrossProductFrom) {
 }
 
 // ---------------------------------------------------------------------------
+// Session: WHERE over deterministic cells. Atoms whose two sides are
+// constant cells are decided by Value::Compare before any row is copied;
+// these pin the answers that decision gives.
+// ---------------------------------------------------------------------------
+
+class SqlWhereTest : public SqlSessionTest {
+ protected:
+  // t(k, cust, price, tag): k is an int cell 0..19 (SQL literals are
+  // doubles), cust 'c<k>', price a Normal variable, tag NULL on odd k and
+  // 'x' on even k.
+  void SetUp() override {
+    CTable t(Schema({"k", "cust", "price", "tag"}));
+    for (int64_t k = 0; k < 20; ++k) {
+      VarRef price = db_.CreateVariable("Normal", {100.0, 10.0}).value();
+      ASSERT_TRUE(t.Append({Expr::ConstantInt(k),
+                            Expr::String("c" + std::to_string(k)),
+                            Expr::Var(price),
+                            Expr::Constant(k % 2 ? Value() : Value("x"))})
+                      .ok());
+    }
+    ASSERT_TRUE(db_.RegisterCTable("t", std::move(t)).ok());
+    table_ = db_.GetTable("t").value();
+  }
+
+  /// The k of each row of a symbolic result, in order; every kept row
+  /// carries its catalogue cells, and only the symbolic atoms as its
+  /// condition.
+  std::vector<int64_t> Keys(const SqlResult& r) {
+    std::vector<int64_t> keys;
+    for (const auto& row : r.ctable.rows()) {
+      const int64_t k = row.cells[0]->value().int_value();
+      const CTableRow& source = table_->row(static_cast<size_t>(k));
+      for (size_t c = 0; c < row.cells.size(); ++c) {
+        EXPECT_EQ(row.cells[c].get(), source.cells[c].get()) << "k=" << k;
+      }
+      keys.push_back(k);
+    }
+    return keys;
+  }
+
+  std::shared_ptr<const CTable> table_;
+};
+
+TEST_F(SqlWhereTest, DoubleLiteralMatchesIntCell) {
+  SqlResult r = Run("SELECT * FROM t WHERE k = 17.0");
+  EXPECT_EQ(Keys(r), std::vector<int64_t>({17}));
+  EXPECT_TRUE(r.ctable.row(0).condition.IsTrue());
+  EXPECT_EQ(Keys(Run("SELECT * FROM t WHERE 3 >= k")),
+            std::vector<int64_t>({0, 1, 2, 3}));
+  EXPECT_TRUE(Keys(Run("SELECT * FROM t WHERE k = 17.5")).empty());
+}
+
+TEST_F(SqlWhereTest, StringEquality) {
+  EXPECT_EQ(Keys(Run("SELECT * FROM t WHERE cust = 'c5'")),
+            std::vector<int64_t>({5}));
+  // Strings order after every number: no cust is below 0.
+  EXPECT_TRUE(Keys(Run("SELECT * FROM t WHERE cust < 0")).empty());
+}
+
+TEST_F(SqlWhereTest, NotEqualKeepsOrder) {
+  std::vector<int64_t> want;
+  for (int64_t k = 0; k < 20; ++k) {
+    if (k != 3) want.push_back(k);
+  }
+  EXPECT_EQ(Keys(Run("SELECT * FROM t WHERE k != 3")), want);
+}
+
+TEST_F(SqlWhereTest, NullCellsCompareByTypeTag) {
+  // NULL orders below every number and equals NULL; 'x' orders above.
+  std::vector<int64_t> odd, all;
+  for (int64_t k = 0; k < 20; ++k) {
+    if (k % 2) odd.push_back(k);
+    all.push_back(k);
+  }
+  EXPECT_EQ(Keys(Run("SELECT * FROM t WHERE tag < 1")), odd);
+  EXPECT_EQ(Keys(Run("SELECT * FROM t WHERE tag = tag")), all);
+  EXPECT_EQ(Keys(Run("SELECT * FROM t WHERE tag != 'x' AND k < 5")),
+            std::vector<int64_t>({1, 3}));
+}
+
+TEST_F(SqlWhereTest, ConstantAtomsOnBothSides) {
+  EXPECT_EQ(Run("SELECT * FROM t WHERE 1 = 1").ctable.num_rows(), 20u);
+  EXPECT_EQ(Run("SELECT * FROM t WHERE 1 = 2").ctable.num_rows(), 0u);
+}
+
+TEST_F(SqlWhereTest, RandomColumnStillBindsIntoTheCondition) {
+  SqlResult r = Run("SELECT * FROM t WHERE k < 2 AND k < price");
+  EXPECT_EQ(Keys(r), std::vector<int64_t>({0, 1}));
+  for (const auto& row : r.ctable.rows()) {
+    ASSERT_EQ(row.condition.size(), 1u);
+    const ConstraintAtom& atom = row.condition.atoms()[0];
+    EXPECT_EQ(atom.op(), CmpOp::kLt);
+    EXPECT_EQ(atom.lhs().get(), row.cells[0].get());
+    EXPECT_EQ(atom.rhs().get(), row.cells[2].get());
+  }
+}
+
+TEST_F(SqlWhereTest, UnknownColumnErrorText) {
+  SqlResult r = session_.Execute("SELECT * FROM t WHERE k = 1 AND nope = 1");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error.code, WireErrorCode::kNotFound);
+  EXPECT_EQ(r.error.message,
+            "no column named 'nope' in (k, cust, price, tag)");
+  // Once an earlier atom has dropped every row, nothing binds the name.
+  EXPECT_EQ(Run("SELECT * FROM t WHERE k > 99 AND nope = 1").ctable.num_rows(),
+            0u);
+}
+
+// ---------------------------------------------------------------------------
 // Session: probability-removing operators.
 // ---------------------------------------------------------------------------
 
