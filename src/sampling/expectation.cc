@@ -1,7 +1,9 @@
 #include "src/sampling/expectation.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "src/common/running_stats.h"
@@ -75,14 +77,16 @@ bool ExactCdfEligible(const Condition& condition, const VariableGroup& group,
 
 /// The shared chunk-wave determinism protocol: runs chunks
 /// [start_chunk, ceil(cap / chunk)) of the index space [0, cap),
-/// dispatching `run(chunk_index, begin, end, *outcome)` into per-chunk
-/// slots and folding outcomes IN CHUNK ORDER via
-/// `fold(chunk_index, outcome)` (return false to stop). Wave-limited callers (adaptive stopping,
-/// budget ledgers) get waves of `workers` chunks so barrier checks stay
-/// frequent and over-run work stays bounded; others dispatch every
-/// remaining chunk at once. Every consumer of this driver inherits the
-/// same guarantee: which worker ran a chunk never affects what is
-/// folded, or in what order.
+/// storing `run(chunk_index, begin, end) -> Outcome` into per-chunk slots
+/// and folding outcomes IN CHUNK ORDER via `fold(chunk_index, outcome)`
+/// (return false to stop). A chunk writes its slot once, when it is done:
+/// slots of one wave share cache lines, so per-sample writes into them
+/// from different workers would contend. Wave-limited callers (adaptive
+/// stopping, budget ledgers) get waves of `workers` chunks so barrier
+/// checks stay frequent and over-run work stays bounded; others dispatch
+/// every remaining chunk at once. Every consumer of this protocol
+/// inherits the same guarantee: which worker ran a chunk never affects
+/// what is folded, or in what order.
 template <typename Outcome, typename Run, typename Fold>
 void RunChunkedWaves(uint64_t cap, size_t chunk, size_t start_chunk,
                      bool wave_limited, size_t num_threads, const Run& run,
@@ -105,13 +109,24 @@ void RunChunkedWaves(uint64_t cap, size_t chunk, size_t start_chunk,
     ThreadPool::For(wave_len, num_threads, [&](size_t k) {
       uint64_t begin = static_cast<uint64_t>(c + k) * chunk;
       uint64_t end = std::min<uint64_t>(cap, begin + chunk);
-      run(c + k, begin, end, &wave[k]);
+      wave[k] = run(c + k, begin, end);
     });
     for (size_t k = 0; k < wave_len && !stopped; ++k) {
       if (!fold(c + k, wave[k])) stopped = true;
     }
     c += wave_len;
   }
+}
+
+/// The chunk-fold barrier of both Monte Carlo loops: the cooperative
+/// cancellation poll (see SamplingOptions::cancel_check; the caller that
+/// requested the cancel discards the result, so abandoning mid-schedule
+/// cannot change kept bits), then the folded chunk's own status.
+Status FoldBarrier(const SamplingOptions& options, const Status& chunk) {
+  if (options.cancel_check && options.cancel_check()) {
+    return Status::Cancelled("Monte Carlo loop cancelled at a chunk barrier");
+  }
+  return chunk;
 }
 
 /// One quantile-window draw, strictly inside the open interval (0, 1):
@@ -181,7 +196,6 @@ double AdaptiveSimpson(const std::function<StatusOr<double>(double)>& f,
 /// Per-group execution plan: strategy choices plus runtime counters.
 struct SamplingEngine::GroupPlan {
   std::vector<VarRef> vars;            // All components, ordered.
-  std::vector<uint64_t> var_ids;       // Distinct ids, ordered.
   std::vector<ConstraintAtom> atoms;   // The group's constraints.
   bool touches_target = false;
 
@@ -203,13 +217,27 @@ struct SamplingEngine::GroupPlan {
   size_t attempts = 0;
   /// Shard clones disable the Metropolis switch: the decision and the
   /// chain live with the pilot shard so the switch never depends on
-  /// scheduling (see the Expectation driver).
+  /// scheduling (see RunAcceptSchedule).
   bool allow_metropolis = true;
   std::unique_ptr<MetropolisSampler> metropolis;
   uint64_t chain_key = 0;
   ConsistencyResult consistency;  // Shared bounds (copied per group).
-  /// SampleGroupOnce's natural-draw buffer, kept so attempts reuse it.
-  std::vector<double> joint;
+
+  /// Sets the variables with every window open: each draws naturally.
+  void SetVars(const VarSet& group_vars) {
+    vars.assign(group_vars.begin(), group_vars.end());
+    window_lo.assign(vars.size(), 0.0);
+    window_hi.assign(vars.size(), 1.0);
+    cdf_constrained.assign(vars.size(), false);
+    quantile_tables.assign(vars.size(), nullptr);
+  }
+
+  /// True when vars[i] starts a natural joint draw: not windowed, and the
+  /// first listed component of its var_id.
+  bool NaturalHead(size_t i) const {
+    return !cdf_constrained[i] &&
+           (i == 0 || vars[i].var_id != vars[i - 1].var_id);
+  }
 
   /// A counter-reset copy for one shard of the sample-index space.
   /// `chunk_salt` decorrelates any chain this clone might otherwise seed
@@ -218,7 +246,6 @@ struct SamplingEngine::GroupPlan {
   GroupPlan CloneForChunk(uint64_t chunk_salt) const {
     GroupPlan c;
     c.vars = vars;
-    c.var_ids = var_ids;
     c.atoms = atoms;
     c.touches_target = touches_target;
     c.window_lo = window_lo;
@@ -235,28 +262,29 @@ struct SamplingEngine::GroupPlan {
   }
 };
 
-/// Per-chunk pre-drawn sample buffers for the batched draw path: for each
-/// target-touching plan, one sample-major value block per distinct
-/// var_id. Filled by one GenerateBatch call per (plan, var_id) — bit-
-/// identical to the per-sample GenerateJoint loop it replaces.
-struct SamplingEngine::PlanBatches {
-  struct VarBatch {
+/// One chunk's pre-drawn natural values of one plan: a sample-major block
+/// per natural var_id, in plan.vars order, filled by one GenerateBatch
+/// call each — bit-identical to the per-sample GenerateJoint calls it
+/// replaces (the batch-draw contract).
+struct SamplingEngine::ChunkBatch {
+  struct Block {
     uint64_t var_id = 0;
     uint32_t ncomp = 1;
     std::vector<double> values;  // len * ncomp, sample-major.
   };
-  /// Parallel to the plan vector; empty for non-target plans.
-  std::vector<std::vector<VarBatch>> per_plan;
+  uint64_t begin = 0;  // Absolute sample index of row 0.
+  std::vector<Block> blocks;
+  /// The plan also has windowed variables (else the blocks hold every
+  /// draw of a sample and DrawGroup skips its walk over the variables).
+  bool windowed = false;
 };
 
-/// Result of one shard of the expectation loop.
-struct SamplingEngine::ChunkOutcome {
-  RunningStats stats;
-  size_t attempts = 0;  // Attempt-counter consumption of this shard.
-  /// Per-plan counter deltas (clone counters, folded back in order).
-  std::vector<size_t> group_accepted, group_attempts;
-  bool collapsed = false;  // Attempt budget exhausted mid-shard.
-  Status status = Status::OK();
+/// What RunAcceptSchedule folded, in chunk order.
+struct SamplingEngine::AcceptRun {
+  RunningStats stats;    // Accepted values (empty when written to slots).
+  size_t produced = 0;   // Accepted samples.
+  size_t attempts = 0;   // The max_total_attempts ledger.
+  bool collapsed = false;
 };
 
 StatusOr<std::vector<SamplingEngine::GroupPlan>> SamplingEngine::PlanGroups(
@@ -336,12 +364,7 @@ StatusOr<std::vector<SamplingEngine::GroupPlan>> SamplingEngine::PlanGroups(
   size_t group_index = 0;
   for (const auto& g : groups) {
     GroupPlan plan;
-    plan.vars.assign(g.vars.begin(), g.vars.end());
-    for (const VarRef& v : plan.vars) {
-      if (plan.var_ids.empty() || plan.var_ids.back() != v.var_id) {
-        plan.var_ids.push_back(v.var_id);
-      }
-    }
+    plan.SetVars(g.vars);
     for (size_t idx : g.atom_indices) {
       plan.atoms.push_back(condition.atoms()[idx]);
     }
@@ -358,10 +381,6 @@ StatusOr<std::vector<SamplingEngine::GroupPlan>> SamplingEngine::PlanGroups(
     // Per-variable CDF windows from the consistency bounds, memoized in
     // the plan: endpoints are evaluated here exactly once and reused by
     // every attempt of every sample.
-    plan.window_lo.assign(plan.vars.size(), 0.0);
-    plan.window_hi.assign(plan.vars.size(), 1.0);
-    plan.cdf_constrained.assign(plan.vars.size(), false);
-    plan.quantile_tables.assign(plan.vars.size(), nullptr);
     for (size_t i = 0; i < plan.vars.size(); ++i) {
       const VarRef& v = plan.vars[i];
       if (!options_.use_cdf_sampling) continue;
@@ -699,124 +718,70 @@ size_t SamplingEngine::ChunkAttemptBudget(size_t chunk_len,
       std::min(budget, static_cast<double>(options_.max_total_attempts)));
 }
 
-template <typename Outcome, typename Run, typename Cost, typename Fold>
-void SamplingEngine::RunPilotedSchedule(std::vector<GroupPlan>* plans,
-                                        uint64_t cap, const Run& run,
-                                        const Cost& cost,
-                                        const Fold& fold) const {
-  const size_t chunk = std::max<size_t>(1, options_.chunk_samples);
-  const size_t nchunks = NumChunks(cap, chunk);
-  if (nchunks == 0) return;
-
-  // Pilot shard: chunk 0 runs first, serially, on the original plans
-  // with the Metropolis switch armed. Rejection-rate history (and any
-  // chain it spawns) is confined to this shard, so the switch decision
-  // is identical for every num_threads.
-  const uint64_t pilot_end = std::min<uint64_t>(cap, chunk);
-  Outcome pilot{};
-  run(plans, /*chunk_index=*/0, /*begin=*/0, pilot_end,
-      ChunkAttemptBudget(pilot_end, cap, /*pilot=*/true), &pilot);
-  if (!fold(0, pilot, /*cloned=*/false) || nchunks == 1) return;
-
-  // Later shards budget from the pilot's observed per-item cost
-  // (deterministic — the pilot is serial), with 4x slack for variance,
-  // never below the proportional-share floor. This keeps adaptive runs
-  // over hard-but-samplable conditions (the proportional share prorates
-  // against a schedule such runs rarely exhaust) from collapsing where
-  // the serial engine succeeded; the caller's fold-side ledger still
-  // bounds the call at max_total_attempts.
-  size_t later_budget = ChunkAttemptBudget(chunk, cap);
-  const std::pair<size_t, size_t> pilot_cost = cost(pilot);
-  if (pilot_cost.first > 0) {
-    later_budget = std::max(
-        later_budget,
-        std::min(options_.max_total_attempts,
-                 4 * (pilot_cost.second / pilot_cost.first) * chunk));
+Status SamplingEngine::FillChunkBatch(const GroupPlan& plan,
+                                      uint64_t sample_begin, uint64_t len,
+                                      uint64_t attempt,
+                                      ChunkBatch* out) const {
+  out->begin = sample_begin;
+  out->blocks.clear();
+  out->windowed = false;
+  for (size_t i = 0; i < plan.vars.size(); ++i) {
+    out->windowed = out->windowed || plan.cdf_constrained[i];
+    if (!plan.NaturalHead(i)) continue;
+    ChunkBatch::Block block;
+    block.var_id = plan.vars[i].var_id;
+    PIP_ASSIGN_OR_RETURN(const VariableInfo* info, pool_->Info(block.var_id));
+    block.ncomp = info->num_components;
+    PIP_RETURN_IF_ERROR(pool_->GenerateBatch(block.var_id, sample_begin, len,
+                                             attempt, &block.values));
+    out->blocks.push_back(std::move(block));
   }
-
-  bool chain_mode = false;
-  for (const auto& plan : *plans) {
-    chain_mode =
-        chain_mode || (plan.touches_target && plan.metropolis != nullptr);
-  }
-
-  if (chain_mode) {
-    // A Metropolis chain is inherently sequential: finish the remaining
-    // chunks serially on the original plans. Still deterministic — this
-    // path never forks, whatever num_threads is.
-    for (size_t c = 1; c < nchunks; ++c) {
-      uint64_t begin = static_cast<uint64_t>(c) * chunk;
-      uint64_t end = std::min<uint64_t>(cap, begin + chunk);
-      Outcome o{};
-      run(plans, c, begin, end, later_budget, &o);
-      if (!fold(c, o, /*cloned=*/false)) break;
-    }
-    return;
-  }
-
-  // Parallel shards over counter-reset plan clones, dispatched in waves
-  // with the stopping rule, the budget ledger and collapse all evaluated
-  // in chunk order at each barrier; chunks computed past the stopping
-  // point are discarded, so the accepted index set matches a serial run.
-  RunChunkedWaves<Outcome>(
-      cap, chunk, /*start_chunk=*/1, /*wave_limited=*/true,
-      options_.num_threads,
-      [&](size_t c, uint64_t begin, uint64_t end, Outcome* out) {
-        std::vector<GroupPlan> clones;
-        clones.reserve(plans->size());
-        for (const auto& p : *plans) clones.push_back(p.CloneForChunk(c));
-        run(&clones, c, begin, end, later_budget, out);
-      },
-      [&](size_t c, Outcome& o) { return fold(c, o, /*cloned=*/true); });
+  return Status::OK();
 }
 
-bool SamplingEngine::BatchEligible(
-    const std::vector<GroupPlan>& plans) const {
-  if (!options_.use_batch_generation) return false;
-  bool any = false;
-  for (const auto& plan : plans) {
-    if (!plan.touches_target) continue;
-    any = true;
-    // With no atoms the scalar loop accepts every sample on attempt 0;
-    // with no chain and no windows the draw is a plain GenerateJoint per
-    // distinct id. Anything else keeps the per-sample loop (rejection
-    // retries and chains consume sample-dependent word counts).
-    if (plan.metropolis != nullptr || !plan.atoms.empty()) return false;
-    for (bool constrained : plan.cdf_constrained) {
-      if (constrained) return false;
-    }
-  }
-  return any;
-}
-
-Status SamplingEngine::FillPlanBatches(const std::vector<GroupPlan>& plans,
-                                       uint64_t sample_begin, uint64_t len,
-                                       uint64_t attempt,
-                                       PlanBatches* out) const {
-  out->per_plan.assign(plans.size(), {});
-  for (size_t g = 0; g < plans.size(); ++g) {
-    const GroupPlan& plan = plans[g];
-    if (!plan.touches_target) continue;
-    auto& batches = out->per_plan[g];
-    batches.reserve(plan.var_ids.size());
-    for (uint64_t id : plan.var_ids) {
-      PlanBatches::VarBatch vb;
-      vb.var_id = id;
-      PIP_ASSIGN_OR_RETURN(const VariableInfo* info, pool_->Info(id));
-      vb.ncomp = info->num_components;
+Status SamplingEngine::DrawGroup(const GroupPlan& plan, uint64_t sample_index,
+                                 uint64_t attempt, const ChunkBatch* batch,
+                                 std::vector<double>* joint,
+                                 Assignment* assignment) const {
+  for (size_t i = 0;
+       (batch == nullptr || batch->windowed) && i < plan.vars.size(); ++i) {
+    const VarRef& v = plan.vars[i];
+    if (plan.cdf_constrained[i]) {
+      SampleContext ctx{pool_->seed(), v.var_id, sample_index, attempt};
+      RandomStream stream = ctx.StreamFor(v.component);
+      double u = WindowDraw(&stream, plan.window_lo[i], plan.window_hi[i]);
+      double x;
+      if (plan.quantile_tables[i] != nullptr) {
+        x = plan.quantile_tables[i]->Quantile(u);
+      } else {
+        PIP_ASSIGN_OR_RETURN(x, pool_->InverseCdf(v, u));
+      }
+      assignment->Set(v, x);
+    } else if (batch == nullptr && plan.NaturalHead(i)) {
+      // Natural joint draw of all components of this id.
       PIP_RETURN_IF_ERROR(
-          pool_->GenerateBatch(id, sample_begin, len, attempt, &vb.values));
-      batches.push_back(std::move(vb));
+          pool_->GenerateJoint(v.var_id, sample_index, attempt, joint));
+      for (uint32_t comp = 0; comp < joint->size(); ++comp) {
+        assignment->Set(VarRef{v.var_id, comp}, (*joint)[comp]);
+      }
+    }
+  }
+  if (batch != nullptr) {
+    const uint64_t row = sample_index - batch->begin;
+    for (const ChunkBatch::Block& b : batch->blocks) {
+      const double* x = b.values.data() + row * b.ncomp;
+      for (uint32_t comp = 0; comp < b.ncomp; ++comp) {
+        assignment->Set(VarRef{b.var_id, comp}, x[comp]);
+      }
     }
   }
   return Status::OK();
 }
 
-StatusOr<bool> SamplingEngine::SampleGroupOnce(GroupPlan* plan,
-                                               uint64_t sample_index,
-                                               Assignment* assignment,
-                                               size_t* total_attempts,
-                                               size_t attempt_budget) const {
+StatusOr<bool> SamplingEngine::SampleGroupOnce(
+    GroupPlan* plan, uint64_t sample_index, const ChunkBatch* batch,
+    std::vector<double>* joint, Assignment* assignment,
+    size_t* total_attempts, size_t attempt_budget) const {
   // Metropolis mode: the chain hands us a constrained sample directly.
   if (plan->metropolis != nullptr) {
     PIP_RETURN_IF_ERROR(plan->metropolis->NextSample(assignment));
@@ -824,35 +789,12 @@ StatusOr<bool> SamplingEngine::SampleGroupOnce(GroupPlan* plan,
     return true;
   }
 
-  std::vector<double>& joint = plan->joint;
   for (uint64_t attempt = 0;; ++attempt) {
     if (++(*total_attempts) > attempt_budget) return false;
     ++plan->attempts;
-
-    // Draw every variable of the group.
-    for (size_t i = 0; i < plan->vars.size(); ++i) {
-      const VarRef& v = plan->vars[i];
-      if (plan->cdf_constrained[i]) {
-        SampleContext ctx{pool_->seed(), v.var_id, sample_index, attempt};
-        RandomStream stream = ctx.StreamFor(v.component);
-        double u =
-            WindowDraw(&stream, plan->window_lo[i], plan->window_hi[i]);
-        double x;
-        if (plan->quantile_tables[i] != nullptr) {
-          x = plan->quantile_tables[i]->Quantile(u);
-        } else {
-          PIP_ASSIGN_OR_RETURN(x, pool_->InverseCdf(v, u));
-        }
-        assignment->Set(v, x);
-      } else if (i == 0 || plan->vars[i].var_id != plan->vars[i - 1].var_id) {
-        // Natural joint draw of all components of this id.
-        PIP_RETURN_IF_ERROR(
-            pool_->GenerateJoint(v.var_id, sample_index, attempt, &joint));
-        for (uint32_t comp = 0; comp < joint.size(); ++comp) {
-          assignment->Set(VarRef{v.var_id, comp}, joint[comp]);
-        }
-      }
-    }
+    PIP_RETURN_IF_ERROR(DrawGroup(*plan, sample_index, attempt,
+                                  attempt == 0 ? batch : nullptr, joint,
+                                  assignment));
 
     // Accept iff every group atom holds.
     bool ok = true;
@@ -893,160 +835,250 @@ StatusOr<bool> SamplingEngine::SampleGroupOnce(GroupPlan* plan,
   }
 }
 
-StatusOr<double> SamplingEngine::EstimateGroupProbability(
-    GroupPlan* plan, size_t* total_attempts) const {
-  if (plan->exact) return plan->exact_prob;
-  if (plan->atoms.empty()) return 1.0;
+StatusOr<SamplingEngine::AcceptRun> SamplingEngine::RunAcceptSchedule(
+    std::vector<GroupPlan>* plans, const ExprPtr& expr, uint64_t cap,
+    double* slots, const std::function<bool(const AcceptRun&)>& done) const {
+  struct Outcome {
+    RunningStats stats;
+    size_t produced = 0;
+    size_t attempts = 0;  // Attempt-counter consumption of this shard.
+    bool collapsed = false;  // Budget exhausted, or aborted behind one.
+    /// (accepted, attempts) of a wave chunk's plan clones, to fold back
+    /// into the originals; empty when the chunk ran on *plans in place
+    /// (pilot and chain chunks).
+    std::vector<std::pair<size_t, size_t>> clone_counts;
+    Status status = Status::OK();
+  };
+  // Lowest chunk index whose budget genuinely collapsed. Chunks strictly
+  // after it abort early: the in-order fold stops before reading them,
+  // so the abort never shows in results. Strictly-after matters — an
+  // *earlier* chunk aborting would change what the fold sees (for
+  // SampleConditional, shorten the visible prefix).
+  std::atomic<uint64_t> first_collapsed{UINT64_MAX};
+  auto run_chunk = [&](std::vector<GroupPlan>* ps, size_t c, uint64_t begin,
+                       uint64_t end, size_t budget) {
+    Outcome out;
+    // The batching rule: attempt 0 of every natural variable of a
+    // chain-free target group comes from one GenerateBatch block per
+    // var_id. Retries, windowed draws and chains stay scalar.
+    std::vector<ChunkBatch> batches(ps->size());
+    for (size_t g = 0; options_.use_batch_generation && g < ps->size(); ++g) {
+      const GroupPlan& plan = (*ps)[g];
+      if (!plan.touches_target || plan.metropolis != nullptr) continue;
+      out.status = FillChunkBatch(plan, options_.sample_offset + begin,
+                                  end - begin, /*attempt=*/0, &batches[g]);
+      if (!out.status.ok()) return out;
+    }
+    std::vector<double> joint;
+    Assignment assignment;
+    for (uint64_t i = begin; i < end; ++i) {
+      if (first_collapsed.load(std::memory_order_relaxed) < c) {
+        out.collapsed = true;
+        return out;
+      }
+      assignment.Clear();
+      bool got_all = true;
+      for (size_t g = 0; g < ps->size() && got_all; ++g) {
+        GroupPlan& plan = (*ps)[g];
+        if (!plan.touches_target) continue;
+        const ChunkBatch* batch =
+            batches[g].blocks.empty() ? nullptr : &batches[g];
+        auto ok = SampleGroupOnce(&plan, options_.sample_offset + i, batch,
+                                  &joint, &assignment, &out.attempts, budget);
+        if (!ok.ok()) {
+          out.status = ok.status();
+          return out;
+        }
+        got_all = ok.value();
+      }
+      if (!got_all) {
+        out.collapsed = true;
+        uint64_t cur = first_collapsed.load(std::memory_order_relaxed);
+        while (c < cur && !first_collapsed.compare_exchange_weak(
+                              cur, c, std::memory_order_relaxed)) {
+        }
+        return out;
+      }
+      auto value = expr->EvalDouble(assignment);
+      if (!value.ok()) {
+        out.status = value.status();
+        return out;
+      }
+      if (slots != nullptr) {
+        slots[i] = value.value();
+      } else {
+        out.stats.Add(value.value());
+      }
+      ++out.produced;
+    }
+    return out;
+  };
 
-  // Fresh Monte Carlo estimate of P[atoms | windows] * window_prob. The
-  // attempt-key marker decorrelates these draws from the expectation
-  // loop's draws. Each draw is a pure function of its sample index, so
-  // the index space shards into chunks exactly like the expectation
-  // loop: fixed chunk schedule, hits folded in chunk order, adaptive
-  // stopping evaluated at chunk barriers only.
-  constexpr uint64_t kEstimateMarker = 0xE571ULL << 32;
-  const double z = M_SQRT2 * ErfInv(1.0 - options_.epsilon);
-  size_t cap = options_.fixed_samples > 0
-                   ? std::max<size_t>(options_.fixed_samples, 256)
-                   : options_.max_samples;
+  // The fold runs in chunk order for pilot, chain and wave chunks alike.
+  // Its ledger is what makes max_total_attempts a real per-call bound:
+  // shard floors let individual chunks over-spend their proportional
+  // share, but the fold trips the collapse as soon as the folded shards
+  // exceed the configured budget — at a deterministic chunk index,
+  // independent of thread count.
+  AcceptRun run;
+  Status error = Status::OK();
+  auto fold = [&](Outcome& o) {
+    error = FoldBarrier(options_, o.status);
+    if (!error.ok()) return false;
+    run.stats.Merge(o.stats);
+    run.produced += o.produced;
+    run.attempts += o.attempts;
+    for (size_t g = 0; g < o.clone_counts.size(); ++g) {
+      (*plans)[g].accepted += o.clone_counts[g].first;
+      (*plans)[g].attempts += o.clone_counts[g].second;
+    }
+    if (o.collapsed || run.attempts > options_.max_total_attempts) {
+      run.collapsed = true;
+      return false;
+    }
+    return !(done && done(run));
+  };
+
   const size_t chunk = std::max<size_t>(1, options_.chunk_samples);
-  const bool adaptive = options_.fixed_samples == 0;
+  const size_t nchunks = NumChunks(cap, chunk);
+  if (nchunks == 0) return run;
 
+  // Pilot shard: chunk 0 runs first, serially, on the original plans
+  // with the Metropolis switch armed. Rejection-rate history (and any
+  // chain it spawns) is confined to this shard, so the switch decision
+  // is identical for every num_threads.
+  const uint64_t pilot_end = std::min<uint64_t>(cap, chunk);
+  Outcome pilot =
+      run_chunk(plans, /*c=*/0, /*begin=*/0, pilot_end,
+                ChunkAttemptBudget(pilot_end, cap, /*pilot=*/true));
+  if (!fold(pilot) || nchunks == 1) {
+    PIP_RETURN_IF_ERROR(error);
+    return run;
+  }
+
+  // Later shards budget from the pilot's observed per-sample cost
+  // (deterministic — the pilot is serial), with 4x slack for variance,
+  // never below the proportional-share floor. This keeps adaptive runs
+  // over hard-but-samplable conditions (the proportional share prorates
+  // against a schedule such runs rarely exhaust) from collapsing where
+  // the serial engine succeeded; the fold's ledger still bounds the call
+  // at max_total_attempts.
+  size_t later_budget = ChunkAttemptBudget(chunk, cap);
+  if (pilot.produced > 0) {
+    later_budget = std::max(
+        later_budget, std::min(options_.max_total_attempts,
+                               4 * (pilot.attempts / pilot.produced) * chunk));
+  }
+
+  bool chain_mode = false;
+  for (const auto& plan : *plans) {
+    chain_mode =
+        chain_mode || (plan.touches_target && plan.metropolis != nullptr);
+  }
+  if (chain_mode) {
+    // A Metropolis chain is inherently sequential: finish the remaining
+    // chunks serially on the original plans. Still deterministic — this
+    // path never forks, whatever num_threads is.
+    for (size_t c = 1; c < nchunks; ++c) {
+      uint64_t begin = static_cast<uint64_t>(c) * chunk;
+      uint64_t end = std::min<uint64_t>(cap, begin + chunk);
+      Outcome o = run_chunk(plans, c, begin, end, later_budget);
+      if (!fold(o)) break;
+    }
+  } else {
+    // Parallel shards over counter-reset plan clones, dispatched in
+    // waves; chunks computed past the stopping point are discarded, so
+    // the accepted index set matches a serial run.
+    RunChunkedWaves<Outcome>(
+        cap, chunk, /*start_chunk=*/1, /*wave_limited=*/true,
+        options_.num_threads,
+        [&](size_t c, uint64_t begin, uint64_t end) {
+          std::vector<GroupPlan> clones;
+          clones.reserve(plans->size());
+          for (const auto& p : *plans) clones.push_back(p.CloneForChunk(c));
+          Outcome out = run_chunk(&clones, c, begin, end, later_budget);
+          for (const auto& p : clones) {
+            out.clone_counts.emplace_back(p.accepted, p.attempts);
+          }
+          return out;
+        },
+        [&](size_t, Outcome& o) { return fold(o); });
+  }
+  PIP_RETURN_IF_ERROR(error);
+  return run;
+}
+
+template <typename Hit>
+StatusOr<double> SamplingEngine::HitRate(const GroupPlan& plan,
+                                         uint64_t marker, size_t cap,
+                                         const Hit& hit,
+                                         size_t* ledger) const {
+  // Each draw is a pure function of its sample index (the attempt key
+  // `marker` decorrelates it from the accept loop's draws), so the index
+  // space shards into chunks like the accept loop: fixed chunk schedule,
+  // hits folded in chunk order, adaptive stopping at chunk barriers only.
   struct HitChunk {
     size_t n = 0, hits = 0, attempts = 0;
     bool truncated = false;
     Status status = Status::OK();
   };
-  auto run_chunk = [&](uint64_t begin, uint64_t end, HitChunk* out) {
-    size_t budget = ChunkAttemptBudget(end - begin, cap);
-    // Pre-draw the natural (window-free) variables for the whole chunk.
-    // Window-constrained draws stay scalar; each draw is a pure function
-    // of its sample index, so pre-drawn values a truncated chunk never
-    // consumes are invisible to the fold.
-    struct IdBatch {
-      uint64_t var_id = 0;
-      uint32_t ncomp = 1;
-      std::vector<double> values;
-    };
-    const bool use_batch = options_.use_batch_generation;
-    std::vector<IdBatch> batches;
+  const bool use_batch = options_.use_batch_generation;
+  auto run_chunk = [&](size_t, uint64_t begin, uint64_t end) {
+    HitChunk out;
+    const size_t budget = ledger != nullptr
+                              ? ChunkAttemptBudget(end - begin, cap)
+                              : std::numeric_limits<size_t>::max();
+    // Window-constrained draws stay scalar; pre-drawn values a truncated
+    // chunk never consumes are invisible to the fold.
+    ChunkBatch batch;
     if (use_batch) {
-      for (size_t i = 0; i < plan->vars.size(); ++i) {
-        if (plan->cdf_constrained[i]) continue;
-        if (i > 0 && plan->vars[i].var_id == plan->vars[i - 1].var_id) {
-          continue;
-        }
-        IdBatch b;
-        b.var_id = plan->vars[i].var_id;
-        auto info = pool_->Info(b.var_id);
-        if (!info.ok()) {
-          out->status = info.status();
-          return;
-        }
-        b.ncomp = info.value()->num_components;
-        Status s = pool_->GenerateBatch(b.var_id, options_.sample_offset + begin,
-                                        end - begin, kEstimateMarker, &b.values);
-        if (!s.ok()) {
-          out->status = s;
-          return;
-        }
-        batches.push_back(std::move(b));
-      }
+      out.status = FillChunkBatch(plan, options_.sample_offset + begin,
+                                  end - begin, marker, &batch);
+      if (!out.status.ok()) return out;
     }
     std::vector<double> joint;
     Assignment a;
     for (uint64_t idx = begin; idx < end; ++idx) {
-      if (++out->attempts > budget) {
-        out->truncated = true;
-        return;
+      if (++out.attempts > budget) {
+        out.truncated = true;
+        return out;
       }
-      uint64_t sample_index = options_.sample_offset + idx;
-      size_t bi = 0;  // Walks `batches` in the same order it was filled.
-      for (size_t i = 0; i < plan->vars.size(); ++i) {
-        const VarRef& v = plan->vars[i];
-        if (plan->cdf_constrained[i]) {
-          SampleContext ctx{pool_->seed(), v.var_id, sample_index,
-                            kEstimateMarker};
-          RandomStream stream = ctx.StreamFor(v.component);
-          double u =
-              WindowDraw(&stream, plan->window_lo[i], plan->window_hi[i]);
-          double x;
-          if (plan->quantile_tables[i] != nullptr) {
-            x = plan->quantile_tables[i]->Quantile(u);
-          } else {
-            auto x_or = pool_->InverseCdf(v, u);
-            if (!x_or.ok()) {
-              out->status = x_or.status();
-              return;
-            }
-            x = x_or.value();
-          }
-          a.Set(v, x);
-        } else if (i == 0 ||
-                   plan->vars[i].var_id != plan->vars[i - 1].var_id) {
-          if (use_batch) {
-            const IdBatch& b = batches[bi++];
-            const double* row = b.values.data() + (idx - begin) * b.ncomp;
-            for (uint32_t comp = 0; comp < b.ncomp; ++comp) {
-              a.Set(VarRef{v.var_id, comp}, row[comp]);
-            }
-            continue;
-          }
-          Status s = pool_->GenerateJoint(v.var_id, sample_index,
-                                          kEstimateMarker, &joint);
-          if (!s.ok()) {
-            out->status = s;
-            return;
-          }
-          for (uint32_t comp = 0; comp < joint.size(); ++comp) {
-            a.Set(VarRef{v.var_id, comp}, joint[comp]);
-          }
-        }
+      Status drawn = DrawGroup(plan, options_.sample_offset + idx, marker,
+                               use_batch ? &batch : nullptr, &joint, &a);
+      if (!drawn.ok()) {
+        out.status = std::move(drawn);
+        return out;
       }
-      bool ok = true;
-      for (const auto& atom : plan->atoms) {
-        auto t = atom.Eval(a);
-        if (!t.ok()) {
-          out->status = t.status();
-          return;
-        }
-        if (!t.value()) {
-          ok = false;
-          break;
-        }
+      auto h = hit(a);
+      if (!h.ok()) {
+        out.status = h.status();
+        return out;
       }
-      ++out->n;
-      if (ok) ++out->hits;
+      ++out.n;
+      if (h.value()) ++out.hits;
     }
+    return out;
   };
 
+  const double z = M_SQRT2 * ErfInv(1.0 - options_.epsilon);
+  const bool adaptive = options_.fixed_samples == 0;
   size_t n = 0, hits = 0;
-  Status chunk_error = Status::OK();
+  Status error = Status::OK();
   RunChunkedWaves<HitChunk>(
-      cap, chunk, /*start_chunk=*/0, adaptive, options_.num_threads,
-      [&](size_t, uint64_t begin, uint64_t end, HitChunk* out) {
-        run_chunk(begin, end, out);
-      },
-      [&](size_t, HitChunk& o) {
-        // Chunk-fold barrier: cooperative cancellation poll (the result
-        // is discarded by the caller that requested the cancel).
-        if (options_.cancel_check && options_.cancel_check()) {
-          chunk_error = Status::Cancelled("group probability estimate");
-          return false;
-        }
-        if (!o.status.ok()) {
-          chunk_error = o.status;
-          return false;
-        }
-        *total_attempts += o.attempts;
+      cap, std::max<size_t>(1, options_.chunk_samples), /*start_chunk=*/0,
+      adaptive, options_.num_threads, run_chunk, [&](size_t, HitChunk& o) {
+        error = FoldBarrier(options_, o.status);
+        if (!error.ok()) return false;
         n += o.n;
         hits += o.hits;
-        // Budget collapse — the shard's own, or the call-wide ledger
-        // (*total_attempts carries over from the expectation phase, so
-        // max_total_attempts bounds the whole call, not just this
-        // estimator): estimate from what we have.
-        if (o.truncated || *total_attempts > options_.max_total_attempts) {
-          return false;
+        if (ledger != nullptr) {
+          // Budget collapse — the shard's own, or the call-wide ledger
+          // (it carries over from the accept loop, so max_total_attempts
+          // bounds the whole call): estimate from what we have.
+          *ledger += o.attempts;
+          if (o.truncated || *ledger > options_.max_total_attempts) {
+            return false;
+          }
         }
         if (adaptive && n >= options_.min_samples) {
           double p = static_cast<double>(hits) / static_cast<double>(n);
@@ -1056,114 +1088,31 @@ StatusOr<double> SamplingEngine::EstimateGroupProbability(
         }
         return true;
       });
-  PIP_RETURN_IF_ERROR(chunk_error);
-  double p = n > 0 ? static_cast<double>(hits) / static_cast<double>(n) : 0.0;
-  return p * plan->window_prob;
+  PIP_RETURN_IF_ERROR(error);
+  return n > 0 ? static_cast<double>(hits) / static_cast<double>(n) : 0.0;
 }
 
-SamplingEngine::ChunkOutcome SamplingEngine::RunExpectationChunk(
-    std::vector<GroupPlan>* plans, const ExprPtr& expr, uint64_t begin,
-    uint64_t end, size_t attempt_budget, size_t chunk_index,
-    std::atomic<uint64_t>* first_collapsed) const {
-  ChunkOutcome out;
-  std::vector<size_t> accepted0(plans->size()), attempts0(plans->size());
-  for (size_t g = 0; g < plans->size(); ++g) {
-    accepted0[g] = (*plans)[g].accepted;
-    attempts0[g] = (*plans)[g].attempts;
-  }
-  // Batched fast path: when every target group deterministically accepts
-  // each sample on its first attempt (no atoms / windows / chain), draw
-  // the chunk's whole range in one GenerateBatch call per variable and
-  // keep the scalar loop's counter arithmetic per index — bit-identical
-  // output, one virtual call per (plan, var) per chunk instead of per
-  // sample.
-  PlanBatches batches;
-  const bool use_batch = BatchEligible(*plans);
-  if (use_batch) {
-    Status s = FillPlanBatches(*plans, options_.sample_offset + begin,
-                               end - begin, /*attempt=*/0, &batches);
-    if (!s.ok()) {
-      out.status = s;
-      out.group_accepted.resize(plans->size());
-      out.group_attempts.resize(plans->size());
-      return out;
-    }
-  }
-  Assignment assignment;
-  for (uint64_t i = begin; i < end; ++i) {
-    // A strictly earlier chunk's budget genuinely collapsed: the
-    // in-order fold stops before ever reading this chunk, so stop
-    // burning its budget. Strictly-earlier matters: chunks before the
-    // minimal collapsed index never abort, keeping the fold's view of
-    // them — and hence the visible result — bit-identical to a serial
-    // run.
-    if (first_collapsed != nullptr &&
-        first_collapsed->load(std::memory_order_relaxed) < chunk_index) {
-      out.collapsed = true;
-      break;
-    }
-    assignment.Clear();
-    bool got_all = true;
-    if (use_batch) {
-      // Mirrors SampleGroupOnce's accept-on-first-attempt arithmetic:
-      // budget check, then the per-plan attempt, then acceptance.
-      for (size_t g = 0; g < plans->size(); ++g) {
-        auto& plan = (*plans)[g];
-        if (!plan.touches_target) continue;
-        if (++out.attempts > attempt_budget) {
-          got_all = false;
-          break;
-        }
-        ++plan.attempts;
-        for (const auto& vb : batches.per_plan[g]) {
-          const double* row = vb.values.data() + (i - begin) * vb.ncomp;
-          for (uint32_t comp = 0; comp < vb.ncomp; ++comp) {
-            assignment.Set(VarRef{vb.var_id, comp}, row[comp]);
-          }
-        }
-        ++plan.accepted;
-      }
-    } else {
-      for (auto& plan : *plans) {
-        if (!plan.touches_target) continue;
-        auto ok = SampleGroupOnce(&plan, options_.sample_offset + i,
-                                  &assignment, &out.attempts, attempt_budget);
-        if (!ok.ok()) {
-          out.status = ok.status();
-          break;
-        }
-        if (!ok.value()) {
-          got_all = false;
-          break;
-        }
-      }
-    }
-    if (!out.status.ok()) break;
-    if (!got_all) {
-      out.collapsed = true;
-      if (first_collapsed != nullptr) {
-        uint64_t cur = first_collapsed->load(std::memory_order_relaxed);
-        while (chunk_index < cur &&
-               !first_collapsed->compare_exchange_weak(
-                   cur, chunk_index, std::memory_order_relaxed)) {
-        }
-      }
-      break;
-    }
-    auto value = expr->EvalDouble(assignment);
-    if (!value.ok()) {
-      out.status = value.status();
-      break;
-    }
-    out.stats.Add(value.value());
-  }
-  out.group_accepted.resize(plans->size());
-  out.group_attempts.resize(plans->size());
-  for (size_t g = 0; g < plans->size(); ++g) {
-    out.group_accepted[g] = (*plans)[g].accepted - accepted0[g];
-    out.group_attempts[g] = (*plans)[g].attempts - attempts0[g];
-  }
-  return out;
+StatusOr<double> SamplingEngine::EstimateGroupProbability(
+    const GroupPlan& plan, size_t* total_attempts) const {
+  if (plan.exact) return plan.exact_prob;
+  if (plan.atoms.empty()) return 1.0;
+  // Fresh Monte Carlo estimate of P[atoms | windows] * window_prob.
+  constexpr uint64_t kEstimateMarker = 0xE571ULL << 32;
+  const size_t cap = options_.fixed_samples > 0
+                         ? std::max<size_t>(options_.fixed_samples, 256)
+                         : options_.max_samples;
+  PIP_ASSIGN_OR_RETURN(
+      double p, HitRate(
+                    plan, kEstimateMarker, cap,
+                    [&](const Assignment& a) -> StatusOr<bool> {
+                      for (const auto& atom : plan.atoms) {
+                        PIP_ASSIGN_OR_RETURN(bool t, atom.Eval(a));
+                        if (!t) return false;
+                      }
+                      return true;
+                    },
+                    total_attempts));
+  return p * plan.window_prob;
 }
 
 StatusOr<ExpectationResult> SamplingEngine::Expectation(
@@ -1218,82 +1167,32 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
   }
   if (!integrated) {
     // Monte Carlo over the sample-index space, sharded into contiguous
-    // chunks by the shared pilot/chain/budget driver. The chunk
-    // schedule, the merge order and the adaptive stopping barriers
-    // depend only on chunk_samples — never on num_threads — so serial
-    // and parallel runs accept the same index set and fold the same
-    // merge tree: results are bit-identical.
-    const double z = M_SQRT2 * ErfInv(1.0 - options_.epsilon);
+    // chunks by RunAcceptSchedule. The chunk schedule, the merge
+    // order and the adaptive stopping barriers depend only on
+    // chunk_samples — never on num_threads — so serial and parallel runs
+    // accept the same index set and fold the same merge tree: results
+    // are bit-identical.
     const bool fixed = options_.fixed_samples > 0;
-    const size_t schedule_len =
-        fixed ? options_.fixed_samples : options_.max_samples;
-
-    RunningStats merged;
-    bool collapsed = false;
-    // Lowest chunk index whose budget genuinely collapsed; later chunks
-    // abort early (discarded by the in-order fold), bounding the work a
-    // collapsing call can burn without touching determinism.
-    std::atomic<uint64_t> first_collapsed{UINT64_MAX};
-
-    auto stop_now = [&]() {
-      int64_t count = merged.count();
-      if (fixed) return count >= static_cast<int64_t>(options_.fixed_samples);
-      if (count >= static_cast<int64_t>(options_.max_samples)) return true;
-      if (count < static_cast<int64_t>(options_.min_samples)) return false;
-      double mean = std::fabs(merged.mean());
-      double half_width = z * merged.standard_error();
-      return half_width <= options_.delta * std::max(mean, 1e-9);
-    };
-
-    // The fold runs in chunk order for pilot, chain and wave chunks
-    // alike. The ledger is what makes max_total_attempts a real
-    // per-call bound: shard floors let individual chunks over-spend
-    // their proportional share, but the fold trips the collapse as soon
-    // as the folded shards exceed the configured budget — at a
-    // deterministic chunk index, independent of thread count.
-    Status chunk_error = Status::OK();
-    RunPilotedSchedule<ChunkOutcome>(
-        &plans, schedule_len,
-        [&](std::vector<GroupPlan>* ps, size_t c, uint64_t begin,
-            uint64_t end, size_t budget, ChunkOutcome* out) {
-          *out = RunExpectationChunk(ps, expr, begin, end, budget, c,
-                                     &first_collapsed);
-        },
-        [&](const ChunkOutcome& pilot) {
-          return std::make_pair(static_cast<size_t>(pilot.stats.count()),
-                                pilot.attempts);
-        },
-        [&](size_t, ChunkOutcome& o, bool cloned) {
-          // Chunk-fold barrier: cooperative cancellation poll. The
-          // caller requesting the cancel discards this row's output, so
-          // abandoning mid-schedule cannot change any kept bits.
-          if (options_.cancel_check && options_.cancel_check()) {
-            chunk_error = Status::Cancelled("expectation");
-            return false;
-          }
-          if (!o.status.ok()) {
-            chunk_error = o.status;
-            return false;
-          }
-          total_attempts += o.attempts;
-          merged.Merge(o.stats);
-          if (cloned) {
-            // Clone counters fold back into the originals; chain/pilot
-            // chunks mutate the originals in place.
-            for (size_t g = 0; g < plans.size(); ++g) {
-              plans[g].accepted += o.group_accepted[g];
-              plans[g].attempts += o.group_attempts[g];
-            }
-          }
-          if (o.collapsed || total_attempts > options_.max_total_attempts) {
-            collapsed = true;
-            return false;
-          }
-          return !stop_now();
-        });
-    PIP_RETURN_IF_ERROR(chunk_error);
-
-    if (collapsed) {
+    const double z = M_SQRT2 * ErfInv(1.0 - options_.epsilon);
+    std::function<bool(const AcceptRun&)> done;
+    if (!fixed) {
+      done = [&](const AcceptRun& run) {
+        if (run.stats.count() < static_cast<int64_t>(options_.min_samples)) {
+          return false;
+        }
+        double mean = std::fabs(run.stats.mean());
+        double half_width = z * run.stats.standard_error();
+        return half_width <= options_.delta * std::max(mean, 1e-9);
+      };
+    }
+    PIP_ASSIGN_OR_RETURN(
+        AcceptRun run,
+        RunAcceptSchedule(
+            &plans, expr,
+            fixed ? options_.fixed_samples : options_.max_samples,
+            /*slots=*/nullptr, done));
+    total_attempts = run.attempts;
+    if (run.collapsed) {
       // Sampling budget collapsed: the condition region is effectively
       // unreachable. Per the paper, report NAN.
       result.expectation = kNan;
@@ -1301,9 +1200,9 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
       result.attempts = total_attempts;
       return result;
     }
-    result.expectation = merged.mean();
-    result.samples_used = static_cast<size_t>(merged.count());
-    sampled = merged.count() > 0;
+    result.expectation = run.stats.mean();
+    result.samples_used = run.produced;
+    sampled = run.produced > 0;
   }
 
   // ---- Probability of the full condition. ----
@@ -1316,7 +1215,7 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
         // "Metropolis doesn't give us a probability" — estimate the group
         // separately by plain (windowed) Monte Carlo.
         PIP_ASSIGN_OR_RETURN(double p,
-                             EstimateGroupProbability(&plan, &total_attempts));
+                             EstimateGroupProbability(plan, &total_attempts));
         prob *= p;
       } else if (plan.touches_target && plan.attempts > 0) {
         // Free acceptance-rate estimate from the expectation loop
@@ -1325,7 +1224,7 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
                 static_cast<double>(plan.attempts);
       } else if (!plan.atoms.empty()) {
         PIP_ASSIGN_OR_RETURN(double p,
-                             EstimateGroupProbability(&plan, &total_attempts));
+                             EstimateGroupProbability(plan, &total_attempts));
         prob *= p;
         sampled = sampled || !plan.exact;
       }
@@ -1383,119 +1282,25 @@ StatusOr<double> SamplingEngine::JointConfidence(
     return std::min(1.0, std::max(0.0, total));
   }
 
-  // Many disjuncts: joint Monte Carlo over the union of variables,
-  // sharded over the sample-index space like the expectation loop (each
-  // world is a pure function of its index; hit counts fold in chunk
-  // order; the adaptive stop is checked at chunk barriers only).
+  // Many disjuncts: joint Monte Carlo through a window-free plan over the
+  // union of their variables, with no attempt ledger.
   VarSet all_vars;
   for (const auto* d : live) d->CollectVariables(&all_vars);
-  std::vector<uint64_t> ids;
-  for (const VarRef& v : all_vars) {
-    if (ids.empty() || ids.back() != v.var_id) ids.push_back(v.var_id);
-  }
-  const double z = M_SQRT2 * ErfInv(1.0 - options_.epsilon);
+  GroupPlan plan;
+  plan.SetVars(all_vars);
   constexpr uint64_t kAconfMarker = 0xAC0FULL << 32;
-  const bool adaptive = options_.fixed_samples == 0;
-  size_t cap = options_.fixed_samples > 0 ? options_.fixed_samples
-                                          : options_.max_samples;
-  const size_t chunk = std::max<size_t>(1, options_.chunk_samples);
-
-  struct HitChunk {
-    size_t n = 0, hits = 0;
-    Status status = Status::OK();
-  };
-  auto run_chunk = [&](uint64_t begin, uint64_t end, HitChunk* out) {
-    // No atoms, windows, or chains here, so every variable qualifies for
-    // the batched draw path unconditionally.
-    const bool use_batch = options_.use_batch_generation;
-    std::vector<std::vector<double>> batch(ids.size());
-    std::vector<uint32_t> ncomp(ids.size(), 1);
-    if (use_batch) {
-      for (size_t j = 0; j < ids.size(); ++j) {
-        auto info = pool_->Info(ids[j]);
-        if (!info.ok()) {
-          out->status = info.status();
-          return;
+  return HitRate(
+      plan, kAconfMarker,
+      options_.fixed_samples > 0 ? options_.fixed_samples
+                                 : options_.max_samples,
+      [&](const Assignment& a) -> StatusOr<bool> {
+        for (const auto* d : live) {
+          PIP_ASSIGN_OR_RETURN(bool t, d->Eval(a));
+          if (t) return true;
         }
-        ncomp[j] = info.value()->num_components;
-        Status s = pool_->GenerateBatch(ids[j], options_.sample_offset + begin,
-                                        end - begin, kAconfMarker, &batch[j]);
-        if (!s.ok()) {
-          out->status = s;
-          return;
-        }
-      }
-    }
-    std::vector<double> joint;
-    Assignment a;
-    for (uint64_t idx = begin; idx < end; ++idx) {
-      uint64_t sample_index = options_.sample_offset + idx;
-      for (size_t j = 0; j < ids.size(); ++j) {
-        const uint64_t id = ids[j];
-        if (use_batch) {
-          const double* row = batch[j].data() + (idx - begin) * ncomp[j];
-          for (uint32_t comp = 0; comp < ncomp[j]; ++comp) {
-            a.Set(VarRef{id, comp}, row[comp]);
-          }
-          continue;
-        }
-        Status s = pool_->GenerateJoint(id, sample_index, kAconfMarker,
-                                        &joint);
-        if (!s.ok()) {
-          out->status = s;
-          return;
-        }
-        for (uint32_t comp = 0; comp < joint.size(); ++comp) {
-          a.Set(VarRef{id, comp}, joint[comp]);
-        }
-      }
-      bool any = false;
-      for (const auto* d : live) {
-        auto t = d->Eval(a);
-        if (!t.ok()) {
-          out->status = t.status();
-          return;
-        }
-        if (t.value()) {
-          any = true;
-          break;
-        }
-      }
-      ++out->n;
-      if (any) ++out->hits;
-    }
-  };
-
-  size_t n = 0, hits = 0;
-  Status chunk_error = Status::OK();
-  RunChunkedWaves<HitChunk>(
-      cap, chunk, /*start_chunk=*/0, adaptive, options_.num_threads,
-      [&](size_t, uint64_t begin, uint64_t end, HitChunk* out) {
-        run_chunk(begin, end, out);
+        return false;
       },
-      [&](size_t, HitChunk& o) {
-        // Chunk-fold barrier: cooperative cancellation poll (see
-        // SamplingOptions::cancel_check).
-        if (options_.cancel_check && options_.cancel_check()) {
-          chunk_error = Status::Cancelled("joint confidence");
-          return false;
-        }
-        if (!o.status.ok()) {
-          chunk_error = o.status;
-          return false;
-        }
-        n += o.n;
-        hits += o.hits;
-        if (adaptive && n >= options_.min_samples) {
-          double p = static_cast<double>(hits) / static_cast<double>(n);
-          double half_width = z * std::sqrt(std::max(p * (1.0 - p), 1e-12) /
-                                            static_cast<double>(n));
-          if (half_width <= options_.delta * std::max(p, 0.01)) return false;
-        }
-        return true;
-      });
-  PIP_RETURN_IF_ERROR(chunk_error);
-  return n > 0 ? static_cast<double>(hits) / static_cast<double>(n) : 0.0;
+      /*ledger=*/nullptr);
 }
 
 StatusOr<std::vector<double>> SamplingEngine::SampleConditional(
@@ -1508,135 +1313,14 @@ StatusOr<std::vector<double>> SamplingEngine::SampleConditional(
                        PlanGroups(condition, target_vars, &inconsistent));
   if (inconsistent || n == 0) return samples;
 
-  const size_t chunk = std::max<size_t>(1, options_.chunk_samples);
+  // Same accept loop as Expectation, writing each sample into its slot.
+  // A collapse (shard budget or call ledger) truncates the result to the
+  // prefix produced so far.
   samples.assign(n, 0.0);
-
-  struct CondChunk {
-    size_t produced = 0;
-    size_t attempts = 0;
-    Status status = Status::OK();
-  };
-  // Index of the first chunk whose budget genuinely collapsed
-  // (deterministic per chunk). Chunks strictly after it abort early —
-  // the fold truncates the result before them anyway, so the visible
-  // prefix stays bit-identical while total work stays bounded. (Unlike
-  // the expectation loop, a plain "someone collapsed" flag would be
-  // wrong here: an *earlier* chunk aborting would shorten the prefix.)
-  std::atomic<uint64_t> first_truncated{UINT64_MAX};
-  // Writes values for indices [begin, end) into their slots; stops early
-  // on budget collapse (producing a prefix) or error.
-  auto run_chunk = [&](std::vector<GroupPlan>* ps, size_t chunk_index,
-                       uint64_t begin, uint64_t end, size_t budget,
-                       CondChunk* out) {
-    // Batched draw path, same contract as RunExpectationChunk.
-    PlanBatches batches;
-    const bool use_batch = BatchEligible(*ps);
-    if (use_batch) {
-      Status s = FillPlanBatches(*ps, options_.sample_offset + begin,
-                                 end - begin, /*attempt=*/0, &batches);
-      if (!s.ok()) {
-        out->status = s;
-        return;
-      }
-    }
-    Assignment assignment;
-    for (uint64_t i = begin; i < end; ++i) {
-      if (first_truncated.load(std::memory_order_relaxed) < chunk_index) {
-        return;  // Discarded by the fold; stop burning budget.
-      }
-      assignment.Clear();
-      bool got_all = true;
-      if (use_batch) {
-        for (size_t g = 0; g < ps->size(); ++g) {
-          auto& plan = (*ps)[g];
-          if (!plan.touches_target) continue;
-          if (++out->attempts > budget) {
-            got_all = false;
-            break;
-          }
-          ++plan.attempts;
-          for (const auto& vb : batches.per_plan[g]) {
-            const double* row = vb.values.data() + (i - begin) * vb.ncomp;
-            for (uint32_t comp = 0; comp < vb.ncomp; ++comp) {
-              assignment.Set(VarRef{vb.var_id, comp}, row[comp]);
-            }
-          }
-          ++plan.accepted;
-        }
-      } else {
-        for (auto& plan : *ps) {
-          if (!plan.touches_target) continue;
-          auto ok = SampleGroupOnce(&plan, options_.sample_offset + i,
-                                    &assignment, &out->attempts, budget);
-          if (!ok.ok()) {
-            out->status = ok.status();
-            return;
-          }
-          if (!ok.value()) {
-            got_all = false;
-            break;
-          }
-        }
-      }
-      if (!got_all) {
-        uint64_t cur = first_truncated.load(std::memory_order_relaxed);
-        while (chunk_index < cur &&
-               !first_truncated.compare_exchange_weak(
-                   cur, chunk_index, std::memory_order_relaxed)) {
-        }
-        return;
-      }
-      auto value = expr->EvalDouble(assignment);
-      if (!value.ok()) {
-        out->status = value.status();
-        return;
-      }
-      samples[i] = value.value();
-      ++out->produced;
-    }
-  };
-
-  // Pilot shard (Metropolis decision scope), then chain-serial or
-  // parallel remainder — the shared driver, so the determinism schedule
-  // is the expectation loop's by construction. `ledger` folds per-chunk
-  // attempt counts in chunk order so max_total_attempts stays a
-  // deterministic per-call bound (exceeding it truncates the result
-  // exactly like a shard budget collapse).
-  size_t total = 0;
-  size_t ledger = 0;
-  Status chunk_error = Status::OK();
-  RunPilotedSchedule<CondChunk>(
-      &plans, n,
-      [&](std::vector<GroupPlan>* ps, size_t c, uint64_t begin, uint64_t end,
-          size_t budget, CondChunk* out) {
-        run_chunk(ps, c, begin, end, budget, out);
-      },
-      [&](const CondChunk& pilot) {
-        return std::make_pair(pilot.produced, pilot.attempts);
-      },
-      [&](size_t c, CondChunk& o, bool) {
-        // Chunk-fold barrier: cooperative cancellation poll (see
-        // SamplingOptions::cancel_check).
-        if (options_.cancel_check && options_.cancel_check()) {
-          chunk_error = Status::Cancelled("conditional sampling");
-          return false;
-        }
-        if (!o.status.ok()) {
-          chunk_error = o.status;
-          return false;
-        }
-        total += o.produced;
-        ledger += o.attempts;
-        uint64_t begin = static_cast<uint64_t>(c) * chunk;
-        uint64_t end = std::min<uint64_t>(n, begin + chunk);
-        // Short chunk or exhausted call ledger: the visible result is
-        // the prefix produced so far.
-        return o.produced == end - begin &&
-               ledger <= options_.max_total_attempts;
-      });
-  PIP_RETURN_IF_ERROR(chunk_error);
-
-  samples.resize(total);
+  PIP_ASSIGN_OR_RETURN(AcceptRun run,
+                       RunAcceptSchedule(&plans, expr, n, samples.data(),
+                                         /*done=*/nullptr));
+  samples.resize(run.produced);
   return samples;
 }
 

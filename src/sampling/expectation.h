@@ -20,7 +20,6 @@
 #ifndef PIP_SAMPLING_EXPECTATION_H_
 #define PIP_SAMPLING_EXPECTATION_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -83,11 +82,13 @@ struct SamplingOptions {
   bool use_cdf_sampling = true;    ///< Inverse-CDF constrained sampling.
   bool use_independence = true;    ///< Minimal independent subset sampling.
   bool use_metropolis = true;      ///< MCMC fallback for tiny acceptance.
-  /// Batched draw kernels: unconstrained sampling loops request each
-  /// chunk's whole sample range in one GenerateBatch call per variable
-  /// instead of one virtual Generate per sample. Bit-identical to the
-  /// scalar path by the batch-draw contract (see README); off reproduces
-  /// the per-sample loop for the scalar-vs-batch ablation benches.
+  /// Batched draw kernels: each chunk takes the first draw of every
+  /// natural (not CDF-windowed) variable of a sampled, chain-free group
+  /// from one GenerateBatch call per variable id instead of one virtual
+  /// Generate per sample; retries, windowed draws and chains stay scalar.
+  /// Bit-identical to the scalar path by the batch-draw contract (see
+  /// README "Batch draws"); off reproduces the per-sample loop for the
+  /// scalar-vs-batch ablation benches.
   bool use_batch_generation = true;
   /// Exact numeric integration of single-variable expectations ("the
   /// expectation operator can ... potentially even sidestep [sampling]
@@ -110,8 +111,8 @@ struct SamplingOptions {
   /// aconf, expected aggregates). Hits are bit-identical replays; off
   /// forces every call down the Monte Carlo path.
   bool index_enabled = true;
-  /// Build index entries (with moment/quantile/CDF summaries) eagerly on
-  /// catalogue writes instead of lazily on first query.
+  /// Build index entries eagerly on catalogue writes instead of lazily
+  /// on first query.
   bool index_eager_build = false;
   /// Byte budget of the shared index's LRU (0 = unlimited). Applied to
   /// the database-wide index whenever an engine is created, so the
@@ -255,8 +256,8 @@ class SamplingEngine {
 
  private:
   struct GroupPlan;
-  struct ChunkOutcome;
-  struct PlanBatches;
+  struct ChunkBatch;
+  struct AcceptRun;
 
   /// Builds per-group strategy plans. Sets *inconsistent when the
   /// condition is unsatisfiable. Structure-only planning decisions come
@@ -265,43 +266,32 @@ class SamplingEngine {
                                               const VarSet& target_vars,
                                               bool* inconsistent) const;
 
-  /// Samples one accepted joint draw for a group. Returns false when the
-  /// attempt budget collapsed without acceptance (caller decides whether
-  /// that means "unsatisfiable" or "switch to Metropolis").
-  /// `attempt_budget` bounds *total_attempts for this shard.
+  /// Pre-draws `len` consecutive samples from absolute index
+  /// `sample_begin` under attempt key `attempt` for every natural
+  /// (window-free) variable of `plan`: one GenerateBatch block per var_id.
+  Status FillChunkBatch(const GroupPlan& plan, uint64_t sample_begin,
+                        uint64_t len, uint64_t attempt,
+                        ChunkBatch* out) const;
+
+  /// Draws every variable of `plan` for (sample_index, attempt) into
+  /// *assignment: windowed variables by inverse CDF of a window draw,
+  /// natural ones from `batch`'s row when non-null, else by one
+  /// GenerateJoint per var_id into the scratch buffer *joint.
+  Status DrawGroup(const GroupPlan& plan, uint64_t sample_index,
+                   uint64_t attempt, const ChunkBatch* batch,
+                   std::vector<double>* joint, Assignment* assignment) const;
+
+  /// Samples one accepted joint draw for a group; attempt 0 reads `batch`
+  /// when non-null. Returns false when the attempt budget collapsed
+  /// without acceptance (caller decides whether that means
+  /// "unsatisfiable" or "switch to Metropolis"). `attempt_budget` bounds
+  /// *total_attempts for this shard.
   StatusOr<bool> SampleGroupOnce(GroupPlan* plan, uint64_t sample_index,
+                                 const ChunkBatch* batch,
+                                 std::vector<double>* joint,
                                  Assignment* assignment,
                                  size_t* total_attempts,
                                  size_t attempt_budget) const;
-
-  /// Runs the expectation sampling loop over sample indices
-  /// [begin, end) against `plans` (only target-touching groups sample),
-  /// as chunk `chunk_index` of the schedule. On a genuine budget
-  /// collapse the chunk lowers *first_collapsed to its own index;
-  /// chunks strictly after the recorded index abort early (their
-  /// outcomes are discarded by the in-order fold, so the abort never
-  /// shows in results — see SampleConditional for why a plain boolean
-  /// flag would not be order-safe).
-  ChunkOutcome RunExpectationChunk(std::vector<GroupPlan>* plans,
-                                   const ExprPtr& expr, uint64_t begin,
-                                   uint64_t end, size_t attempt_budget,
-                                   size_t chunk_index,
-                                   std::atomic<uint64_t>* first_collapsed)
-      const;
-
-  /// True when every target-touching plan can take the batched draw path
-  /// for a whole chunk: no Metropolis chain, no atoms to re-check, no CDF
-  /// windows — i.e. the scalar loop would deterministically accept every
-  /// sample on its first attempt, so pre-drawing the chunk's whole range
-  /// per variable is observationally identical.
-  bool BatchEligible(const std::vector<GroupPlan>& plans) const;
-
-  /// Pre-draws `len` consecutive samples starting at absolute index
-  /// `sample_begin` (attempt `attempt`) for every variable of every
-  /// target-touching plan, one GenerateBatch call per (plan, var_id).
-  Status FillPlanBatches(const std::vector<GroupPlan>& plans,
-                         uint64_t sample_begin, uint64_t len,
-                         uint64_t attempt, PlanBatches* out) const;
 
   /// Attempt budget for one shard of `chunk_len` samples out of a
   /// schedule of `schedule_len`. The pilot shard (chunk 0) gets the full
@@ -312,34 +302,41 @@ class SamplingEngine {
   size_t ChunkAttemptBudget(size_t chunk_len, size_t schedule_len,
                             bool pilot = false) const;
 
-  /// The shared pilot-shard/chain-mode/budget chunk driver behind
-  /// Expectation and SampleConditional (single definition so their
-  /// collapse semantics cannot silently diverge). Splits the index
-  /// space [0, cap) into the chunk_samples schedule and:
-  ///   1. runs chunk 0 serially on `plans` (Metropolis switch armed)
-  ///      with the full pilot attempt budget,
-  ///   2. derives the later-shard budget from the pilot's observed
-  ///      per-item cost via `cost(pilot) -> (produced, attempts)` (4x
+  /// The accept loop behind Expectation and SampleConditional
+  /// (one definition, so their collapse semantics cannot diverge).
+  /// Samples every target-touching group of `plans` at each index of
+  /// [0, cap), evaluates `expr` on the joint draw, and writes the value to
+  /// slots[index] (when `slots` is non-null) or into the run's stats.
+  /// The chunk_samples schedule runs as:
+  ///   1. chunk 0 serially on `plans` (Metropolis switch armed) with the
+  ///      full pilot attempt budget,
+  ///   2. later shards budgeted from the pilot's per-sample cost (4x
   ///      slack, floored at the proportional share),
-  ///   3. finishes the schedule serially on `plans` when the pilot
-  ///      switched a target group to Metropolis (chains are sequential),
-  ///      otherwise as parallel waves over per-chunk CloneForChunk
-  ///      copies of `plans`.
-  /// Every chunk is dispatched as `run(plans_or_clone, chunk_index,
-  /// begin, end, attempt_budget, out)` and folded IN CHUNK ORDER via
-  /// `fold(chunk_index, out, cloned)`; fold returns false to stop
-  /// (error, collapse, or adaptive stopping) and owns all accumulation —
-  /// including folding clone counters back when `cloned` is true.
-  template <typename Outcome, typename Run, typename Cost, typename Fold>
-  void RunPilotedSchedule(std::vector<GroupPlan>* plans, uint64_t cap,
-                          const Run& run, const Cost& cost,
-                          const Fold& fold) const;
+  ///   3. the rest serially on `plans` when the pilot switched a target
+  ///      group to Metropolis (chains are sequential), otherwise as
+  ///      parallel waves over per-chunk CloneForChunk copies.
+  /// Chunks fold IN CHUNK ORDER: the fold owns the max_total_attempts
+  /// ledger and the collapse, and stops once `done` (when set) holds.
+  StatusOr<AcceptRun> RunAcceptSchedule(
+      std::vector<GroupPlan>* plans, const ExprPtr& expr, uint64_t cap,
+      double* slots, const std::function<bool(const AcceptRun&)>& done) const;
+
+  /// The hit-rate loop behind EstimateGroupProbability and
+  /// JointConfidence: the fraction of indices in [0, cap) whose draw of
+  /// `plan` (attempt key `marker`) satisfies `hit(assignment) ->
+  /// StatusOr<bool>`, counted in chunks folded in chunk order and stopped
+  /// adaptively at relative precision delta. With a non-null `ledger`
+  /// every sample is one attempt charged to it, and exceeding a shard
+  /// budget or max_total_attempts stops the count early.
+  template <typename Hit>
+  StatusOr<double> HitRate(const GroupPlan& plan, uint64_t marker,
+                           size_t cap, const Hit& hit, size_t* ledger) const;
 
   /// Exact probability of a single-variable interval-constrained group.
   StatusOr<double> ExactGroupProbability(const GroupPlan& plan) const;
 
   /// MC estimate of P[group atoms] for groups not touching the target.
-  StatusOr<double> EstimateGroupProbability(GroupPlan* plan,
+  StatusOr<double> EstimateGroupProbability(const GroupPlan& plan,
                                             size_t* total_attempts) const;
 
   /// Attempts exact numeric integration of E[expr | plan's interval].

@@ -132,23 +132,40 @@ class EngineBatchTest : public ::testing::Test {
   Database db_{777};
 };
 
+// The batching rule pre-draws attempt 0 of every natural variable of a
+// chain-free target group, so each toggle test also runs a rejection atom
+// over two natural variables (retries stay scalar) and a CDF-windowed atom
+// beside an unconstrained target variable (windowed draws stay scalar).
 TEST_F(EngineBatchTest, ExpectationBitIdenticalAcrossToggle) {
   VarRef x = db_.pool()->Create("Normal", {5.0, 2.0}).value();
   VarRef y = db_.pool()->Create("Exponential", {1.0}).value();
   ExprPtr expr = Expr::Var(x) + Expr::Var(y);
-  for (size_t chunk : {size_t{16}, size_t{64}}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      SCOPED_TRACE("chunk=" + std::to_string(chunk) +
-                   " threads=" + std::to_string(threads));
-      auto scalar = db_.MakeEngine(Opts(false, threads, chunk))
-                        .Expectation(expr, Condition::True(), false)
-                        .value();
-      auto batched = db_.MakeEngine(Opts(true, threads, chunk))
-                         .Expectation(expr, Condition::True(), false)
-                         .value();
-      EXPECT_EQ(Bits(scalar.expectation), Bits(batched.expectation));
-      EXPECT_EQ(scalar.samples_used, batched.samples_used);
-      EXPECT_EQ(scalar.attempts, batched.attempts);
+  const std::vector<Condition> conditions = {
+      Condition::True(),
+      Condition(Expr::Var(x) + Expr::Var(y) > Expr::Constant(8.0)),
+      Condition(Expr::Var(x) > Expr::Constant(6.0)),
+  };
+  for (size_t k = 0; k < conditions.size(); ++k) {
+    for (size_t chunk : {size_t{16}, size_t{64}}) {
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+        SCOPED_TRACE("condition=" + std::to_string(k) +
+                     " chunk=" + std::to_string(chunk) +
+                     " threads=" + std::to_string(threads));
+        auto scalar = db_.MakeEngine(Opts(false, threads, chunk))
+                          .Expectation(expr, conditions[k], true)
+                          .value();
+        auto batched = db_.MakeEngine(Opts(true, threads, chunk))
+                           .Expectation(expr, conditions[k], true)
+                           .value();
+        EXPECT_EQ(Bits(scalar.expectation), Bits(batched.expectation));
+        EXPECT_EQ(Bits(scalar.probability), Bits(batched.probability));
+        EXPECT_EQ(scalar.samples_used, batched.samples_used);
+        EXPECT_EQ(scalar.attempts, batched.attempts);
+        if (k == 1) {
+          // The rejection atom retries: attempts 1+ stay scalar.
+          EXPECT_GT(batched.attempts, batched.samples_used);
+        }
+      }
     }
   }
 }
@@ -157,19 +174,28 @@ TEST_F(EngineBatchTest, SampleConditionalBitIdenticalAcrossToggle) {
   VarRef x = db_.pool()->Create("Normal", {0.0, 1.0}).value();
   VarRef y = db_.pool()->Create("Uniform", {-1.0, 3.0}).value();
   ExprPtr expr = Expr::Var(x) * Expr::Var(y);
-  for (size_t chunk : {size_t{16}, size_t{64}}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      SCOPED_TRACE("chunk=" + std::to_string(chunk) +
-                   " threads=" + std::to_string(threads));
-      auto scalar = db_.MakeEngine(Opts(false, threads, chunk))
-                        .SampleConditional(expr, Condition::True(), 512)
-                        .value();
-      auto batched = db_.MakeEngine(Opts(true, threads, chunk))
-                         .SampleConditional(expr, Condition::True(), 512)
-                         .value();
-      ASSERT_EQ(scalar.size(), batched.size());
-      for (size_t i = 0; i < scalar.size(); ++i) {
-        EXPECT_EQ(Bits(scalar[i]), Bits(batched[i])) << "sample " << i;
+  const std::vector<Condition> conditions = {
+      Condition::True(),
+      Condition(Expr::Var(x) + Expr::Var(y) > Expr::Constant(2.0)),
+      Condition(Expr::Var(x) > Expr::Constant(0.8)),
+  };
+  for (size_t k = 0; k < conditions.size(); ++k) {
+    for (size_t chunk : {size_t{16}, size_t{64}}) {
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+        SCOPED_TRACE("condition=" + std::to_string(k) +
+                     " chunk=" + std::to_string(chunk) +
+                     " threads=" + std::to_string(threads));
+        auto scalar = db_.MakeEngine(Opts(false, threads, chunk))
+                          .SampleConditional(expr, conditions[k], 512)
+                          .value();
+        auto batched = db_.MakeEngine(Opts(true, threads, chunk))
+                           .SampleConditional(expr, conditions[k], 512)
+                           .value();
+        ASSERT_EQ(scalar.size(), 512u);
+        ASSERT_EQ(scalar.size(), batched.size());
+        for (size_t i = 0; i < scalar.size(); ++i) {
+          EXPECT_EQ(Bits(scalar[i]), Bits(batched[i])) << "sample " << i;
+        }
       }
     }
   }
@@ -177,8 +203,8 @@ TEST_F(EngineBatchTest, SampleConditionalBitIdenticalAcrossToggle) {
 
 TEST_F(EngineBatchTest, ConfidenceEstimatorBitIdenticalAcrossToggle) {
   // A two-variable atom is neither exact-CDF-eligible nor window-backed,
-  // so EstimateGroupProbability runs its Monte Carlo loop with natural
-  // draws — the pre-drawn batch path.
+  // so the group hit-rate estimator draws every variable naturally — the
+  // pre-drawn batch path.
   VarRef x = db_.pool()->Create("Normal", {5.0, 2.0}).value();
   VarRef y = db_.pool()->Create("Normal", {3.0, 1.0}).value();
   Condition c(Expr::Var(x) + Expr::Var(y) < Expr::Constant(8.0));

@@ -7,7 +7,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <functional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "src/common/row_parallel.h"
 #include "src/common/running_stats.h"
@@ -949,6 +952,55 @@ TEST_F(ParallelEngineTest, SampleConditionalMetropolisChainUnchanged) {
   ASSERT_EQ(draws[0].size(), 500u);
   EXPECT_EQ(draws[1], draws[0]);
   for (double v : draws[0]) EXPECT_GT(v, 4.0);
+}
+
+TEST_F(ParallelEngineTest, CancelCheckStopsEveryMonteCarloLoop) {
+  // One case per Monte Carlo loop: the accept loop through Expectation
+  // and SampleConditional, the group hit-rate estimator through
+  // Confidence, and joint Monte Carlo through JointConfidence. Each call
+  // succeeds on a plain engine and is cancelled at its first chunk fold
+  // on an engine whose cancel_check always fires.
+  VarRef x = db_.CreateVariable("Normal", {5.0, 2.0}).value();
+  VarRef y = db_.CreateVariable("Normal", {3.0, 1.0}).value();
+  ExprPtr product = Expr::Var(x) * Expr::Var(y);
+  Condition two_var(Expr::Var(x) + Expr::Var(y) > Expr::Constant(9.0));
+  std::vector<Condition> disjuncts;
+  for (int i = 0; i < 7; ++i) {
+    disjuncts.emplace_back(Expr::Var(x) - Expr::Var(y) >
+                           Expr::Constant(1.0 + 0.5 * i));
+  }
+  struct Case {
+    const char* loop;
+    std::function<Status(const SamplingEngine&)> call;
+  };
+  const std::vector<Case> cases = {
+      {"Expectation",
+       [&](const SamplingEngine& e) {
+         return e.Expectation(product, two_var, true).status();
+       }},
+      {"SampleConditional",
+       [&](const SamplingEngine& e) {
+         return e.SampleConditional(product, two_var, 256).status();
+       }},
+      {"Confidence",
+       [&](const SamplingEngine& e) { return e.Confidence(two_var).status(); }},
+      {"JointConfidence",
+       [&](const SamplingEngine& e) {
+         return e.JointConfidence(disjuncts).status();
+       }},
+  };
+  for (size_t threads : {1, 8}) {
+    SamplingOptions opts = ThreadedOptions(threads);
+    opts.use_numeric_integration = false;
+    SamplingEngine plain = db_.MakeEngine(opts);
+    SamplingEngine cancelled = plain.WithCancelCheck([] { return true; });
+    for (const Case& c : cases) {
+      SCOPED_TRACE(std::string(c.loop) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_TRUE(c.call(plain).ok());
+      EXPECT_EQ(c.call(cancelled).code(), StatusCode::kCancelled);
+    }
+  }
 }
 
 TEST(OptionsPlumbingTest, DatabaseDefaultsReachSessions) {
