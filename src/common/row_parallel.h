@@ -25,10 +25,10 @@
 /// Mid-body cancellation: the skip check before a row body fires only
 /// once, when the row is acquired — a long row body dispatched just
 /// before an earlier row recorded its failure used to run to
-/// completion anyway. Bodies that take the two-argument form
-/// `body(row, const RowBatchContext&)` can poll `ctx.Cancelled()`
-/// (typically by wiring it into `SamplingEngine::WithCancelCheck`, which
-/// polls at chunk-fold barriers) and bail early with any status: a
+/// completion anyway. Every body receives a `const RowBatchContext&` and
+/// can poll `ctx.Cancelled()` (typically by wiring it into
+/// `SamplingEngine::WithCancelCheck`, which polls at chunk-fold
+/// barriers) and bail early with any status: a
 /// cancelled row's status slot is only reachable when an earlier row
 /// already failed, so the earlier row's error is what surfaces and the
 /// abort never changes what a caller observes.
@@ -39,7 +39,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "src/common/status.h"
@@ -48,7 +47,7 @@
 namespace pip {
 
 /// Per-row view of a ParallelRows batch's failure state, handed to
-/// two-argument row bodies. Copyable and cheap; valid for the duration
+/// every row body. Copyable and cheap; valid for the duration
 /// of the body call it was passed to.
 class RowBatchContext {
  public:
@@ -71,30 +70,12 @@ class RowBatchContext {
   size_t row_;
 };
 
-namespace internal {
-
-/// Dispatches to `body(row, ctx)` when the body accepts the context,
-/// else to the legacy `body(row)` form.
-template <typename Body>
-Status InvokeRowBody(const Body& body, size_t row,
-                     const RowBatchContext& ctx) {
-  if constexpr (std::is_invocable_v<const Body&, size_t,
-                                    const RowBatchContext&>) {
-    return body(row, ctx);
-  } else {
-    return body(row);
-  }
-}
-
-}  // namespace internal
-
-/// Runs `body(row)` — or `body(row, const RowBatchContext&)` for bodies
-/// that support mid-row cancellation — for every row in [0, num_rows);
-/// body returns the row's Status and writes its outputs to per-row
-/// slots the caller pre-sized. Returns the first non-OK status in row
-/// order. `num_threads` follows the engine convention (0 = hardware
-/// concurrency) and is further clamped by the calling thread's
-/// parallelism budget.
+/// Runs `body(row, const RowBatchContext&)` for every row in
+/// [0, num_rows); body returns the row's Status and writes its outputs
+/// to per-row slots the caller pre-sized. Returns the first non-OK
+/// status in row order. `num_threads` follows the engine convention
+/// (0 = hardware concurrency) and is further clamped by the calling
+/// thread's parallelism budget.
 template <typename Body>
 Status ParallelRows(size_t num_rows, size_t num_threads, const Body& body) {
   if (num_rows == 0) return Status::OK();
@@ -106,7 +87,7 @@ Status ParallelRows(size_t num_rows, size_t num_threads, const Body& body) {
     // context: a serial loop stops at the first error by itself.
     const RowBatchContext ctx;
     for (size_t row = 0; row < num_rows; ++row) {
-      PIP_RETURN_IF_ERROR(internal::InvokeRowBody(body, row, ctx));
+      PIP_RETURN_IF_ERROR(body(row, ctx));
     }
     return Status::OK();
   }
@@ -120,8 +101,7 @@ Status ParallelRows(size_t num_rows, size_t num_threads, const Body& body) {
   std::atomic<size_t> first_error{num_rows};
   ThreadPool::Shared().ParallelFor(num_rows, workers, [&](size_t row) {
     if (first_error.load(std::memory_order_relaxed) < row) return;
-    Status s = internal::InvokeRowBody(body, row,
-                                       RowBatchContext(&first_error, row));
+    Status s = body(row, RowBatchContext(&first_error, row));
     if (!s.ok()) {
       statuses[row] = std::move(s);
       size_t cur = first_error.load(std::memory_order_relaxed);

@@ -33,38 +33,17 @@ void Database::MaterializeView(const std::string& name, CTable table) {
 
 Status Database::AppendRows(const std::string& name,
                             std::vector<CTableRow> rows) {
-  {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    auto it = tables_.find(name);
-    if (it == tables_.end()) {
-      return Status::NotFound("no table named '" + name + "'");
-    }
-    CTable updated = *it->second;
-    for (CTableRow& row : rows) {
-      PIP_RETURN_IF_ERROR(updated.Append(std::move(row)));
-    }
-    it->second = std::make_shared<const CTable>(std::move(updated));
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  auto it = tables_.find(name);
+  if (it == tables_.end()) {
+    return Status::NotFound("no table named '" + name + "'");
   }
-  // Knob-gated eager materialization under the database defaults,
-  // outside the catalogue lock (it samples). Sessions with their own
-  // options call BuildIndex separately; build failures must not undo a
-  // committed insert, so they only leave the index cold.
-  if (default_options_.index_eager_build) {
-    Status build_status = BuildIndex(name, default_options_);
-    (void)build_status;
+  CTable updated = *it->second;
+  for (CTableRow& row : rows) {
+    PIP_RETURN_IF_ERROR(updated.Append(std::move(row)));
   }
+  it->second = std::make_shared<const CTable>(std::move(updated));
   return Status::OK();
-}
-
-Status Database::BuildIndex(const std::string& name,
-                            const SamplingOptions& options) {
-  if (!options.index_enabled) return Status::OK();
-  PIP_ASSIGN_OR_RETURN(std::shared_ptr<const CTable> snapshot,
-                       GetTable(name));
-  // Sampling runs outside the catalogue lock on the immutable snapshot.
-  // Its backfills stay valid if a writer publishes meanwhile: entries are
-  // keyed by row content, which the write does not change.
-  return EagerBuildIndex(*snapshot, MakeEngine(options));
 }
 
 StatusOr<std::shared_ptr<const CTable>> Database::GetTable(

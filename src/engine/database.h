@@ -117,12 +117,6 @@ class Database {
     return engine;
   }
 
-  /// Eagerly materializes expectation-index entries for every row of
-  /// `name` under `options` (the INSERT path's INDEX_EAGER_BUILD hook;
-  /// also callable directly to pre-warm a table). Runs on the caller's
-  /// thread against the current snapshot, outside the catalogue lock.
-  Status BuildIndex(const std::string& name, const SamplingOptions& options);
-
   /// Hit/miss counters of the database-wide plan cache.
   PlanCache::Stats plan_cache_stats() const { return plan_cache_->stats(); }
 

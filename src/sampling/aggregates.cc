@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <set>
 #include <sstream>
 
 #include "src/common/row_parallel.h"
@@ -14,12 +16,58 @@ namespace pip {
 
 namespace {
 constexpr uint64_t kWorldMarker = 0x3081d5ULL << 32;
+
+/// One row's terms of a linear aggregate (§IV-C): E[h | phi] * P[phi]
+/// and P[phi].
+struct RowTerm {
+  double sum = 0.0;
+  double prob = 0.0;
+};
+
+/// The one row sweep behind expected_sum, expected_count, expected_avg
+/// and Example 4.4's expected_max. Evaluates the first `num_rows` rows
+/// of `table` in parallel (outer axis), one slot per row, so callers
+/// fold the slots in row order and get the serial loop's bits at every
+/// thread count. With a value column each row makes one Expectation call
+/// with probability: its slot is {E * P, P}, or zero when the row is
+/// unsatisfiable or collapsed (absent from (almost) every world).
+/// Count-only (`col` empty) each row makes one Confidence call and its
+/// slot is {0, P}.
+StatusOr<std::vector<RowTerm>> SweepRows(const SamplingEngine& engine,
+                                         const CTable& table,
+                                         std::optional<size_t> col,
+                                         size_t num_rows) {
+  const auto& rows = table.rows();
+  std::vector<RowTerm> terms(num_rows);
+  PIP_RETURN_IF_ERROR(ParallelRows(
+      num_rows, engine.options().num_threads,
+      [&](size_t r, const RowBatchContext& ctx) -> Status {
+        const SamplingEngine row_engine =
+            engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
+        if (!col) {
+          PIP_ASSIGN_OR_RETURN(
+              ExpectationResult res,
+              IndexedConfidence(row_engine, table, rows[r].condition));
+          terms[r].prob = res.probability;
+          return Status::OK();
+        }
+        PIP_ASSIGN_OR_RETURN(
+            ExpectationResult res,
+            IndexedExpectation(row_engine, table, rows[r].cells[*col],
+                               rows[r].condition,
+                               /*compute_probability=*/true));
+        if (!std::isnan(res.expectation) && res.probability > 0.0) {
+          terms[r] = {res.expectation * res.probability, res.probability};
+        }
+        return Status::OK();
+      }));
+  return terms;
 }
+}  // namespace
 
 SamplingEngine AggregateEvaluator::RowEngine(size_t num_rows) const {
   SamplingOptions opts = engine_->options();
-  if (options_.scale_tolerance_by_rows && opts.fixed_samples == 0 &&
-      num_rows > 1) {
+  if (opts.fixed_samples == 0 && num_rows > 1) {
     // Law of large numbers (§IV-C): summing N independent per-row
     // estimates divides the aggregate's standard error by sqrt(N), so the
     // per-row tolerance may be relaxed by the same factor.
@@ -35,85 +83,29 @@ SamplingEngine AggregateEvaluator::RowEngine(size_t num_rows) const {
 StatusOr<double> AggregateEvaluator::ExpectedSum(
     const CTable& table, const std::string& column) const {
   PIP_ASSIGN_OR_RETURN(size_t col, table.schema().IndexOf(column));
-  SamplingEngine row_engine = RowEngine(table.num_rows());
-  // Rows are the outer parallel axis: each row's E[h | phi] * P[phi]
-  // term lands in its own slot, and the sum folds in row order, so the
-  // aggregate is bit-identical to the serial row loop.
-  const auto& rows = table.rows();
-  std::vector<double> terms(rows.size(), 0.0);
-  PIP_RETURN_IF_ERROR(ParallelRows(
-      rows.size(), row_engine.options().num_threads,
-      [&](size_t r, const RowBatchContext& ctx) -> Status {
-        const SamplingEngine cancel_engine =
-            row_engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
-        PIP_ASSIGN_OR_RETURN(
-            ExpectationResult res,
-            IndexedExpectation(cancel_engine, table,
-                               rows[r].cells[col], rows[r].condition,
-                               /*compute_probability=*/true));
-        if (!std::isnan(res.expectation) && res.probability > 0.0) {
-          terms[r] = res.expectation * res.probability;
-        }
-        return Status::OK();
-      }));
+  PIP_ASSIGN_OR_RETURN(
+      std::vector<RowTerm> terms,
+      SweepRows(RowEngine(table.num_rows()), table, col, table.num_rows()));
   double total = 0.0;
-  for (double t : terms) total += t;
+  for (const RowTerm& t : terms) total += t.sum;
   return total;
 }
 
 StatusOr<double> AggregateEvaluator::ExpectedCount(const CTable& table) const {
-  // Same sqrt(N)-relaxed per-row tolerance as ExpectedSum: count and sum
-  // estimates of one table get consistent per-row precision.
-  SamplingEngine row_engine = RowEngine(table.num_rows());
-  const auto& rows = table.rows();
-  std::vector<double> probs(rows.size(), 0.0);
-  PIP_RETURN_IF_ERROR(ParallelRows(
-      rows.size(), row_engine.options().num_threads,
-      [&](size_t r, const RowBatchContext& ctx) -> Status {
-        const SamplingEngine cancel_engine =
-            row_engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
-        PIP_ASSIGN_OR_RETURN(
-            ExpectationResult res,
-            IndexedConfidence(cancel_engine, table, rows[r].condition));
-        probs[r] = res.probability;
-        return Status::OK();
-      }));
+  PIP_ASSIGN_OR_RETURN(std::vector<RowTerm> terms,
+                       SweepRows(RowEngine(table.num_rows()), table,
+                                 std::nullopt, table.num_rows()));
   double total = 0.0;
-  for (double p : probs) total += p;
+  for (const RowTerm& t : terms) total += t.prob;
   return total;
 }
 
 StatusOr<double> AggregateEvaluator::ExpectedAvg(
     const CTable& table, const std::string& column) const {
   PIP_ASSIGN_OR_RETURN(size_t col, table.schema().IndexOf(column));
-  // One fused row sweep: a single Expectation call per row yields both
-  // the sum term E[h | phi] * P[phi] and the count term P[phi], so each
-  // row's condition is planned and sampled once instead of once for
-  // ExpectedSum and again for ExpectedCount.
-  SamplingEngine row_engine = RowEngine(table.num_rows());
-  const auto& rows = table.rows();
-  struct RowTerm {
-    double sum = 0.0;
-    double prob = 0.0;
-  };
-  std::vector<RowTerm> terms(rows.size());
-  PIP_RETURN_IF_ERROR(ParallelRows(
-      rows.size(), row_engine.options().num_threads,
-      [&](size_t r, const RowBatchContext& ctx) -> Status {
-        const SamplingEngine cancel_engine =
-            row_engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
-        PIP_ASSIGN_OR_RETURN(
-            ExpectationResult res,
-            IndexedExpectation(cancel_engine, table,
-                               rows[r].cells[col], rows[r].condition,
-                               /*compute_probability=*/true));
-        // Unsatisfiable (or collapsed) rows contribute to neither sum
-        // nor count — they are absent from (almost) every world.
-        if (!std::isnan(res.expectation) && res.probability > 0.0) {
-          terms[r] = {res.expectation * res.probability, res.probability};
-        }
-        return Status::OK();
-      }));
+  PIP_ASSIGN_OR_RETURN(
+      std::vector<RowTerm> terms,
+      SweepRows(RowEngine(table.num_rows()), table, col, table.num_rows()));
   double sum = 0.0, count = 0.0;
   for (const RowTerm& t : terms) {
     sum += t.sum;
@@ -162,11 +154,24 @@ StatusOr<double> AggregateEvaluator::ExpectedMax(const CTable& table,
     };
     std::vector<Entry> entries;
     entries.reserve(table.num_rows());
+    Status bad_value;
     for (const auto& row : table.rows()) {
-      PIP_ASSIGN_OR_RETURN(double v, row.cells[col]->value().AsDouble());
-      PIP_ASSIGN_OR_RETURN(ExpectationResult r,
-                           engine_->Confidence(row.condition));
-      entries.push_back({v, r.probability});
+      StatusOr<double> v = row.cells[col]->value().AsDouble();
+      if (!v.ok()) {
+        bad_value = v.status();
+        break;
+      }
+      entries.push_back({v.value(), 0.0});
+    }
+    // Row confidences on the unrelaxed engine, swept only over the rows
+    // before the first bad value: a row's value error comes before its
+    // confidence error, and an earlier row's errors before both.
+    PIP_ASSIGN_OR_RETURN(
+        std::vector<RowTerm> terms,
+        SweepRows(*engine_, table, std::nullopt, entries.size()));
+    PIP_RETURN_IF_ERROR(bad_value);
+    for (size_t r = 0; r < entries.size(); ++r) {
+      entries[r].prob = terms[r].prob;
     }
     std::sort(entries.begin(), entries.end(),
               [](const Entry& a, const Entry& b) { return a.value > b.value; });
@@ -202,6 +207,22 @@ StatusOr<double> AggregateEvaluator::ExpectedMax(const CTable& table,
   for (double w : worlds) total += w;
   return worlds.empty() ? empty_value
                         : total / static_cast<double>(worlds.size());
+}
+
+StatusOr<double> AggregateEvaluator::Evaluate(GroupAggregate aggregate,
+                                              const CTable& table,
+                                              const std::string& column) const {
+  switch (aggregate) {
+    case GroupAggregate::kExpectedSum:
+      return ExpectedSum(table, column);
+    case GroupAggregate::kExpectedCount:
+      return ExpectedCount(table);
+    case GroupAggregate::kExpectedAvg:
+      return ExpectedAvg(table, column);
+    case GroupAggregate::kExpectedMax:
+      return ExpectedMax(table, column);
+  }
+  return Status::InvalidArgument("unknown aggregate");
 }
 
 StatusOr<double> AggregateEvaluator::ExpectedStdDev(
@@ -359,31 +380,9 @@ StatusOr<Table> GroupedAggregate(const AggregateEvaluator& evaluator,
                 [ctx] { return ctx.Cancelled(); });
         const AggregateEvaluator group_eval(&group_engine,
                                             evaluator.options());
-        switch (aggregate) {
-          case GroupAggregate::kExpectedSum: {
-            PIP_ASSIGN_OR_RETURN(
-                values[g],
-                group_eval.ExpectedSum(groups[g].rows, value_column));
-            break;
-          }
-          case GroupAggregate::kExpectedCount: {
-            PIP_ASSIGN_OR_RETURN(values[g],
-                                 group_eval.ExpectedCount(groups[g].rows));
-            break;
-          }
-          case GroupAggregate::kExpectedAvg: {
-            PIP_ASSIGN_OR_RETURN(
-                values[g],
-                group_eval.ExpectedAvg(groups[g].rows, value_column));
-            break;
-          }
-          case GroupAggregate::kExpectedMax: {
-            PIP_ASSIGN_OR_RETURN(
-                values[g],
-                group_eval.ExpectedMax(groups[g].rows, value_column));
-            break;
-          }
-        }
+        PIP_ASSIGN_OR_RETURN(
+            values[g],
+            group_eval.Evaluate(aggregate, groups[g].rows, value_column));
         return Status::OK();
       }));
   for (size_t g = 0; g < groups.size(); ++g) {

@@ -3,10 +3,13 @@
 ///
 /// Aggregates fold the row-existence probabilities into the expectation:
 /// E[sum(h)] = sum over rows of E[chi_phi * h] = sum E[h | phi] * P[phi]
-/// (linearity of expectation). Non-linear aggregates (max) get either the
-/// sorted early-termination algorithm of Example 4.4 (constant targets) or
-/// a world-instantiated fallback. *_hist variants return the raw sample
-/// arrays "used to generate histograms and similar visualizations".
+/// (linearity of expectation). expected_sum, expected_count and
+/// expected_avg are folds over one row sweep that yields each row's
+/// {E[h | phi] * P[phi], P[phi]} terms. Non-linear aggregates (max) get
+/// either the sorted early-termination algorithm of Example 4.4 (constant
+/// targets, row confidences from the same sweep) or a world-instantiated
+/// fallback. *_hist variants return the raw sample arrays "used to
+/// generate histograms and similar visualizations".
 
 #ifndef PIP_SAMPLING_AGGREGATES_H_
 #define PIP_SAMPLING_AGGREGATES_H_
@@ -24,15 +27,21 @@ struct AggregateOptions {
   /// Precision cutoff for the expected_max early-termination scan
   /// (Example 4.4: "if the desired precision is 0.1, we can stop...").
   double max_precision = 1e-6;
-  /// Law-of-large-numbers sample scaling (§IV-C): when summing N rows the
-  /// per-row tolerance may be relaxed by sqrt(N) without hurting the
-  /// aggregate's accuracy. Only affects adaptive (non fixed-sample) mode.
-  bool scale_tolerance_by_rows = true;
   /// World count for world-instantiated fallback aggregates.
   size_t world_samples = 1000;
 };
 
+/// The table-wide aggregates served by AggregateEvaluator::Evaluate and
+/// GroupedAggregate.
+enum class GroupAggregate { kExpectedSum, kExpectedCount, kExpectedAvg, kExpectedMax };
+
 /// \brief Aggregate operators bound to a sampling engine and a c-table.
+///
+/// The linear operators share one row sweep: rows evaluate in parallel
+/// (outer axis), each into its own slot, and fold in row order, so every
+/// answer is bit-identical at every thread count. In adaptive mode the
+/// sweep runs on an engine whose per-row tolerance is relaxed by sqrt(N)
+/// for an N-row table (law of large numbers, §IV-C).
 class AggregateEvaluator {
  public:
   AggregateEvaluator(const SamplingEngine* engine,
@@ -42,31 +51,35 @@ class AggregateEvaluator {
   const SamplingEngine& engine() const { return *engine_; }
   const AggregateOptions& options() const { return options_; }
 
-  /// expected_sum(column): sum of per-row conditional expectations
-  /// weighted by row confidence. Rows evaluate in parallel (outer axis)
-  /// and fold in row order — bit-identical at every thread count.
+  /// The aggregate `aggregate` of `column` (ignored by expected_count),
+  /// with expected_max's default empty value.
+  StatusOr<double> Evaluate(GroupAggregate aggregate, const CTable& table,
+                            const std::string& column) const;
+
+  /// expected_sum(column): the row sweep's E[h | phi] * P[phi] terms,
+  /// summed in row order.
   StatusOr<double> ExpectedSum(const CTable& table,
                                const std::string& column) const;
 
-  /// expected_count(*): sum of row confidences, with the same
-  /// sqrt(N)-relaxed per-row tolerance as ExpectedSum so count and sum
-  /// estimates of one table carry consistent precision.
+  /// expected_count(*): the row sweep's count-only P[phi] terms, summed
+  /// in row order, at the same per-row tolerance as ExpectedSum.
   StatusOr<double> ExpectedCount(const CTable& table) const;
 
   /// expected_avg(column): E[sum]/E[count] (first-order approximation of
-  /// the expected average; exact when the row count is deterministic).
-  /// One fused row sweep: each row's condition is planned and sampled
-  /// once, yielding both the sum and the count term; rows whose sampling
-  /// budget collapses contribute to neither.
+  /// the expected average; exact when the row count is deterministic),
+  /// both folded from one row sweep, so each row's condition is sampled
+  /// once. Rows whose sampling budget collapses contribute to neither.
   StatusOr<double> ExpectedAvg(const CTable& table,
                                const std::string& column) const;
 
   /// expected_max(column) via Example 4.4 when every target cell is
   /// constant: sort descending, accumulate v_i * P[phi_i] * prod_{j<i}
   /// (1 - P[phi_j]), stop when the remaining mass bound drops below
-  /// max_precision. Rows are assumed independent across distinct variable
-  /// groups (exact in that case); falls back to world sampling otherwise.
-  /// Worlds in which the table is empty contribute `empty_value`.
+  /// max_precision. The P[phi_i] come from the count-only row sweep on
+  /// the unrelaxed engine. Rows are assumed independent across distinct
+  /// variable groups (exact in that case); falls back to world sampling
+  /// otherwise. Worlds in which the table is empty contribute
+  /// `empty_value`.
   StatusOr<double> ExpectedMax(const CTable& table, const std::string& column,
                                double empty_value = 0.0) const;
 
@@ -114,8 +127,6 @@ class AggregateEvaluator {
 /// chosen aggregate of `value_column` within each group — sampling effort
 /// is allocated per group, in a goal-directed fashion. Output schema:
 /// group columns + the aggregate column.
-enum class GroupAggregate { kExpectedSum, kExpectedCount, kExpectedAvg, kExpectedMax };
-
 StatusOr<Table> GroupedAggregate(const AggregateEvaluator& evaluator,
                                  const CTable& table,
                                  const std::vector<std::string>& group_columns,

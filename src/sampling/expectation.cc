@@ -31,6 +31,9 @@ constexpr size_t kMaxQuantileTable = 4096;
 /// an unsatisfiable condition can burn per shard.
 constexpr size_t kMinChunkAttempts = size_t{1} << 20;
 
+/// Absolute/relative tolerance of the numeric-integration quadrature.
+constexpr double kIntegrationTolerance = 1e-10;
+
 /// Views an atom as (Var op Const); flips sides when the variable is on
 /// the right. Returns false when the atom has another shape.
 bool AsVarConst(const ConstraintAtom& atom, VarRef* var, CmpOp* op,
@@ -698,7 +701,7 @@ StatusOr<std::optional<double>> SamplingEngine::TryNumericIntegration(
   bool ok = true;
   double numerator = AdaptiveSimpson(
       integrand, lo, hi, fa.value(), fm.value(), fb.value(),
-      options_.integration_tolerance * std::max(1.0, mass), 40, &ok);
+      kIntegrationTolerance * std::max(1.0, mass), 40, &ok);
   if (!ok || !std::isfinite(numerator)) return std::optional<double>{};
   return std::optional<double>{numerator / mass};
 }

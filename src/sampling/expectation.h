@@ -97,8 +97,6 @@ struct SamplingOptions {
   /// interval, E[g(X) | a<=X<=b] is computed by adaptive quadrature (or an
   /// exact lattice sum for discrete variables) instead of sampling.
   bool use_numeric_integration = true;
-  /// Absolute/relative tolerance of the quadrature.
-  double integration_tolerance = 1e-10;
 
   /// Rejection-rate threshold that triggers the Metropolis switch
   /// ("Metropolis Threshold" in Alg. 4.3); evaluated after
@@ -111,9 +109,6 @@ struct SamplingOptions {
   /// aconf, expected aggregates). Hits are bit-identical replays; off
   /// forces every call down the Monte Carlo path.
   bool index_enabled = true;
-  /// Build index entries eagerly on catalogue writes instead of lazily
-  /// on first query.
-  bool index_eager_build = false;
   /// Byte budget of the shared index's LRU (0 = unlimited). Applied to
   /// the database-wide index whenever an engine is created, so the
   /// last-configured session wins; see README "Expectation index".

@@ -1,6 +1,5 @@
 #include "src/sampling/index_ops.h"
 
-#include "src/common/row_parallel.h"
 #include "src/sampling/shape_key.h"
 
 namespace pip {
@@ -98,39 +97,6 @@ StatusOr<double> IndexedJointConfidence(
   value.probability = probability;
   index->Insert(key, std::move(value));
   return probability;
-}
-
-Status EagerBuildIndex(const CTable& table, const SamplingEngine& engine) {
-  if (!IndexApplies(engine, table)) return Status::OK();
-  const auto& rows = table.rows();
-  return ParallelRows(
-      rows.size(), engine.options().num_threads,
-      [&](size_t r, const RowBatchContext& ctx) -> Status {
-        const CTableRow& row = rows[r];
-        // Cancel-wired engine: index keys exclude cancel_check (like
-        // num_threads), so entries built here stay byte-identical to
-        // lazily backfilled ones.
-        const SamplingEngine row_engine =
-            engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
-        bool row_probabilistic = !row.condition.IsDeterministic();
-        // The row confidence serves conf() targets and expected_count.
-        if (row_probabilistic) {
-          PIP_RETURN_IF_ERROR(
-              IndexedConfidence(row_engine, table, row.condition).status());
-        }
-        // Cell expectations, mirroring Analyze's call pattern: the first
-        // probabilistic cell also carries P[condition].
-        bool first = true;
-        for (const ExprPtr& cell : row.cells) {
-          if (cell->IsDeterministic() && !row_probabilistic) continue;
-          if (cell->IsDeterministic() && !first) continue;
-          PIP_RETURN_IF_ERROR(
-              IndexedExpectation(row_engine, table, cell, row.condition, first)
-                  .status());
-          first = false;
-        }
-        return Status::OK();
-      });
 }
 
 }  // namespace pip

@@ -46,16 +46,6 @@ StatusOr<double> IndexedJointConfidence(const SamplingEngine& engine,
                                         const CTable& source,
                                         const std::vector<Condition>& disjuncts);
 
-/// Eagerly materializes index entries for every row of a catalogue
-/// snapshot: the row confidence and each probabilistic cell's
-/// expectation (the first one with probability, matching Analyze's call
-/// pattern). Rows fan out across the engine's thread budget. No-op for
-/// ad-hoc tables or engines without an index. Per-row sampling errors
-/// abort the build and surface as its Status; already-present entries
-/// are served by the normal hit path, so a build after an INSERT
-/// samples only the new rows.
-Status EagerBuildIndex(const CTable& table, const SamplingEngine& engine);
-
 }  // namespace pip
 
 #endif  // PIP_SAMPLING_INDEX_OPS_H_

@@ -198,7 +198,6 @@ std::string SamplingOptionsFingerprint(const SamplingOptions& options) {
                       (options.use_numeric_integration ? 32u : 0u);
   out += std::to_string(strategy);
   out += '|';
-  AppendDoubleBits(options.integration_tolerance, &out);
   AppendDoubleBits(options.metropolis_threshold, &out);
   out += std::to_string(options.metropolis_check_after);
   return out;

@@ -87,19 +87,6 @@ const std::vector<KnobDef>& Registry() {
          PIP_ASSIGN_OR_RETURN(o->fixed_samples, AsCount("FIXED_SAMPLES", v));
          return Status::OK();
        }},
-      {"INDEX_EAGER_BUILD",
-       "materialize expectation-index entries at INSERT time (0/1)",
-       [](const SamplingOptions& o) {
-         return RenderCount(o.index_eager_build ? 1 : 0);
-       },
-       [](SamplingOptions* o, double v) {
-         if (v != 0.0 && v != 1.0) {
-           return Status::InvalidArgument(
-               "SET INDEX_EAGER_BUILD expects 0 or 1");
-         }
-         o->index_eager_build = (v == 1.0);
-         return Status::OK();
-       }},
       {"INDEX_ENABLED",
        "serve repeated per-row queries from the expectation index (0/1)",
        [](const SamplingOptions& o) {

@@ -21,27 +21,34 @@ using CE = ColExpr;
 /// Function names with special meaning in target position.
 enum class AggKind {
   kNone,
-  kExpectedSum,
-  kExpectedCount,
-  kExpectedAvg,
-  kExpectedMax,
+  kTableWide,    // expected_sum / _count / _avg / _max.
   kExpectation,  // Per-row.
   kConf,         // Per-row.
 };
 
-AggKind AggKindFromName(const std::string& upper) {
-  if (upper == "EXPECTED_SUM") return AggKind::kExpectedSum;
-  if (upper == "EXPECTED_COUNT") return AggKind::kExpectedCount;
-  if (upper == "EXPECTED_AVG") return AggKind::kExpectedAvg;
-  if (upper == "EXPECTED_MAX") return AggKind::kExpectedMax;
-  if (upper == "EXPECTATION") return AggKind::kExpectation;
-  if (upper == "CONF") return AggKind::kConf;
-  return AggKind::kNone;
-}
+/// A target-position function name: its kind, and for table-wide
+/// aggregates which one.
+struct AggName {
+  AggKind kind = AggKind::kNone;
+  GroupAggregate aggregate = GroupAggregate::kExpectedSum;
+};
 
-bool IsTableWide(AggKind k) {
-  return k == AggKind::kExpectedSum || k == AggKind::kExpectedCount ||
-         k == AggKind::kExpectedAvg || k == AggKind::kExpectedMax;
+AggName AggNameFromUpper(const std::string& upper) {
+  if (upper == "EXPECTED_SUM") {
+    return {AggKind::kTableWide, GroupAggregate::kExpectedSum};
+  }
+  if (upper == "EXPECTED_COUNT") {
+    return {AggKind::kTableWide, GroupAggregate::kExpectedCount};
+  }
+  if (upper == "EXPECTED_AVG") {
+    return {AggKind::kTableWide, GroupAggregate::kExpectedAvg};
+  }
+  if (upper == "EXPECTED_MAX") {
+    return {AggKind::kTableWide, GroupAggregate::kExpectedMax};
+  }
+  if (upper == "EXPECTATION") return {AggKind::kExpectation};
+  if (upper == "CONF") return {AggKind::kConf};
+  return {};
 }
 
 std::string ToUpper(std::string s) {
@@ -159,7 +166,7 @@ std::vector<SqlColumn> ColumnsOf(const CTable& t) {
 }
 
 struct Target {
-  AggKind agg = AggKind::kNone;
+  AggName agg;
   ColExprPtr expr;  // Null for expected_count(*) / conf().
   std::string alias;
 };
@@ -606,14 +613,6 @@ class Parser {
     // Atomic under the catalogue lock: concurrent INSERTs into one table
     // serialize instead of losing rows to a read-copy-update race.
     PIP_RETURN_IF_ERROR(db_->AppendRows(name, std::move(rows)));
-    // AppendRows only honors the database-default eager-build knob; a
-    // session that toggled INDEX_EAGER_BUILD warms the index itself,
-    // under its own sampling options. The insert is already committed,
-    // so a build failure only leaves the index cold.
-    if (options_->index_eager_build) {
-      Status build_status = db_->BuildIndex(name, *options_);
-      (void)build_status;
-    }
     return SqlResult::Ack("INSERT " + std::to_string(inserted));
   }
 
@@ -621,14 +620,15 @@ class Parser {
     Target target;
     // Aggregate / per-row operator heads.
     if (Peek().kind == TokenKind::kIdent && Peek(1).IsSymbol("(")) {
-      AggKind agg = AggKindFromName(ToUpper(Peek().text));
-      if (agg != AggKind::kNone) {
+      AggName agg = AggNameFromUpper(ToUpper(Peek().text));
+      if (agg.kind != AggKind::kNone) {
         target.agg = agg;
         target.alias = ToUpper(Peek().text);
         Advance();
         Advance();  // '('
         if (Peek().IsSymbol("*")) {
-          if (agg != AggKind::kExpectedCount) {
+          if (agg.kind != AggKind::kTableWide ||
+              agg.aggregate != GroupAggregate::kExpectedCount) {
             return Error("'*' argument only valid for expected_count");
           }
           Advance();
@@ -705,9 +705,9 @@ class Parser {
     // Classify the target list.
     bool any_table_wide = false, any_per_row = false, any_plain = false;
     for (const auto& t : targets) {
-      if (IsTableWide(t.agg)) {
+      if (t.agg.kind == AggKind::kTableWide) {
         any_table_wide = true;
-      } else if (t.agg != AggKind::kNone) {
+      } else if (t.agg.kind != AggKind::kNone) {
         any_per_row = true;
       } else {
         any_plain = true;
@@ -742,11 +742,11 @@ class Parser {
         if (t.expr != nullptr) {
           cols.push_back({"agg" + std::to_string(i), t.expr});
         }
-      } else if (t.agg == AggKind::kConf) {
+      } else if (t.agg.kind == AggKind::kConf) {
         spec.with_confidence = true;
       } else {
         cols.push_back({t.alias, t.expr});
-        (t.agg == AggKind::kExpectation ? spec.expectation_columns
+        (t.agg.kind == AggKind::kExpectation ? spec.expectation_columns
                                         : spec.passthrough_columns)
             .push_back(t.alias);
       }
@@ -778,28 +778,9 @@ class Parser {
     for (size_t i = 0; i < targets.size(); ++i) {
       const Target& t = targets[i];
       names.push_back(t.alias);
-      std::string col = "agg" + std::to_string(i);
-      double value = 0;
-      switch (t.agg) {
-        case AggKind::kExpectedSum: {
-          PIP_ASSIGN_OR_RETURN(value, agg.ExpectedSum(projected, col));
-          break;
-        }
-        case AggKind::kExpectedCount: {
-          PIP_ASSIGN_OR_RETURN(value, agg.ExpectedCount(projected));
-          break;
-        }
-        case AggKind::kExpectedAvg: {
-          PIP_ASSIGN_OR_RETURN(value, agg.ExpectedAvg(projected, col));
-          break;
-        }
-        case AggKind::kExpectedMax: {
-          PIP_ASSIGN_OR_RETURN(value, agg.ExpectedMax(projected, col));
-          break;
-        }
-        default:
-          return Error("unsupported aggregate");
-      }
+      PIP_ASSIGN_OR_RETURN(
+          double value,
+          agg.Evaluate(t.agg.aggregate, projected, "agg" + std::to_string(i)));
       row.push_back(Value(value));
     }
     Table out(Schema(std::move(names)));
@@ -954,7 +935,7 @@ bool StatementMaySample(const std::string& statement) {
   for (size_t i = 0; i + 1 < ts.size(); ++i) {
     if (ts[i].kind != TokenKind::kIdent || !ts[i + 1].IsSymbol("(")) continue;
     std::string upper = ToUpper(ts[i].text);
-    if (AggKindFromName(upper) != AggKind::kNone || upper == "ACONF") {
+    if (AggNameFromUpper(upper).kind != AggKind::kNone || upper == "ACONF") {
       return true;
     }
   }

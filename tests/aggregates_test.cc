@@ -157,6 +157,43 @@ TEST_F(AggregatesTest, ExpectedMaxSharedVariableFallsBackToWorlds) {
   EXPECT_NEAR(agg.ExpectedMax(t, "A").value(), 7.0, 0.1);
 }
 
+TEST_F(AggregatesTest, ExpectedMaxSurfacesTheFirstErrorInRowOrder) {
+  // A variable the pool never created: the row's confidence fails.
+  const Condition broken(Expr::Var(VarRef{987654, 0}) < Expr::Constant(0.5));
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE(threads);
+    SamplingOptions opts;
+    opts.num_threads = threads;
+    opts.fixed_samples = 200;
+    SamplingEngine engine(&pool_, opts);
+    const std::string value_error =
+        Value("x").AsDouble().status().ToString();
+    const std::string confidence_error =
+        engine.Confidence(broken).status().ToString();
+    ASSERT_NE(value_error, "OK");
+    ASSERT_NE(confidence_error, "OK");
+    AggregateEvaluator agg(&engine);
+
+    // A row's value error comes before its own confidence error.
+    CTable value_first(Schema({"A"}));
+    ASSERT_TRUE(value_first.Append({Expr::String("x")}, broken).ok());
+    ASSERT_TRUE(
+        value_first.Append({Expr::Constant(1.0)}, WithProbability(0.5)).ok());
+    EXPECT_EQ(agg.ExpectedMax(value_first, "A").status().ToString(),
+              value_error);
+
+    // An earlier row's confidence error comes before a later row's value
+    // error.
+    CTable confidence_first(Schema({"A"}));
+    ASSERT_TRUE(confidence_first.Append({Expr::Constant(2.0)}, broken).ok());
+    ASSERT_TRUE(
+        confidence_first.Append({Expr::String("x")}, WithProbability(0.5))
+            .ok());
+    EXPECT_EQ(agg.ExpectedMax(confidence_first, "A").status().ToString(),
+              confidence_error);
+  }
+}
+
 TEST_F(AggregatesTest, HistogramsApproximateExpectedSum) {
   VarRef x = pool_.Create("Normal", {10.0, 1.0}).value();
   CTable t(Schema({"v"}));

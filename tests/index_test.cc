@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "src/engine/database.h"
-#include "src/sampling/index_ops.h"
+#include "src/engine/query.h"
 #include "src/sql/session.h"
 
 namespace pip {
@@ -249,9 +249,13 @@ TEST_F(IndexSqlTest, BackfillFromPreInsertSnapshotServesLaterReaders) {
 
   // A reader still holding the pre-insert snapshot backfills after the
   // write has published; its entries must serve post-insert readers.
-  ASSERT_TRUE(
-      EagerBuildIndex(*old_snapshot, db_.MakeEngine(*session_.mutable_options()))
-          .ok());
+  // Same call pattern as the query below: expectation(v) with conf().
+  AnalyzeSpec spec;
+  spec.expectation_columns = {"v"};
+  spec.passthrough_columns = {"tag"};
+  ASSERT_TRUE(Analyze(*old_snapshot,
+                      db_.MakeEngine(*session_.mutable_options()), spec)
+                  .ok());
   ExpectationIndex::Stats backfilled = db_.result_index_stats();
   const std::string query = "SELECT tag, expectation(v) AS ev, conf() FROM m";
   sql::SqlResult served = Run(query);
@@ -309,23 +313,6 @@ TEST_F(IndexSqlTest, ConcurrentSessionsAgreeAndShareEntries) {
   EXPECT_LE(stats.entries, 4u);  // 2 rows x (expectation, conf).
 }
 
-TEST_F(IndexSqlTest, EagerBuildMaterializesAtInsert) {
-  Run("SET index_eager_build = 1");
-  Run("CREATE TABLE m (tag, v)");
-  Run("INSERT INTO m VALUES ('a', Normal(10, 1)), ('b', Exponential(0.5))");
-  ExpectationIndex::Stats built = db_.result_index_stats();
-  EXPECT_GT(built.entries, 0u);
-  EXPECT_GT(built.inserts, 0u);
-
-  // The eager sweep mirrors Analyze's conf()-bearing call pattern (the
-  // first probabilistic cell carries P[condition]), so this query's
-  // expectation targets resolve to the eagerly built entries.
-  sql::SqlResult r = Run("SELECT tag, expectation(v) AS ev, conf() FROM m");
-  EXPECT_NEAR(r.table.Get(0, "E[ev]").value().double_value(), 10.0, 0.5);
-  ExpectationIndex::Stats after = db_.result_index_stats();
-  EXPECT_GT(after.hits, built.hits);
-}
-
 TEST_F(IndexSqlTest, ShowIndexAndKnobsSurfaces) {
   sql::SqlResult knobs = Run("SHOW KNOBS");
   std::vector<std::string> names;
@@ -334,7 +321,8 @@ TEST_F(IndexSqlTest, ShowIndexAndKnobsSurfaces) {
   }
   EXPECT_NE(std::find(names.begin(), names.end(), "INDEX_ENABLED"),
             names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "INDEX_EAGER_BUILD"),
+  // Index population is lazy only: the eager builder's knob is gone.
+  EXPECT_EQ(std::find(names.begin(), names.end(), "INDEX_EAGER_BUILD"),
             names.end());
   EXPECT_NE(std::find(names.begin(), names.end(), "INDEX_MEMORY_BUDGET"),
             names.end());

@@ -15,9 +15,11 @@
 ///     std::map semantics.
 /// The golden table pins the bits of answers from every sampling loop
 /// (rejection, Metropolis, the hit-rate estimator, aconf,
-/// SampleConditional, world sampling) at 1 and 8 threads. The values were
-/// produced by the lattice-walk quantile and the Value evaluator; a
-/// mismatch means an answer changed.
+/// SampleConditional, world sampling) and of the expected_* aggregates
+/// (fixed and adaptive, plus Example 4.4's expected_max) at 1 and 8
+/// threads. The values were produced by the lattice-walk quantile and
+/// the Value evaluator, and the aggregates' by their four separate row
+/// loops; a mismatch means an answer changed.
 
 #include <gtest/gtest.h>
 
@@ -598,18 +600,71 @@ std::map<std::string, std::string> GoldenRun(size_t threads) {
   auto max = agg.ExpectedMax(table, "v");
   out["expected_max_worlds"] =
       max.ok() ? "v=" + Hex(max.value()) : max.status().ToString();
+
+  // The expected_* row sweep. Rows are two-variable rejection rows, so
+  // every row samples; the adaptive engine runs the sqrt(N)-relaxed
+  // per-row tolerance. The constant-cell table takes Example 4.4's path,
+  // whose confidences come from the hit-rate estimator on the unrelaxed
+  // engine.
+  CTable lines(Schema({"v"}));
+  CTable constants(Schema({"v"}));
+  for (int i = 0; i < 6; ++i) {
+    ExprPtr v = price[i] * qty[i];
+    EXPECT_TRUE(
+        lines.Append({v}, Condition(v > Expr::Constant(500.0 + 50.0 * i)))
+            .ok());
+    EXPECT_TRUE(constants
+                    .Append({Expr::Constant(100.0 + 25.0 * i)},
+                            Condition(v > Expr::Constant(600.0 + 40.0 * i)))
+                    .ok());
+  }
+  const std::pair<const char*, const SamplingEngine*> modes[] = {
+      {"fixed", &probe}, {"adaptive", &conf}};
+  for (const auto& [mode, engine] : modes) {
+    const AggregateEvaluator rows(engine);
+    const std::string suffix = std::string("_") + mode;
+    auto sum = rows.ExpectedSum(lines, "v");
+    out["expected_sum" + suffix] =
+        sum.ok() ? "v=" + Hex(sum.value()) : sum.status().ToString();
+    auto count = rows.ExpectedCount(lines);
+    out["expected_count" + suffix] =
+        count.ok() ? "v=" + Hex(count.value()) : count.status().ToString();
+    auto avg = rows.ExpectedAvg(lines, "v");
+    out["expected_avg" + suffix] =
+        avg.ok() ? "v=" + Hex(avg.value()) : avg.status().ToString();
+    auto top = rows.ExpectedMax(constants, "v");
+    out["expected_max_constants" + suffix] =
+        top.ok() ? "v=" + Hex(top.value()) : top.status().ToString();
+  }
   return out;
 }
 
 TEST(SamplingGoldenTest, AnswersKeepTheirBits) {
-  // Captured from the lattice-walk quantile and the Value evaluator.
+  // Captured from the lattice-walk quantile and the Value evaluator; the
+  // expected_* rows from the aggregates' separate row loops.
   const std::map<std::string, std::string> golden = {
       {"aconf_7",
        "p=3fcce4a9027c4598"},
       {"conf_hit_rate",
        "e=3ff0000000000000 p=3fd58eb3e45306eb n=0 a=18944"},
+      {"expected_avg_adaptive",
+       "v=408c3525dcce6fd4"},
+      {"expected_avg_fixed",
+       "v=408c5b4ad868516c"},
+      {"expected_count_adaptive",
+       "v=4000cf6932342c2e"},
+      {"expected_count_fixed",
+       "v=4000cccccccccccd"},
+      {"expected_max_constants_adaptive",
+       "v=406732aad85925ed"},
+      {"expected_max_constants_fixed",
+       "v=406791b39e18280b"},
       {"expected_max_worlds",
        "v=408dd68e3b8058ec"},
+      {"expected_sum_adaptive",
+       "v=409d8aa3fc27c458"},
+      {"expected_sum_fixed",
+       "v=409e11dab7ec2034"},
       {"metropolis_normal_normal",
        "e=40693f45b3a2a8d7 p=3f7b4e81b4e81b4f n=300 a=2300"},
       {"metropolis_normal_poisson",
