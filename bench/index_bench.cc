@@ -2,14 +2,17 @@
 /// \brief Expectation-index ablation: repeated per-row Analyze sweeps
 /// with the materialized index off, cold (miss + backfill), warm (every
 /// row served from the index without sampling), and after appending one
-/// row (only the new row samples; the write purges nothing).
+/// row (only the new row samples; the write purges nothing). Last, an
+/// exact expected_count sweep, whose rows the per-statement triage
+/// answers in closed form without touching the index.
 ///
 /// The PesTrie-style contract under test: after bounded first-touch
 /// work, repeated queries answer in near-constant time, and the served
 /// answers are bit-identical to cold recomputation (hits are exact
 /// replays of the deterministic draw scheme, not approximations).
 /// Emits BENCH_index.json records via PIP_BENCH_JSON; CI asserts
-/// warm-hit and after-append latency <= 0.5x cold from the artifact.
+/// warm-hit and after-append latency <= 0.5x cold from the artifact, and
+/// that the exact_count record (its index lookups + inserts) is 0.
 
 #include <cstdio>
 #include <cstring>
@@ -134,6 +137,17 @@ int main() {
   PIP_CHECK_MSG(append_stats.inserts - stats.inserts == stats.entries / rows,
                 "the append sweep backfilled more than the new row");
 
+  // Exact count: every row's condition v > 0 has a closed-form CDF, so
+  // the sweep makes no index lookup and no insert.
+  pip::WallTimer count_timer;
+  pip::sql::SqlResult count =
+      Run(&session, "SELECT expected_count(*) FROM parts WHERE v > 0");
+  const double wall_count = count_timer.Seconds();
+  const ExpectationIndex::Stats count_stats = db.result_index_stats();
+  const uint64_t count_traffic =
+      (count_stats.hits + count_stats.misses + count_stats.inserts) -
+      (append_stats.hits + append_stats.misses + append_stats.inserts);
+
   const double speedup = wall_warm > 0 ? wall_cold / wall_warm : 0.0;
   std::printf("=== Expectation index: %zu rows x %zu samples ===\n", rows,
               samples);
@@ -148,6 +162,10 @@ int main() {
               wall_append,
               static_cast<unsigned long long>(append_stats.inserts -
                                               stats.inserts));
+  std::printf("%16s %12.6fs  (expected_count %.6f, %llu index lookups + "
+              "inserts)\n",
+              "exact_count", wall_count, count.table.row(0)[0].double_value(),
+              static_cast<unsigned long long>(count_traffic));
   PIP_CHECK_MSG(speedup >= 2.0,
                 "warm hits failed the 2x-over-cold throughput contract");
 
@@ -159,6 +177,10 @@ int main() {
   records.push_back(MakeRecord("warm_hit", wall_warm, rows, samples, warm[0]));
   records.push_back(MakeRecord("after_append", wall_append, rows + 1,
                                samples, appended[0]));
+  BenchRecord exact_count = MakeRecord("exact_count", wall_count, rows + 1,
+                                      /*samples=*/0,
+                                      static_cast<double>(count_traffic));
+  records.push_back(exact_count);
   BenchRecord bytes;
   bytes.bench = "index_footprint";
   bytes.query = "bytes";

@@ -7,10 +7,10 @@
 ///
 /// --port 0 (the default) binds an ephemeral port; the chosen port is
 /// printed on the "listening" line, which scripts parse. --set applies a
-/// sampling knob (see SHOW KNOBS) to the database defaults, so every
-/// connection inherits it. --max-sampling bounds how many Monte Carlo
-/// statements execute concurrently (0 = unlimited); queued statements
-/// report their wait in the response.
+/// knob (see SHOW KNOBS) to the database's sampling defaults or to the
+/// server's statement envelope, so every connection inherits it.
+/// --max-sampling bounds the Monte Carlo volume in flight (0 =
+/// unlimited); queued statements report their wait in the response.
 ///
 /// The process runs until SIGINT/SIGTERM, then drains connections and
 /// exits 0.
@@ -49,7 +49,7 @@ int Usage(const char* argv0) {
 int main(int argc, char** argv) {
   server::ServerOptions options;
   uint64_t seed = VariablePool::kDefaultSeed;
-  SamplingOptions defaults;
+  sql::SessionSettings defaults;
   for (int i = 1; i < argc; ++i) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
@@ -84,7 +84,8 @@ int main(int argc, char** argv) {
   }
 
   Database db(seed);
-  db.set_default_options(defaults);
+  db.set_default_options(defaults.sampling);
+  options.envelope = defaults.envelope;
 
   server::Server srv(&db, options);
   Status status = srv.Start();

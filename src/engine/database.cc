@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/sampling/index_ops.h"
 
 namespace pip {
 

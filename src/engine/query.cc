@@ -1,6 +1,5 @@
 #include "src/engine/query.h"
 
-#include <cmath>
 #include <sstream>
 #include <unordered_map>
 
@@ -239,8 +238,9 @@ std::string NodeToString(const Query::Node* node, int indent) {
 
 std::string Query::ToString() const { return NodeToString(node_.get(), 0); }
 
-StatusOr<Table> Analyze(const CTable& table, const SamplingEngine& engine,
-                        const AnalyzeSpec& spec) {
+StatusOr<Prepared<Table>> PrepareAnalyze(const CTable& table,
+                                         const SamplingEngine& engine,
+                                         const AnalyzeSpec& spec) {
   std::vector<size_t> pass_idx, exp_idx;
   std::vector<std::string> out_columns;
   for (const auto& name : spec.passthrough_columns) {
@@ -255,79 +255,74 @@ StatusOr<Table> Analyze(const CTable& table, const SamplingEngine& engine,
   }
   if (spec.with_confidence) out_columns.push_back("conf");
 
-  Table out((Schema(out_columns)));
-  // Row-parallel batch (the paper's headline Analyze workload): rows are
-  // independent, so the row dimension is the outer parallel axis — each
-  // row's engine calls run under the region's fractional budget share
-  // (with fewer rows than threads their sample sharding fans out across
-  // the leftover width) and the shape-keyed PlanCache is the
-  // cross-thread amortization point: rows sharing a condition shape pay
-  // planning once, whichever worker plans first. Per-row results land in
-  // pre-sized slots and emitted rows fold in row order below, so the
-  // output table is byte-identical to a serial row loop at every
-  // num_threads.
+  // A row's passthrough cells are checked before its engine calls, so
+  // the rows from the first probabilistic passthrough cell on are never
+  // triaged: that row's error is the statement's unless an earlier row
+  // fails first.
   const auto& rows = table.rows();
-  struct RowSlot {
-    Row cells;
-    bool emit = true;
-  };
-  std::vector<RowSlot> slots(rows.size());
-  PIP_RETURN_IF_ERROR(ParallelRows(
-      rows.size(), engine.options().num_threads,
-      [&](size_t r, const RowBatchContext& ctx) -> Status {
-        const auto& row = rows[r];
-        RowSlot& slot = slots[r];
-        // Long row bodies bail at the next chunk barrier once an earlier
-        // row has failed (this row's slot is discarded either way).
-        const SamplingEngine row_engine =
-            engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
-        slot.cells.reserve(out_columns.size());
-        for (size_t idx : pass_idx) {
-          if (!row.cells[idx]->IsConstant()) {
-            return Status::InvalidArgument(
-                "passthrough column '" + table.schema().name(idx) +
-                "' holds a probabilistic value");
-          }
-          slot.cells.push_back(row.cells[idx]->value());
-        }
-        // Rows of catalogue snapshots route the engine calls through the
-        // materialized expectation index: hits replay the exact cached
-        // result, misses run the engine and backfill. Rows of ad-hoc
-        // tables go straight to the engine.
-        double confidence = 1.0;
-        for (size_t i = 0; i < exp_idx.size(); ++i) {
-          PIP_ASSIGN_OR_RETURN(
-              ExpectationResult res,
-              IndexedExpectation(row_engine, table, row.cells[exp_idx[i]],
-                                 row.condition,
-                                 spec.with_confidence && i == 0));
-          if (std::isnan(res.expectation) && res.probability == 0.0) {
-            slot.emit = false;
-            return Status::OK();
-          }
-          if (i == 0) confidence = res.probability;
-          slot.cells.push_back(Value(res.expectation));
-        }
-        if (spec.with_confidence) {
-          if (exp_idx.empty()) {
-            PIP_ASSIGN_OR_RETURN(
-                ExpectationResult res,
-                IndexedConfidence(row_engine, table, row.condition));
-            if (res.probability <= 0.0) {
-              slot.emit = false;
-              return Status::OK();
-            }
-            confidence = res.probability;
-          }
-          slot.cells.push_back(Value(confidence));
-        }
-        return Status::OK();
-      }));
-  for (auto& slot : slots) {
-    if (!slot.emit) continue;
-    PIP_RETURN_IF_ERROR(out.Append(std::move(slot.cells)));
+  size_t num_rows = rows.size();
+  Status passthrough;
+  for (size_t r = 0; r < rows.size() && passthrough.ok(); ++r) {
+    for (size_t idx : pass_idx) {
+      if (!rows[r].cells[idx]->IsConstant()) {
+        passthrough = Status::InvalidArgument(
+            "passthrough column '" + table.schema().name(idx) +
+            "' holds a probabilistic value");
+        num_rows = r;
+        break;
+      }
+    }
   }
-  return out;
+
+  // Each row makes one call per expectation column (the first also
+  // yields conf() when asked), or one conf() call when there are none.
+  // The triage answers exact calls and index hits now; Run samples the
+  // rest row-parallel (rows outer, each row's engine calls under the
+  // region's fractional budget share, the shape-keyed PlanCache
+  // amortizing planning across rows). Results land in per-call slots
+  // and emitted rows fold in row order below, so the output table is
+  // byte-identical to a serial row loop at every num_threads.
+  const bool conf_only = exp_idx.empty() && spec.with_confidence;
+  const size_t calls_per_row = conf_only ? 1 : exp_idx.size();
+  auto triage = std::make_shared<RowTriage>(
+      engine, table, num_rows, calls_per_row,
+      [&rows, exp_idx, conf_only, with_conf = spec.with_confidence](
+          size_t r, size_t i) {
+        if (conf_only) return RowCall{nullptr, &rows[r].condition, false};
+        return RowCall{&rows[r].cells[exp_idx[i]], &rows[r].condition,
+                       with_conf && i == 0};
+      });
+  Prepared<Table> prepared;
+  prepared.sampled_rows = triage->sampled_rows();
+  prepared.finish = [triage, &rows, pass_idx, conf_only, calls_per_row,
+                     passthrough, with_conf = spec.with_confidence,
+                     out_columns]() -> StatusOr<Table> {
+    PIP_RETURN_IF_ERROR(triage->Run());
+    PIP_RETURN_IF_ERROR(passthrough);
+    Table out((Schema(out_columns)));
+    for (size_t r = 0; r < rows.size(); ++r) {
+      if (triage->dropped(r)) continue;
+      Row cells;
+      cells.reserve(out_columns.size());
+      for (size_t idx : pass_idx) cells.push_back(rows[r].cells[idx]->value());
+      if (!conf_only) {
+        for (size_t i = 0; i < calls_per_row; ++i) {
+          cells.push_back(Value(triage->result(r, i).expectation));
+        }
+      }
+      if (with_conf) cells.push_back(Value(triage->result(r, 0).probability));
+      PIP_RETURN_IF_ERROR(out.Append(std::move(cells)));
+    }
+    return out;
+  };
+  return prepared;
+}
+
+StatusOr<Table> Analyze(const CTable& table, const SamplingEngine& engine,
+                        const AnalyzeSpec& spec) {
+  PIP_ASSIGN_OR_RETURN(Prepared<Table> prepared,
+                       PrepareAnalyze(table, engine, spec));
+  return prepared.finish();
 }
 
 StatusOr<Table> AnalyzeJointConfidence(const CTable& table,

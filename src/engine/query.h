@@ -17,6 +17,7 @@
 
 #include "src/ctable/algebra.h"
 #include "src/engine/database.h"
+#include "src/sampling/index_ops.h"
 
 namespace pip {
 
@@ -86,8 +87,18 @@ struct AnalyzeSpec {
 
 /// Converts a c-table into a deterministic table per `spec`. Rows whose
 /// condition is unsatisfiable are dropped (their confidence is 0).
+/// Equivalent to PrepareAnalyze, then its `finish`.
 StatusOr<Table> Analyze(const CTable& table, const SamplingEngine& engine,
                         const AnalyzeSpec& spec);
+
+/// Analyze stopped at its admission point (index_ops.h): every row's
+/// engine calls are triaged into exact, hit or sampled, and
+/// `sampled_rows` counts the rows that will draw. The SQL session admits
+/// that many rows between the two halves. `table` and `engine` must
+/// outlive `finish`.
+StatusOr<Prepared<Table>> PrepareAnalyze(const CTable& table,
+                                         const SamplingEngine& engine,
+                                         const AnalyzeSpec& spec);
 
 /// aconf() over a whole table: groups rows by identical data cells and
 /// computes the joint probability of each group's disjunction of

@@ -10,7 +10,6 @@
 #include "src/common/running_stats.h"
 #include "src/common/thread_pool.h"
 #include "src/ctable/algebra.h"
-#include "src/sampling/index_ops.h"
 
 namespace pip {
 
@@ -25,42 +24,40 @@ struct RowTerm {
 };
 
 /// The one row sweep behind expected_sum, expected_count, expected_avg
-/// and Example 4.4's expected_max. Evaluates the first `num_rows` rows
-/// of `table` in parallel (outer axis), one slot per row, so callers
-/// fold the slots in row order and get the serial loop's bits at every
-/// thread count. With a value column each row makes one Expectation call
-/// with probability: its slot is {E * P, P}, or zero when the row is
-/// unsatisfiable or collapsed (absent from (almost) every world).
-/// Count-only (`col` empty) each row makes one Confidence call and its
-/// slot is {0, P}.
-StatusOr<std::vector<RowTerm>> SweepRows(const SamplingEngine& engine,
-                                         const CTable& table,
-                                         std::optional<size_t> col,
-                                         size_t num_rows) {
+/// and Example 4.4's expected_max, triaged (index_ops.h) over the first
+/// `num_rows` rows of `table`. With a value column each row makes one
+/// Expectation call with probability; count-only (`col` empty) one
+/// Confidence call.
+std::shared_ptr<RowTriage> SweepRows(const SamplingEngine& engine,
+                                     const CTable& table,
+                                     std::optional<size_t> col,
+                                     size_t num_rows) {
   const auto& rows = table.rows();
+  return std::make_shared<RowTriage>(
+      engine, table, num_rows, /*calls_per_row=*/1,
+      [&rows, col](size_t r, size_t) {
+        if (!col) return RowCall{nullptr, &rows[r].condition, false};
+        return RowCall{&rows[r].cells[*col], &rows[r].condition, true};
+      });
+}
+
+/// Runs the sweep's sampled rows and returns one slot per row, in row
+/// order, so callers fold them into the serial loop's bits at every
+/// thread count. A value-column slot is {E * P, P}, or zero when the row
+/// is unsatisfiable or collapsed (absent from (almost) every world); a
+/// count-only slot is {0, P}.
+StatusOr<std::vector<RowTerm>> SweepTerms(RowTriage* sweep, size_t num_rows,
+                                          bool with_col) {
+  PIP_RETURN_IF_ERROR(sweep->Run());
   std::vector<RowTerm> terms(num_rows);
-  PIP_RETURN_IF_ERROR(ParallelRows(
-      num_rows, engine.options().num_threads,
-      [&](size_t r, const RowBatchContext& ctx) -> Status {
-        const SamplingEngine row_engine =
-            engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
-        if (!col) {
-          PIP_ASSIGN_OR_RETURN(
-              ExpectationResult res,
-              IndexedConfidence(row_engine, table, rows[r].condition));
-          terms[r].prob = res.probability;
-          return Status::OK();
-        }
-        PIP_ASSIGN_OR_RETURN(
-            ExpectationResult res,
-            IndexedExpectation(row_engine, table, rows[r].cells[*col],
-                               rows[r].condition,
-                               /*compute_probability=*/true));
-        if (!std::isnan(res.expectation) && res.probability > 0.0) {
-          terms[r] = {res.expectation * res.probability, res.probability};
-        }
-        return Status::OK();
-      }));
+  for (size_t r = 0; r < num_rows; ++r) {
+    const ExpectationResult& res = sweep->result(r, 0);
+    if (!with_col) {
+      terms[r].prob = res.probability;
+    } else if (!std::isnan(res.expectation) && res.probability > 0.0) {
+      terms[r] = {res.expectation * res.probability, res.probability};
+    }
+  }
   return terms;
 }
 }  // namespace
@@ -82,47 +79,78 @@ SamplingEngine AggregateEvaluator::RowEngine(size_t num_rows) const {
 
 StatusOr<double> AggregateEvaluator::ExpectedSum(
     const CTable& table, const std::string& column) const {
-  PIP_ASSIGN_OR_RETURN(size_t col, table.schema().IndexOf(column));
-  PIP_ASSIGN_OR_RETURN(
-      std::vector<RowTerm> terms,
-      SweepRows(RowEngine(table.num_rows()), table, col, table.num_rows()));
-  double total = 0.0;
-  for (const RowTerm& t : terms) total += t.sum;
-  return total;
+  return Evaluate(GroupAggregate::kExpectedSum, table, column);
 }
 
 StatusOr<double> AggregateEvaluator::ExpectedCount(const CTable& table) const {
-  PIP_ASSIGN_OR_RETURN(std::vector<RowTerm> terms,
-                       SweepRows(RowEngine(table.num_rows()), table,
-                                 std::nullopt, table.num_rows()));
-  double total = 0.0;
-  for (const RowTerm& t : terms) total += t.prob;
-  return total;
+  return Evaluate(GroupAggregate::kExpectedCount, table, "");
 }
 
 StatusOr<double> AggregateEvaluator::ExpectedAvg(
     const CTable& table, const std::string& column) const {
-  PIP_ASSIGN_OR_RETURN(size_t col, table.schema().IndexOf(column));
-  PIP_ASSIGN_OR_RETURN(
-      std::vector<RowTerm> terms,
-      SweepRows(RowEngine(table.num_rows()), table, col, table.num_rows()));
-  double sum = 0.0, count = 0.0;
-  for (const RowTerm& t : terms) {
-    sum += t.sum;
-    count += t.prob;
-  }
-  if (count <= 0.0) {
-    return Status::Inconsistent("expected_avg over a table that is empty "
-                                "in (almost) every world");
-  }
-  return sum / count;
+  return Evaluate(GroupAggregate::kExpectedAvg, table, column);
 }
 
 StatusOr<double> AggregateEvaluator::ExpectedMax(const CTable& table,
                                                  const std::string& column,
                                                  double empty_value) const {
+  PIP_ASSIGN_OR_RETURN(Prepared<double> prepared,
+                       PrepareMax(table, column, empty_value));
+  return prepared.finish();
+}
+
+StatusOr<double> AggregateEvaluator::Evaluate(GroupAggregate aggregate,
+                                              const CTable& table,
+                                              const std::string& column) const {
+  PIP_ASSIGN_OR_RETURN(Prepared<double> prepared,
+                       Prepare(aggregate, table, column));
+  return prepared.finish();
+}
+
+StatusOr<Prepared<double>> AggregateEvaluator::Prepare(
+    GroupAggregate aggregate, const CTable& table,
+    const std::string& column) const {
+  if (aggregate == GroupAggregate::kExpectedMax) {
+    return PrepareMax(table, column, /*empty_value=*/0.0);
+  }
+  std::optional<size_t> col;
+  if (aggregate != GroupAggregate::kExpectedCount) {
+    PIP_ASSIGN_OR_RETURN(col, table.schema().IndexOf(column));
+  }
+  const size_t n = table.num_rows();
+  std::shared_ptr<RowTriage> sweep = SweepRows(RowEngine(n), table, col, n);
+  Prepared<double> prepared;
+  prepared.sampled_rows = sweep->sampled_rows();
+  prepared.finish = [sweep, n, aggregate,
+                     with_col = col.has_value()]() -> StatusOr<double> {
+    PIP_ASSIGN_OR_RETURN(std::vector<RowTerm> terms,
+                         SweepTerms(sweep.get(), n, with_col));
+    double sum = 0.0, count = 0.0;
+    for (const RowTerm& t : terms) {
+      sum += t.sum;
+      count += t.prob;
+    }
+    if (aggregate == GroupAggregate::kExpectedSum) return sum;
+    if (aggregate == GroupAggregate::kExpectedCount) return count;
+    if (count <= 0.0) {
+      return Status::Inconsistent("expected_avg over a table that is empty "
+                                  "in (almost) every world");
+    }
+    return sum / count;
+  };
+  return prepared;
+}
+
+StatusOr<Prepared<double>> AggregateEvaluator::PrepareMax(
+    const CTable& table, const std::string& column, double empty_value) const {
   PIP_ASSIGN_OR_RETURN(size_t col, table.schema().IndexOf(column));
-  if (table.num_rows() == 0) return empty_value;
+  Prepared<double> prepared;
+  if (table.num_rows() == 0) {
+    prepared.finish = [empty_value]() -> StatusOr<double> {
+      return empty_value;
+    };
+    return prepared;
+  }
 
   // Fast path (Example 4.4): constant targets and independent rows.
   bool constants = true;
@@ -147,28 +175,55 @@ StatusOr<double> AggregateEvaluator::ExpectedMax(const CTable& table,
     }
   }
 
-  if (constants && independent_rows) {
-    struct Entry {
-      double value;
-      double prob;
+  if (!constants || !independent_rows) {
+    // General path: world-instantiated evaluation, in which every row
+    // draws.
+    prepared.sampled_rows = table.num_rows();
+    prepared.finish = [self = *this, &table, column,
+                       empty_value]() -> StatusOr<double> {
+      PIP_ASSIGN_OR_RETURN(
+          std::vector<double> worlds,
+          self.SampleWorlds(table, column,
+                            [&](const std::vector<double>& vals) {
+                              if (vals.empty()) return empty_value;
+                              return *std::max_element(vals.begin(),
+                                                       vals.end());
+                            }));
+      double total = 0.0;
+      for (double w : worlds) total += w;
+      return worlds.empty() ? empty_value
+                            : total / static_cast<double>(worlds.size());
     };
-    std::vector<Entry> entries;
-    entries.reserve(table.num_rows());
-    Status bad_value;
-    for (const auto& row : table.rows()) {
-      StatusOr<double> v = row.cells[col]->value().AsDouble();
-      if (!v.ok()) {
-        bad_value = v.status();
-        break;
-      }
-      entries.push_back({v.value(), 0.0});
+    return prepared;
+  }
+
+  struct Entry {
+    double value;
+    double prob;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(table.num_rows());
+  Status bad_value;
+  for (const auto& row : table.rows()) {
+    StatusOr<double> v = row.cells[col]->value().AsDouble();
+    if (!v.ok()) {
+      bad_value = v.status();
+      break;
     }
-    // Row confidences on the unrelaxed engine, swept only over the rows
-    // before the first bad value: a row's value error comes before its
-    // confidence error, and an earlier row's errors before both.
+    entries.push_back({v.value(), 0.0});
+  }
+  // Row confidences on the unrelaxed engine, swept only over the rows
+  // before the first bad value: a row's value error comes before its
+  // confidence error, and an earlier row's errors before both.
+  std::shared_ptr<RowTriage> sweep =
+      SweepRows(*engine_, table, std::nullopt, entries.size());
+  prepared.sampled_rows = sweep->sampled_rows();
+  prepared.finish = [sweep, entries, bad_value, empty_value,
+                     max_precision = options_.max_precision]() mutable
+      -> StatusOr<double> {
     PIP_ASSIGN_OR_RETURN(
         std::vector<RowTerm> terms,
-        SweepRows(*engine_, table, std::nullopt, entries.size()));
+        SweepTerms(sweep.get(), entries.size(), /*with_col=*/false));
     PIP_RETURN_IF_ERROR(bad_value);
     for (size_t r = 0; r < entries.size(); ++r) {
       entries[r].prob = terms[r].prob;
@@ -185,7 +240,7 @@ StatusOr<double> AggregateEvaluator::ExpectedMax(const CTable& table,
       // result by at most (next value - low floor) * P[nothing so far].
       if (i + 1 < entries.size()) {
         double bound = none_above * (entries[i + 1].value - low_floor);
-        if (std::fabs(bound) < options_.max_precision) {
+        if (std::fabs(bound) < max_precision) {
           // Close the truncated tail at the floor value.
           expectation += none_above * low_floor;
           return expectation;
@@ -194,35 +249,8 @@ StatusOr<double> AggregateEvaluator::ExpectedMax(const CTable& table,
     }
     expectation += none_above * empty_value;
     return expectation;
-  }
-
-  // General path: world-instantiated evaluation.
-  PIP_ASSIGN_OR_RETURN(
-      std::vector<double> worlds,
-      SampleWorlds(table, column, [&](const std::vector<double>& vals) {
-        if (vals.empty()) return empty_value;
-        return *std::max_element(vals.begin(), vals.end());
-      }));
-  double total = 0.0;
-  for (double w : worlds) total += w;
-  return worlds.empty() ? empty_value
-                        : total / static_cast<double>(worlds.size());
-}
-
-StatusOr<double> AggregateEvaluator::Evaluate(GroupAggregate aggregate,
-                                              const CTable& table,
-                                              const std::string& column) const {
-  switch (aggregate) {
-    case GroupAggregate::kExpectedSum:
-      return ExpectedSum(table, column);
-    case GroupAggregate::kExpectedCount:
-      return ExpectedCount(table);
-    case GroupAggregate::kExpectedAvg:
-      return ExpectedAvg(table, column);
-    case GroupAggregate::kExpectedMax:
-      return ExpectedMax(table, column);
-  }
-  return Status::InvalidArgument("unknown aggregate");
+  };
+  return prepared;
 }
 
 StatusOr<double> AggregateEvaluator::ExpectedStdDev(

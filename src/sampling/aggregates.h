@@ -19,6 +19,7 @@
 
 #include "src/ctable/ctable.h"
 #include "src/sampling/expectation.h"
+#include "src/sampling/index_ops.h"
 
 namespace pip {
 
@@ -37,9 +38,10 @@ enum class GroupAggregate { kExpectedSum, kExpectedCount, kExpectedAvg, kExpecte
 
 /// \brief Aggregate operators bound to a sampling engine and a c-table.
 ///
-/// The linear operators share one row sweep: rows evaluate in parallel
-/// (outer axis), each into its own slot, and fold in row order, so every
-/// answer is bit-identical at every thread count. In adaptive mode the
+/// The linear operators share one row sweep: rows are triaged
+/// (index_ops.h), the sampled ones evaluate in parallel (outer axis),
+/// each into its own slot, and all fold in row order, so every answer is
+/// bit-identical at every thread count. In adaptive mode the
 /// sweep runs on an engine whose per-row tolerance is relaxed by sqrt(N)
 /// for an N-row table (law of large numbers, §IV-C).
 class AggregateEvaluator {
@@ -52,9 +54,18 @@ class AggregateEvaluator {
   const AggregateOptions& options() const { return options_; }
 
   /// The aggregate `aggregate` of `column` (ignored by expected_count),
-  /// with expected_max's default empty value.
+  /// with expected_max's default empty value: Prepare, then `finish`.
   StatusOr<double> Evaluate(GroupAggregate aggregate, const CTable& table,
                             const std::string& column) const;
+
+  /// Evaluate stopped at its admission point (index_ops.h): the row
+  /// sweep is triaged into exact, hit and sampled rows, and
+  /// `sampled_rows` counts the rows that will draw (every row, for
+  /// expected_max's world-sampling fallback). This evaluator's engine and
+  /// `table` must outlive `finish`.
+  StatusOr<Prepared<double>> Prepare(GroupAggregate aggregate,
+                                     const CTable& table,
+                                     const std::string& column) const;
 
   /// expected_sum(column): the row sweep's E[h | phi] * P[phi] terms,
   /// summed in row order.
@@ -116,6 +127,11 @@ class AggregateEvaluator {
  private:
   /// Engine with per-row tolerance relaxed for an N-row sum.
   SamplingEngine RowEngine(size_t num_rows) const;
+
+  /// Prepare for expected_max with an explicit empty value.
+  StatusOr<Prepared<double>> PrepareMax(const CTable& table,
+                                        const std::string& column,
+                                        double empty_value) const;
 
   const SamplingEngine* engine_;
   AggregateOptions options_;

@@ -290,6 +290,30 @@ struct SamplingEngine::AcceptRun {
   bool collapsed = false;
 };
 
+std::shared_ptr<const PlanSkeleton> SamplingEngine::Skeleton(
+    const Condition& condition, const VarSet& target_vars,
+    std::vector<VarRef>* canon_vars) const {
+  std::string key = PlanShapeKey(condition, target_vars, *pool_,
+                                 PlanShapeFlagBits(options_), canon_vars);
+  std::shared_ptr<const PlanSkeleton> skeleton = plan_cache_->Lookup(key);
+  if (skeleton != nullptr) return skeleton;
+  auto built = std::make_shared<PlanSkeleton>();
+  std::map<VarRef, size_t> slot_of;
+  for (size_t s = 0; s < canon_vars->size(); ++s) slot_of[(*canon_vars)[s]] = s;
+  for (const auto& g : PartitionIndependent(condition, target_vars)) {
+    PlanSkeleton::Group sg;
+    sg.var_slots.reserve(g.vars.size());
+    for (const VarRef& v : g.vars) sg.var_slots.push_back(slot_of.at(v));
+    sg.atom_indices = g.atom_indices;
+    sg.touches_target = g.touches_target;
+    sg.exact_eligible =
+        options_.use_exact_cdf && ExactCdfEligible(condition, g, *pool_);
+    built->groups.push_back(std::move(sg));
+  }
+  plan_cache_->Insert(key, built);
+  return built;
+}
+
 StatusOr<std::vector<SamplingEngine::GroupPlan>> SamplingEngine::PlanGroups(
     const Condition& condition, const VarSet& target_vars,
     bool* inconsistent) const {
@@ -313,38 +337,16 @@ StatusOr<std::vector<SamplingEngine::GroupPlan>> SamplingEngine::PlanGroups(
   std::vector<bool> exact_eligible;
   if (options_.use_independence) {
     std::vector<VarRef> canon_vars;
-    std::string key =
-        PlanShapeKey(condition, target_vars, *pool_,
-                     PlanShapeFlagBits(options_), &canon_vars);
-    std::shared_ptr<const PlanSkeleton> skeleton = plan_cache_->Lookup(key);
-    if (skeleton == nullptr) {
-      groups = PartitionIndependent(condition, target_vars);
-      auto built = std::make_shared<PlanSkeleton>();
-      built->groups.reserve(groups.size());
-      std::map<VarRef, size_t> slot_of;
-      for (size_t s = 0; s < canon_vars.size(); ++s) slot_of[canon_vars[s]] = s;
-      for (const auto& g : groups) {
-        PlanSkeleton::Group sg;
-        sg.var_slots.reserve(g.vars.size());
-        for (const VarRef& v : g.vars) sg.var_slots.push_back(slot_of.at(v));
-        sg.atom_indices = g.atom_indices;
-        sg.touches_target = g.touches_target;
-        sg.exact_eligible = options_.use_exact_cdf &&
-                            ExactCdfEligible(condition, g, *pool_);
-        exact_eligible.push_back(sg.exact_eligible);
-        built->groups.push_back(std::move(sg));
-      }
-      plan_cache_->Insert(key, std::move(built));
-    } else {
-      groups.reserve(skeleton->groups.size());
-      for (const auto& sg : skeleton->groups) {
-        VariableGroup g;
-        for (size_t slot : sg.var_slots) g.vars.insert(canon_vars[slot]);
-        g.atom_indices = sg.atom_indices;
-        g.touches_target = sg.touches_target;
-        groups.push_back(std::move(g));
-        exact_eligible.push_back(sg.exact_eligible);
-      }
+    std::shared_ptr<const PlanSkeleton> skeleton =
+        Skeleton(condition, target_vars, &canon_vars);
+    groups.reserve(skeleton->groups.size());
+    for (const auto& sg : skeleton->groups) {
+      VariableGroup g;
+      for (size_t slot : sg.var_slots) g.vars.insert(canon_vars[slot]);
+      g.atom_indices = sg.atom_indices;
+      g.touches_target = sg.touches_target;
+      groups.push_back(std::move(g));
+      exact_eligible.push_back(sg.exact_eligible);
     }
   } else {
     // Ablation mode: one monolithic group.
@@ -1249,6 +1251,30 @@ StatusOr<ExpectationResult> SamplingEngine::Confidence(
       Expectation(Expr::Constant(1.0), condition, /*compute_probability=*/true));
   if (std::isnan(r.expectation)) r.probability = 0.0;
   return r;
+}
+
+bool SamplingEngine::ClosedForm(const Expr* expr,
+                                const Condition& condition) const {
+  const bool expr_deterministic = expr == nullptr || expr->IsDeterministic();
+  if (condition.IsKnownFalse()) return true;
+  if (condition.IsDeterministic()) return expr_deterministic;
+  // Exact-CDF groups hold one variable under var-vs-constant atoms, so any
+  // other atom (e.g. one over two variables) rules the call out before a
+  // shape key is built.
+  if (!expr_deterministic || !options_.use_independence) return false;
+  for (const ConstraintAtom& atom : condition.atoms()) {
+    const bool var_const =
+        (atom.lhs()->op() == ExprOp::kVar && atom.rhs()->IsConstant()) ||
+        (atom.rhs()->op() == ExprOp::kVar && atom.lhs()->IsConstant());
+    if (!var_const) return false;
+  }
+  std::vector<VarRef> canon_vars;
+  std::shared_ptr<const PlanSkeleton> skeleton =
+      Skeleton(condition, VarSet(), &canon_vars);
+  for (const auto& group : skeleton->groups) {
+    if (!group.exact_eligible) return false;
+  }
+  return true;
 }
 
 StatusOr<double> SamplingEngine::JointConfidence(

@@ -114,21 +114,6 @@ struct SamplingOptions {
   /// last-configured session wins; see README "Expectation index".
   size_t index_memory_budget = ExpectationIndex::kDefaultMemoryBudget;
 
-  /// Per-statement deadline in milliseconds; 0 disables. The session
-  /// layer composes it into cancel_check as a steady-clock deadline at
-  /// statement start, so enforcement has chunk-barrier granularity: a
-  /// statement that exceeds the deadline stops at its next chunk fold
-  /// and surfaces Status::Timeout (ERR TIMEOUT over the wire). Like
-  /// cancel_check, excluded from the options fingerprint — the deadline
-  /// decides whether a statement finishes, never what it computes.
-  uint64_t statement_timeout_ms = 0;
-  /// How long a statement may wait in the server's admission gate before
-  /// being shed with Status::Overloaded (ERR OVERLOADED, retryable);
-  /// 0 disables shedding — the statement queues until admitted (the
-  /// pre-robustness behavior). Server-side only; excluded from the
-  /// fingerprint like the other non-result knobs.
-  uint64_t admission_timeout_ms = 0;
-
   /// Cooperative cancellation hook. When set, the Monte Carlo loops poll
   /// it at chunk-fold barriers and abandon the call with
   /// Status::Cancelled once it returns true. Used by ParallelRows
@@ -235,6 +220,15 @@ class SamplingEngine {
   /// conf(): P[condition] for a conjunctive condition.
   StatusOr<ExpectationResult> Confidence(const Condition& condition) const;
 
+  /// True when Expectation(expr, condition, ...), or Confidence(condition)
+  /// for a null `expr`, is answered in closed form: the call is
+  /// deterministic, or `expr` has no variables and every independent
+  /// group of `condition` is exact-CDF eligible by its shape-keyed plan
+  /// skeleton. Such a call makes no draw and no quadrature. Conditions
+  /// with an atom that is not variable-vs-constant return false before
+  /// any shape key is built.
+  bool ClosedForm(const Expr* expr, const Condition& condition) const;
+
   /// aconf(): P[c1 OR c2 OR ...] for the bag-encoded disjuncts of one
   /// distinct row group. Uses inclusion-exclusion over exact/estimated
   /// conjunction probabilities for few disjuncts, joint Monte Carlo
@@ -253,6 +247,13 @@ class SamplingEngine {
   struct GroupPlan;
   struct ChunkBatch;
   struct AcceptRun;
+
+  /// The structure-only skeleton of (condition, target_vars), from the
+  /// shape cache or built and cached now. Appends the canonical VarRefs
+  /// to *canon_vars (see PlanCache::ShapeKey).
+  std::shared_ptr<const PlanSkeleton> Skeleton(
+      const Condition& condition, const VarSet& target_vars,
+      std::vector<VarRef>* canon_vars) const;
 
   /// Builds per-group strategy plans. Sets *inconsistent when the
   /// condition is unsatisfiable. Structure-only planning decisions come

@@ -203,21 +203,28 @@ std::string SamplingOptionsFingerprint(const SamplingOptions& options) {
   return out;
 }
 
-std::string ExactResultKey(char op_tag, const ExprPtr& expr,
+std::string ExactResultKeyHead(const VariablePool& pool,
+                               const SamplingOptions& options) {
+  std::string head = "G";
+  head += std::to_string(pool.registry().generation());
+  head += "|S";
+  AppendHex64(pool.seed(), &head);
+  head += "|O";
+  head += SamplingOptionsFingerprint(options);
+  head += "|E:";
+  return head;
+}
+
+std::string ExactResultKey(char op_tag, const std::string& head,
+                           const ExprPtr& expr,
                            const std::vector<const Condition*>& conditions,
-                           const VariablePool& pool,
-                           const SamplingOptions& options) {
+                           const VariablePool& pool) {
   KeyBuilder b;
   b.pool = &pool;
   b.exact = true;
+  b.out.reserve(head.size() + 128);
   b.out += op_tag;
-  b.out += 'G';
-  b.out += std::to_string(pool.registry().generation());
-  b.out += "|S";
-  AppendHex64(pool.seed(), &b.out);
-  b.out += "|O";
-  b.out += SamplingOptionsFingerprint(options);
-  b.out += "|E:";
+  b.out += head;
   if (expr != nullptr) b.AppendExpr(*expr);
   for (const Condition* condition : conditions) {
     b.out += "|C";

@@ -53,18 +53,26 @@ std::string PlanShapeKey(const Condition& condition, const VarSet& target_vars,
 /// engine's entries serve plain engines bit for bit.
 std::string SamplingOptionsFingerprint(const SamplingOptions& options);
 
+/// The operator-independent head of every exact result key built for
+/// `pool` under `options`: the registry generation, the pool seed and
+/// the options fingerprint. It depends on nothing per row, so a batch
+/// that keys many calls on one engine builds it once.
+std::string ExactResultKeyHead(const VariablePool& pool,
+                               const SamplingOptions& options);
+
 /// Exact result key for the expectation index. `op_tag` distinguishes
 /// the operator ('E' expectation, 'P' expectation+probability,
-/// 'C' confidence, 'J' joint confidence); `expr` may be null for
+/// 'C' confidence, 'J' joint confidence); `head` is ExactResultKeyHead
+/// of the engine making the call; `expr` may be null for
 /// condition-only operators; `conditions` holds one conjunction
 /// (expectation/conf) or the ordered disjunct list (aconf). The key pins
 /// the registry generation, the pool seed, the options fingerprint, and
 /// the exact content of every expression and atom, so equal keys imply
 /// bit-identical recomputation.
-std::string ExactResultKey(char op_tag, const ExprPtr& expr,
+std::string ExactResultKey(char op_tag, const std::string& head,
+                           const ExprPtr& expr,
                            const std::vector<const Condition*>& conditions,
-                           const VariablePool& pool,
-                           const SamplingOptions& options);
+                           const VariablePool& pool);
 
 }  // namespace pip
 

@@ -10,10 +10,16 @@
 /// ten tiny lookups can share the window one giant sweep would fill.
 ///
 /// The server acquires through sql::Session::set_admission, which the
-/// session calls once per sampling SELECT after its symbolic plan ran:
-/// the rows are the ones that survive WHERE, not the table's, so a
-/// one-row lookup on a large table weighs one row. Symbolic SELECTs,
-/// DDL and DML never acquire. Excess statements queue and report their
+/// session calls at most once per SELECT, after its symbolic plan ran
+/// and its rows were triaged (src/sampling/index_ops.h). Only rows that
+/// will draw weigh: rows that survive WHERE and are neither answered in
+/// closed form (an exact CDF, which is never indexed) nor hit in the
+/// expectation index. So an exact expected_count or a warm lookup never
+/// acquires, a cold one-row lookup on a large table weighs one row, a
+/// half-warm statement weighs its cold rows, and a cold table sweep
+/// weighs every row. Quadrature rows draw nothing but stay indexed, and
+/// weigh as sampled rows when cold. Symbolic SELECTs, DDL and DML never
+/// acquire. Excess statements queue and report their
 /// queue wait in the wire response, so clients can see admission delay
 /// separately from execution time; STATEMENT_TIMEOUT_MS starts counting
 /// only once a statement is admitted.

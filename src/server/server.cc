@@ -176,17 +176,21 @@ size_t Server::connection_threads() const {
 void Server::ServeConnection(int fd) {
   // Versioned greeting: clients check the leading token before sending.
   if (WriteFrame(fd, std::string(kProtocolVersion) + " sql").ok()) {
-    sql::Session session(db_);
+    sql::Session session(
+        db_, sql::SessionSettings{db_->default_options(), options_.envelope});
     // Disconnect cancellation: while a statement runs, the sampling
     // loops poll this probe at chunk barriers; an abandoned statement
     // stops there, and its RAII ticket releases the admission weight.
     PeerLivenessProbe probe(fd);
     session.set_external_cancel([&probe] { return probe.PeerGone(); });
-    // Only statements that run Monte Carlo sampling reach this hook,
-    // once their symbolic plan has produced the rows they will sample;
-    // DDL/DML and symbolic SELECTs stay ungated. The weight is those
-    // rows x per-row draws, so a one-row lookup holds one unit where a
-    // table sweep holds proportionally more of the window.
+    // Only statements with rows that will draw reach this hook, once
+    // their symbolic plan has produced the rows that survive WHERE and
+    // the triage (index_ops.h) has answered every closed-form call and
+    // index hit. The weight is the sampled rows x per-row draws: an
+    // exact count or a warm lookup weighs nothing and never queues, a
+    // one-row cold lookup holds one unit or two, and a cold table sweep
+    // holds proportionally more of the window. DDL/DML and symbolic
+    // SELECTs stay ungated.
     uint64_t queue_us = 0;
     bool gate_closed = false;
     session.set_admission(
@@ -197,8 +201,7 @@ void Server::ServeConnection(int fd) {
           // "disabled" convention); nonzero bounds the wait and sheds
           // with ERR OVERLOADED, keeping the connection — the client
           // backs off and retries.
-          uint64_t admission_ms =
-              session.mutable_options()->admission_timeout_ms;
+          uint64_t admission_ms = session.envelope().admission_timeout_ms;
           auto admitted = admission_ms == 0
                               ? gate_.Acquire(weight)
                               : gate_.TryAcquireFor(weight, admission_ms);

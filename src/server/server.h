@@ -36,6 +36,7 @@
 
 #include "src/engine/database.h"
 #include "src/server/admission.h"
+#include "src/sql/knobs.h"
 
 namespace pip {
 namespace server {
@@ -47,6 +48,10 @@ struct ServerOptions {
   /// Monte Carlo draws; a small statement costs one unit, a table sweep
   /// proportionally more); 0 = unlimited.
   size_t max_sampling = 0;
+  /// Statement envelope every connection's session starts from (the
+  /// STATEMENT_TIMEOUT_MS and ADMISSION_TIMEOUT_MS defaults); SET
+  /// changes it per connection.
+  sql::StatementEnvelope envelope;
 };
 
 /// \brief Accepts connections and serves the PIP1 statement protocol.

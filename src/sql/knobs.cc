@@ -39,113 +39,131 @@ const std::vector<KnobDef>& Registry() {
       {"ADMISSION_TIMEOUT_MS",
        "max wait in the server admission gate before ERR OVERLOADED "
        "(0 = queue without bound)",
-       [](const SamplingOptions& o) {
-         return RenderCount(static_cast<size_t>(o.admission_timeout_ms));
+       [](const SessionSettings& s) {
+         return RenderCount(
+             static_cast<size_t>(s.envelope.admission_timeout_ms));
        },
-       [](SamplingOptions* o, double v) {
+       [](SessionSettings* s, double v) {
          PIP_ASSIGN_OR_RETURN(size_t ms, AsCount("ADMISSION_TIMEOUT_MS", v));
-         o->admission_timeout_ms = ms;
+         s->envelope.admission_timeout_ms = ms;
          return Status::OK();
        }},
       {"CHUNK_SAMPLES",
        "samples per shard chunk (determinism schedule; must be >= 1)",
-       [](const SamplingOptions& o) { return RenderCount(o.chunk_samples); },
-       [](SamplingOptions* o, double v) {
+       [](const SessionSettings& s) {
+         return RenderCount(s.sampling.chunk_samples);
+       },
+       [](SessionSettings* s, double v) {
          PIP_ASSIGN_OR_RETURN(size_t n, AsCount("CHUNK_SAMPLES", v));
          if (n == 0) {
            return Status::InvalidArgument(
                "SET CHUNK_SAMPLES expects a positive integer");
          }
-         o->chunk_samples = n;
+         s->sampling.chunk_samples = n;
          return Status::OK();
        }},
       {"DELTA", "relative precision target for adaptive stopping",
-       [](const SamplingOptions& o) { return RenderDouble(o.delta); },
-       [](SamplingOptions* o, double v) {
+       [](const SessionSettings& s) { return RenderDouble(s.sampling.delta); },
+       [](SessionSettings* s, double v) {
          if (!(v > 0.0)) {
            return Status::InvalidArgument("SET DELTA expects a positive value");
          }
-         o->delta = v;
+         s->sampling.delta = v;
          return Status::OK();
        }},
       {"EPSILON", "confidence parameter of the adaptive stopping rule",
-       [](const SamplingOptions& o) { return RenderDouble(o.epsilon); },
-       [](SamplingOptions* o, double v) {
+       [](const SessionSettings& s) {
+         return RenderDouble(s.sampling.epsilon);
+       },
+       [](SessionSettings* s, double v) {
          // (1 - epsilon) feeds ErfInv; outside (0, 1) the stopping rule
          // degenerates (negative or NaN z).
          if (!(v > 0.0 && v < 1.0)) {
            return Status::InvalidArgument(
                "SET EPSILON expects a value in (0, 1)");
          }
-         o->epsilon = v;
+         s->sampling.epsilon = v;
          return Status::OK();
        }},
       {"FIXED_SAMPLES",
        "exact sample count (0 = adaptive epsilon/delta stopping)",
-       [](const SamplingOptions& o) { return RenderCount(o.fixed_samples); },
-       [](SamplingOptions* o, double v) {
-         PIP_ASSIGN_OR_RETURN(o->fixed_samples, AsCount("FIXED_SAMPLES", v));
+       [](const SessionSettings& s) {
+         return RenderCount(s.sampling.fixed_samples);
+       },
+       [](SessionSettings* s, double v) {
+         PIP_ASSIGN_OR_RETURN(s->sampling.fixed_samples,
+                              AsCount("FIXED_SAMPLES", v));
          return Status::OK();
        }},
       {"INDEX_ENABLED",
        "serve repeated per-row queries from the expectation index (0/1)",
-       [](const SamplingOptions& o) {
-         return RenderCount(o.index_enabled ? 1 : 0);
+       [](const SessionSettings& s) {
+         return RenderCount(s.sampling.index_enabled ? 1 : 0);
        },
-       [](SamplingOptions* o, double v) {
+       [](SessionSettings* s, double v) {
          if (v != 0.0 && v != 1.0) {
            return Status::InvalidArgument("SET INDEX_ENABLED expects 0 or 1");
          }
-         o->index_enabled = (v == 1.0);
+         s->sampling.index_enabled = (v == 1.0);
          return Status::OK();
        }},
       {"INDEX_MEMORY_BUDGET",
        "expectation-index LRU byte budget (0 = unlimited)",
-       [](const SamplingOptions& o) {
-         return RenderCount(o.index_memory_budget);
+       [](const SessionSettings& s) {
+         return RenderCount(s.sampling.index_memory_budget);
        },
-       [](SamplingOptions* o, double v) {
-         PIP_ASSIGN_OR_RETURN(o->index_memory_budget,
+       [](SessionSettings* s, double v) {
+         PIP_ASSIGN_OR_RETURN(s->sampling.index_memory_budget,
                               AsCount("INDEX_MEMORY_BUDGET", v));
          return Status::OK();
        }},
       {"MAX_SAMPLES", "adaptive stopping sample ceiling",
-       [](const SamplingOptions& o) { return RenderCount(o.max_samples); },
-       [](SamplingOptions* o, double v) {
-         PIP_ASSIGN_OR_RETURN(o->max_samples, AsCount("MAX_SAMPLES", v));
+       [](const SessionSettings& s) {
+         return RenderCount(s.sampling.max_samples);
+       },
+       [](SessionSettings* s, double v) {
+         PIP_ASSIGN_OR_RETURN(s->sampling.max_samples,
+                              AsCount("MAX_SAMPLES", v));
          return Status::OK();
        }},
       {"MIN_SAMPLES", "adaptive stopping sample floor",
-       [](const SamplingOptions& o) { return RenderCount(o.min_samples); },
-       [](SamplingOptions* o, double v) {
-         PIP_ASSIGN_OR_RETURN(o->min_samples, AsCount("MIN_SAMPLES", v));
+       [](const SessionSettings& s) {
+         return RenderCount(s.sampling.min_samples);
+       },
+       [](SessionSettings* s, double v) {
+         PIP_ASSIGN_OR_RETURN(s->sampling.min_samples,
+                              AsCount("MIN_SAMPLES", v));
          return Status::OK();
        }},
       {"NUM_THREADS", "sampling worker threads (0 = hardware concurrency)",
-       [](const SamplingOptions& o) { return RenderCount(o.num_threads); },
-       [](SamplingOptions* o, double v) {
-         PIP_ASSIGN_OR_RETURN(o->num_threads, AsCount("NUM_THREADS", v));
+       [](const SessionSettings& s) {
+         return RenderCount(s.sampling.num_threads);
+       },
+       [](SessionSettings* s, double v) {
+         PIP_ASSIGN_OR_RETURN(s->sampling.num_threads,
+                              AsCount("NUM_THREADS", v));
          return Status::OK();
        }},
       {"SAMPLE_OFFSET",
        "offset into the deterministic sample-index space (fresh runs)",
-       [](const SamplingOptions& o) {
-         return RenderCount(static_cast<size_t>(o.sample_offset));
+       [](const SessionSettings& s) {
+         return RenderCount(static_cast<size_t>(s.sampling.sample_offset));
        },
-       [](SamplingOptions* o, double v) {
+       [](SessionSettings* s, double v) {
          PIP_ASSIGN_OR_RETURN(size_t offset, AsCount("SAMPLE_OFFSET", v));
-         o->sample_offset = offset;
+         s->sampling.sample_offset = offset;
          return Status::OK();
        }},
       {"STATEMENT_TIMEOUT_MS",
        "per-statement deadline enforced at chunk barriers, ERR TIMEOUT "
        "(0 = no deadline)",
-       [](const SamplingOptions& o) {
-         return RenderCount(static_cast<size_t>(o.statement_timeout_ms));
+       [](const SessionSettings& s) {
+         return RenderCount(
+             static_cast<size_t>(s.envelope.statement_timeout_ms));
        },
-       [](SamplingOptions* o, double v) {
+       [](SessionSettings* s, double v) {
          PIP_ASSIGN_OR_RETURN(size_t ms, AsCount("STATEMENT_TIMEOUT_MS", v));
-         o->statement_timeout_ms = ms;
+         s->envelope.statement_timeout_ms = ms;
          return Status::OK();
        }},
   };
@@ -164,13 +182,13 @@ StatusOr<const KnobDef*> FindKnob(const std::string& name) {
   return Status::NotFound("unknown knob '" + name + "'");
 }
 
-Status SetKnob(SamplingOptions* options, const std::string& name,
+Status SetKnob(SessionSettings* settings, const std::string& name,
                double value) {
   PIP_ASSIGN_OR_RETURN(const KnobDef* knob, FindKnob(name));
-  return knob->set(options, value);
+  return knob->set(settings, value);
 }
 
-Status SetKnobFromSpec(SamplingOptions* options, const std::string& spec) {
+Status SetKnobFromSpec(SessionSettings* settings, const std::string& spec) {
   size_t eq = spec.find('=');
   if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size()) {
     return Status::InvalidArgument("knob spec '" + spec +
@@ -184,7 +202,7 @@ Status SetKnobFromSpec(SamplingOptions* options, const std::string& spec) {
     return Status::InvalidArgument("knob value '" + text +
                                    "' is not a number");
   }
-  return SetKnob(options, name, value);
+  return SetKnob(settings, name, value);
 }
 
 }  // namespace sql

@@ -174,13 +174,13 @@ struct Target {
 /// Recursive-descent parser for one statement.
 class Parser {
  public:
-  /// `options` points at the session's live options so SET persists
+  /// `settings` points at the session's live settings so SET persists
   /// across statements; `admit` (may be empty) admits sampling SELECTs.
-  Parser(std::vector<Token> tokens, Database* db, SamplingOptions* options,
+  Parser(std::vector<Token> tokens, Database* db, SessionSettings* settings,
          AdmissionHook admit)
       : tokens_(std::move(tokens)),
         db_(db),
-        options_(options),
+        settings_(settings),
         admit_(std::move(admit)) {}
 
   StatusOr<SqlResult> ParseStatement() {
@@ -425,7 +425,7 @@ class Parser {
     double value = Advance().number;
     if (negative) value = -value;
     PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-    PIP_RETURN_IF_ERROR(SetKnob(options_, knob, value));
+    PIP_RETURN_IF_ERROR(SetKnob(settings_, knob, value));
     return SqlResult::Ack("SET " + ToUpper(knob));
   }
 
@@ -457,8 +457,9 @@ class Parser {
       PIP_RETURN_IF_ERROR(ExpectStatementEnd());
       Table table(Schema({"knob", "value", "description"}));
       for (const KnobDef& knob : KnobRegistry()) {
-        PIP_RETURN_IF_ERROR(table.Append(
-            {Value(knob.name), Value(knob.get(*options_)), Value(knob.help)}));
+        PIP_RETURN_IF_ERROR(table.Append({Value(knob.name),
+                                          Value(knob.get(*settings_)),
+                                          Value(knob.help)}));
       }
       return SqlResult::FromTable(std::move(table));
     }
@@ -751,36 +752,50 @@ class Parser {
             .push_back(t.alias);
       }
     }
-    const size_t rows = base.num_rows();
     CTable projected = std::move(base);
     if (!cols.empty()) {
       // Conditions are preserved by Project; expected_count still works.
       PIP_ASSIGN_OR_RETURN(projected, Project(projected, cols));
     }
 
-    // Admission, now that plan and projection succeeded and the rows to
-    // sample are known. The hold lives until this statement returns.
-    std::shared_ptr<void> admitted;
-    if (admit_) {
-      PIP_ASSIGN_OR_RETURN(admitted, admit_(rows * PerRowDraws(*options_)));
-    }
-    SamplingEngine engine = db_->MakeEngine(*options_);
+    // Plan before admit: triage every row's engine calls into exact, hit
+    // or sampled (index_ops.h), then admit only the rows that will draw.
+    // The hold lives until this statement returns.
+    const SamplingOptions& options = settings_->sampling;
+    SamplingEngine engine = db_->MakeEngine(options);
+    auto admit = [&](size_t sampled_rows) -> StatusOr<std::shared_ptr<void>> {
+      if (!admit_ || sampled_rows == 0) return std::shared_ptr<void>();
+      return admit_(sampled_rows * PerRowDraws(options));
+    };
 
     if (!any_table_wide) {
-      PIP_ASSIGN_OR_RETURN(Table out, Analyze(projected, engine, spec));
+      PIP_ASSIGN_OR_RETURN(Prepared<Table> analyze,
+                           PrepareAnalyze(projected, engine, spec));
+      PIP_ASSIGN_OR_RETURN(std::shared_ptr<void> admitted,
+                           admit(analyze.sampled_rows));
+      PIP_ASSIGN_OR_RETURN(Table out, analyze.finish());
       return SqlResult::FromTable(std::move(out));
     }
 
-    // Single-row deterministic aggregate result.
+    // Single-row deterministic aggregate result: every target is triaged
+    // first, so the statement is admitted once for all of them.
     AggregateEvaluator agg(&engine);
+    std::vector<Prepared<double>> prepared;
+    size_t sampled_rows = 0;
+    for (size_t i = 0; i < targets.size(); ++i) {
+      PIP_ASSIGN_OR_RETURN(
+          Prepared<double> p,
+          agg.Prepare(targets[i].agg.aggregate, projected,
+                      "agg" + std::to_string(i)));
+      sampled_rows += p.sampled_rows;
+      prepared.push_back(std::move(p));
+    }
+    PIP_ASSIGN_OR_RETURN(std::shared_ptr<void> admitted, admit(sampled_rows));
     std::vector<std::string> names;
     Row row;
     for (size_t i = 0; i < targets.size(); ++i) {
-      const Target& t = targets[i];
-      names.push_back(t.alias);
-      PIP_ASSIGN_OR_RETURN(
-          double value,
-          agg.Evaluate(t.agg.aggregate, projected, "agg" + std::to_string(i)));
+      names.push_back(targets[i].alias);
+      PIP_ASSIGN_OR_RETURN(double value, prepared[i].finish());
       row.push_back(Value(value));
     }
     Table out(Schema(std::move(names)));
@@ -791,7 +806,7 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   Database* db_;
-  SamplingOptions* options_;
+  SessionSettings* settings_;
   AdmissionHook admit_;
   int anonymous_targets_ = 0;
 };
@@ -988,13 +1003,14 @@ SqlResult Session::Execute(const std::string& statement) {
   // takes effect from the next statement on. Cancellation decides
   // whether the statement finishes, never what it computes: every chunk
   // that does fold is bit-identical to an uncancelled run.
-  const uint64_t timeout_ms = options_.statement_timeout_ms;
+  const uint64_t timeout_ms = settings_.envelope.statement_timeout_ms;
   const auto deadline = std::make_shared<Deadline>(timeout_ms);
-  const std::function<bool()> saved = options_.cancel_check;
+  std::function<bool()>& cancel_check = settings_.sampling.cancel_check;
+  const std::function<bool()> saved = cancel_check;
   const std::function<bool()> external = external_cancel_;
   if (external || deadline->armed()) {
     const std::function<bool()> prior = saved;
-    options_.cancel_check = [prior, external, deadline] {
+    cancel_check = [prior, external, deadline] {
       if (prior && prior()) return true;
       if (external && external()) return true;
       return deadline->Expired();
@@ -1008,9 +1024,9 @@ SqlResult Session::Execute(const std::string& statement) {
       return hold;
     };
   }
-  Parser parser(std::move(tokens).value(), db_, &options_, std::move(admit));
+  Parser parser(std::move(tokens).value(), db_, &settings_, std::move(admit));
   auto result = parser.ParseStatement();
-  options_.cancel_check = saved;
+  cancel_check = saved;
   if (!result.ok()) {
     Status status = result.status();
     if (status.code() == StatusCode::kCancelled) {

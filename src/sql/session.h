@@ -32,7 +32,8 @@
 ///   SHOW DISTRIBUTIONS | FAILPOINTS | INDEX | KNOBS | POOL | TABLES
 ///     | VARIABLES
 ///
-/// SET tunes the session's SamplingOptions through the declarative knob
+/// SET tunes the session's SamplingOptions and statement envelope
+/// (STATEMENT_TIMEOUT_MS, ADMISSION_TIMEOUT_MS) through the declarative knob
 /// registry (src/sql/knobs.h) — the same registry behind `SHOW KNOBS`
 /// and the pip-server `--set NAME=VALUE` startup flags. New sessions
 /// inherit the database's default_options(), so deployments can pin e.g.
@@ -62,6 +63,7 @@
 
 #include "src/engine/query.h"
 #include "src/sampling/aggregates.h"
+#include "src/sql/knobs.h"
 
 namespace pip {
 namespace sql {
@@ -163,7 +165,8 @@ bool StatementMaySample(const std::string& statement);
 /// else the adaptive floor min_samples). Returns 0 for statements that
 /// cannot sample. It ignores WHERE, so it overestimates selective
 /// statements; the server instead weighs the rows that survive WHERE
-/// (see Session::set_admission) and no longer calls this. Kept for the
+/// and will draw (see Session::set_admission) and no longer calls this.
+/// Kept for the
 /// same reason as StatementMaySample.
 size_t EstimateSampleVolume(const Database& db, const std::string& statement,
                             const SamplingOptions& options);
@@ -178,15 +181,18 @@ using AdmissionHook =
 /// \brief Stateful SQL session against one Database.
 ///
 /// Sessions are cheap; the server creates one per connection. Each
-/// session owns a private SamplingOptions (seeded from the database
-/// defaults) so SET is connection-local, while data, named variables,
-/// the thread pool, and the plan cache are shared through the Database.
+/// session owns private SessionSettings (sampling options seeded from the
+/// database defaults, plus the statement envelope) so SET is
+/// connection-local, while data, named variables, the thread pool, and
+/// the plan cache are shared through the Database.
 class Session {
  public:
-  /// Inherits the database's default sampling options.
-  explicit Session(Database* db) : db_(db), options_(db->default_options()) {}
-  Session(Database* db, SamplingOptions options)
-      : db_(db), options_(options) {}
+  /// Inherits the database's default sampling options and an envelope
+  /// with no timeouts.
+  explicit Session(Database* db)
+      : db_(db), settings_{db->default_options(), {}} {}
+  Session(Database* db, SessionSettings settings)
+      : db_(db), settings_(std::move(settings)) {}
 
   /// Parses and executes one statement (trailing ';' optional). Always
   /// returns a result; failures are tagged Kind::kError.
@@ -203,22 +209,27 @@ class Session {
   }
 
   /// Installs admission control — the server wires its AdmissionGate
-  /// here. Execute calls the hook once per SELECT that samples (a
-  /// table-wide aggregate or a per-row expectation/conf), after the
-  /// symbolic plan produced the rows that survive WHERE and before the
-  /// first draw. The draw volume it passes is those rows x per-row draws
-  /// (FIXED_SAMPLES when pinned, else MIN_SAMPLES). Symbolic SELECTs,
-  /// DDL and DML never call it. STATEMENT_TIMEOUT_MS restarts when the
-  /// hook returns, so the deadline bounds execution, not the queue wait.
-  /// Runs on the thread calling Execute; pass an empty function to clear.
+  /// here. Execute calls the hook at most once per SELECT, after the
+  /// symbolic plan produced the rows that survive WHERE and their engine
+  /// calls were triaged (index_ops.h), and before the first draw. The
+  /// draw volume it passes is the rows that will sample x per-row draws
+  /// (FIXED_SAMPLES when pinned, else MIN_SAMPLES). Rows answered in
+  /// closed form or from the expectation index weigh nothing, so a
+  /// statement without a sampled row never calls it; neither do
+  /// symbolic SELECTs, DDL and DML. STATEMENT_TIMEOUT_MS restarts when
+  /// the hook returns, so the deadline bounds execution, not the queue
+  /// wait. Runs on the thread calling Execute; pass an empty function to
+  /// clear.
   void set_admission(AdmissionHook hook) { admission_ = std::move(hook); }
 
-  SamplingOptions* mutable_options() { return &options_; }
+  SamplingOptions* mutable_options() { return &settings_.sampling; }
+  /// The statement envelope (STATEMENT_TIMEOUT_MS, ADMISSION_TIMEOUT_MS).
+  const StatementEnvelope& envelope() const { return settings_.envelope; }
   Database* database() { return db_; }
 
  private:
   Database* db_;
-  SamplingOptions options_;
+  SessionSettings settings_;
   std::function<bool()> external_cancel_;
   AdmissionHook admission_;
 };

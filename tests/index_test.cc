@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -10,6 +11,7 @@
 
 #include "src/engine/database.h"
 #include "src/engine/query.h"
+#include "src/sampling/index_ops.h"
 #include "src/sql/session.h"
 
 namespace pip {
@@ -355,6 +357,167 @@ TEST_F(IndexSqlTest, DisabledIndexNeverTouchesCounters) {
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
   EXPECT_EQ(after.inserts, before.inserts);
+}
+
+// ---------------------------------------------------------------------------
+// Plan before admit: the per-statement triage (index_ops.h).
+// ---------------------------------------------------------------------------
+
+/// A catalogue table of six rows: v ~ Normal(r, 1) and w ~ Normal(0, 1),
+/// each row under the single-variable condition v > 0. conf() of a row
+/// has a closed form; expectation(v) takes quadrature and expectation of
+/// v * w draws, so both are keyed.
+class TriageTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kRows = 6;
+
+  TriageTest() : db_(31) {
+    options_.fixed_samples = 500;
+    CTable t(Schema({"v", "w"}));
+    for (size_t r = 0; r < kRows; ++r) {
+      VarRef v = db_.CreateVariable("Normal", {double(r), 1.0}).value();
+      VarRef w = db_.CreateVariable("Normal", {0.0, 1.0}).value();
+      Condition positive(ConstraintAtom(Expr::Var(v), CmpOp::kGt,
+                                        Expr::Constant(0.0)));
+      PIP_CHECK(t.Append({Expr::Var(v), Expr::Var(w)}, positive).ok());
+    }
+    db_.MaterializeView("m", std::move(t));
+    table_ = db_.GetTable("m").value();
+    for (const CTableRow& row : table_->rows()) {
+      products_.push_back(Expr::Mul(row.cells[0], row.cells[1]));
+    }
+  }
+
+  RowCall Conf(size_t r) const {
+    return {nullptr, &table_->row(r).condition, false};
+  }
+  RowCall Expect(size_t r) const {
+    return {&table_->row(r).cells[0], &table_->row(r).condition, true};
+  }
+  RowCall Product(size_t r) const {
+    return {&products_[r], &table_->row(r).condition, true};
+  }
+
+  /// Triages one call per row for the first `rows` rows.
+  RowTriage Triage(size_t rows, RowTriage::CallOf call_of,
+                   SamplingOptions options) const {
+    return RowTriage(db_.MakeEngine(options), *table_, rows, 1,
+                     std::move(call_of));
+  }
+  RowTriage Triage(size_t rows, RowTriage::CallOf call_of) const {
+    return Triage(rows, std::move(call_of), options_);
+  }
+
+  Database db_;
+  SamplingOptions options_;
+  std::shared_ptr<const CTable> table_;
+  std::vector<ExprPtr> products_;  ///< v * w of each row.
+};
+
+TEST_F(TriageTest, ExactCountMakesNoIndexLookupOrInsert) {
+  const ExpectationIndex::Stats before = db_.result_index_stats();
+  RowTriage triage =
+      Triage(kRows, [this](size_t r, size_t) { return Conf(r); });
+  EXPECT_EQ(triage.exact(), kRows);
+  EXPECT_EQ(triage.hits(), 0u);
+  EXPECT_EQ(triage.sampled_rows(), 0u);
+  ASSERT_TRUE(triage.Run().ok());
+
+  sql::Session session(&db_);
+  session.mutable_options()->fixed_samples = 500;
+  sql::SqlResult count = session.Execute("SELECT expected_count(*) FROM m");
+  ASSERT_TRUE(count.ok()) << count.ToString();
+  const ExpectationIndex::Stats after = db_.result_index_stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.inserts, before.inserts);
+
+  // The closed form: sum over rows of P[Normal(r, 1) > 0], bit for bit
+  // what the triage computed row by row.
+  double want = 0.0;
+  for (size_t r = 0; r < kRows; ++r) {
+    EXPECT_TRUE(triage.result(r, 0).exact);
+    EXPECT_NEAR(triage.result(r, 0).probability,
+                0.5 * std::erfc(-static_cast<double>(r) / std::sqrt(2.0)),
+                1e-12);
+    want += triage.result(r, 0).probability;
+  }
+  EXPECT_EQ(count.table.row(0)[0].double_value(), want);
+}
+
+TEST_F(TriageTest, MixedTableSortsIntoExactHitAndSample) {
+  // Warm rows 2 and 3: their expectation(v) calls sample and backfill.
+  RowTriage warm = Triage(4, [this](size_t r, size_t) {
+    return r < 2 ? Conf(r) : Expect(r);
+  });
+  EXPECT_EQ(warm.exact(), 2u);
+  EXPECT_EQ(warm.hits(), 0u);
+  EXPECT_EQ(warm.sampled_rows(), 2u);
+  ASSERT_TRUE(warm.Run().ok());
+  const ExpectationIndex::Stats warmed = db_.result_index_stats();
+
+  // Rows 0-1 conf() (exact), rows 2-3 expectation(v) (hits), rows 4-5
+  // expectation(v) (cold).
+  RowTriage mixed = Triage(kRows, [this](size_t r, size_t) {
+    return r < 2 ? Conf(r) : Expect(r);
+  });
+  EXPECT_EQ(mixed.exact(), 2u);
+  EXPECT_EQ(mixed.hits(), 2u);
+  EXPECT_EQ(mixed.sampled_rows(), 2u);
+  ASSERT_TRUE(mixed.Run().ok());
+  const ExpectationIndex::Stats ran = db_.result_index_stats();
+  // One lookup per keyed call (the exact ones make none), one backfill
+  // per sampled call.
+  EXPECT_EQ(ran.hits - warmed.hits, 2u);
+  EXPECT_EQ(ran.misses - warmed.misses, 2u);
+  EXPECT_EQ(ran.inserts - warmed.inserts, 2u);
+  for (size_t r = 2; r < 4; ++r) {
+    EXPECT_EQ(mixed.result(r, 0).expectation, warm.result(r, 0).expectation);
+    EXPECT_EQ(mixed.result(r, 0).probability, warm.result(r, 0).probability);
+  }
+
+  // A target over two variables samples although its condition alone
+  // has a closed form.
+  RowTriage two_vars = Triage(1, [this](size_t, size_t) { return Product(0); });
+  EXPECT_EQ(two_vars.exact(), 0u);
+  EXPECT_EQ(two_vars.sampled_rows(), 1u);
+}
+
+TEST_F(TriageTest, HitReplaysAfterClearWithoutDrawingOrInserting) {
+  RowTriage cold = Triage(1, [this](size_t, size_t) { return Product(0); });
+  ASSERT_EQ(cold.sampled_rows(), 1u);
+  ASSERT_TRUE(cold.Run().ok());
+  const ExpectationResult first = cold.result(0, 0);
+  ASSERT_GT(first.samples_used, 0u);
+
+  // Every chunk barrier reports cancellation, so any draw would fail the
+  // run: a sampled row does, a hit must not.
+  SamplingOptions no_draws = options_;
+  no_draws.cancel_check = [] { return true; };
+  RowTriage hit =
+      Triage(1, [this](size_t, size_t) { return Product(0); }, no_draws);
+  ASSERT_EQ(hit.hits(), 1u);
+  ASSERT_EQ(hit.sampled_rows(), 0u);
+  db_.result_index()->Clear();
+  const ExpectationIndex::Stats cleared = db_.result_index_stats();
+  ASSERT_TRUE(hit.Run().ok());
+  const ExpectationIndex::Stats after = db_.result_index_stats();
+  EXPECT_EQ(after.inserts, cleared.inserts);
+  EXPECT_EQ(after.hits + after.misses, cleared.hits + cleared.misses);
+  EXPECT_EQ(after.entries, 0u);
+  const ExpectationResult replay = hit.result(0, 0);
+  EXPECT_EQ(std::memcmp(&replay.expectation, &first.expectation,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&replay.probability, &first.probability,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(replay.samples_used, first.samples_used);
+
+  RowTriage sampled =
+      Triage(2, [this](size_t r, size_t) { return Product(r); }, no_draws);
+  ASSERT_EQ(sampled.sampled_rows(), 2u);
+  EXPECT_EQ(sampled.Run().code(), StatusCode::kCancelled);
 }
 
 }  // namespace

@@ -532,6 +532,9 @@ TEST(ServerAdmissionTest, SamplingStatementsAreGated) {
         return;
       }
       client.Execute("SET FIXED_SAMPLES = 20000");
+      // Index off, so every statement samples: a warm index would answer
+      // the repeats without admission (see AdmissionWeightTest).
+      client.Execute("SET INDEX_ENABLED = 0");
       for (int q = 0; q < kQueries; ++q) {
         auto r = client.Execute("SELECT expected_sum(v) FROM t");
         if (!r.ok() || !r.value().ok()) errors.fetch_add(1);
@@ -615,11 +618,52 @@ class AdmissionWeightTest : public ::testing::Test {
 TEST_F(AdmissionWeightTest, PointLookupWeighsTheRowsAfterWhere) {
   // One row survives WHERE: 1 row x 2000 draws = 2 units, not the
   // 2000 x 2000 draws of the whole table.
+  const std::string lookup = "SELECT expectation(v) FROM t WHERE k = 5";
+  WireResponse cold;
+  auto [tickets, weight] = Admitted(lookup, &cold);
+  ASSERT_TRUE(cold.ok()) << cold.message;
+  EXPECT_EQ(cold.rows.size(), 1u);
+  EXPECT_EQ(tickets, 1u);
+  EXPECT_EQ(weight, 2u);
+
+  // Repeated, the lookup is an index hit: it draws nothing, so it takes
+  // no ticket, and it replays the cold answer.
+  WireResponse warm;
+  auto [warm_tickets, warm_weight] = Admitted(lookup, &warm);
+  ASSERT_TRUE(warm.ok()) << warm.message;
+  EXPECT_EQ(warm_tickets, 0u);
+  EXPECT_EQ(warm_weight, 0u);
+  EXPECT_EQ(warm.rows, cold.rows);
+}
+
+TEST_F(AdmissionWeightTest, ExactCountNeverTouchesTheGate) {
+  // Every row's condition v > 0 has a closed-form CDF: no draws, no
+  // ticket, and sum of P[Normal(0, 1) > 0] = 2000 x 0.5.
+  AdmissionGate::Stats before = server_.admission_stats();
   WireResponse reply;
   auto [tickets, weight] =
-      Admitted("SELECT expectation(v) FROM t WHERE k = 5", &reply);
+      Admitted("SELECT expected_count(*) FROM t WHERE v > 0", &reply);
   ASSERT_TRUE(reply.ok()) << reply.message;
-  EXPECT_EQ(reply.rows.size(), 1u);
+  EXPECT_EQ(tickets, 0u);
+  EXPECT_EQ(weight, 0u);
+  AdmissionGate::Stats after = server_.admission_stats();
+  EXPECT_EQ(after.queued, before.queued);
+  EXPECT_EQ(after.shed, before.shed);
+  ASSERT_EQ(reply.rows.size(), 1u);
+  EXPECT_EQ(reply.rows[0][0], "1000");
+}
+
+TEST_F(AdmissionWeightTest, HalfWarmStatementWeighsOnlyItsSampledRows) {
+  WireResponse reply;
+  ASSERT_EQ(Admitted("SELECT expectation(v) FROM t WHERE k = 0", &reply)
+                .second,
+            2u);
+  // Two rows survive WHERE; row 0 is now an index hit, so only row 1
+  // weighs: 1 row x 2000 draws = 2 units, where cold it was 4.
+  auto [tickets, weight] =
+      Admitted("SELECT expectation(v) FROM t WHERE k < 2", &reply);
+  ASSERT_TRUE(reply.ok()) << reply.message;
+  EXPECT_EQ(reply.rows.size(), 2u);
   EXPECT_EQ(tickets, 1u);
   EXPECT_EQ(weight, 2u);
 }
