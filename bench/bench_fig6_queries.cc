@@ -375,16 +375,15 @@ void AnalyzeRowSweep() {
 }
 
 /// Few-rows-many-threads shapes for the fig6_analyze_rows sweep: rows in
-/// {2, 4, 8} on 8 threads. Under the fractional-budget scheduler a 2-row
-/// batch hands each row body a budget of 4, so the nested sample regions
-/// fan out across the leftover width — observable in the scheduler
-/// counters even on a single-core runner, because nested helper tasks
-/// are *submitted* (and always eventually executed) regardless of how
-/// many cores drain them. Asserted within-run: when rows < threads, the
-/// pool executed at least one nested-region helper task. Outputs are
-/// byte-compared against a serial run of the same shape (the
-/// determinism gate at its most adversarial: odd widths, nested
-/// fan-out, join-stealing all active).
+/// {2, 4, 8} on 8 threads. A region runs one parallel axis: with fewer
+/// rows than threads the rows run serially and each row's sample region
+/// fans out, so the pool opens at least one region per row; with 8 rows
+/// the rows fan out and their sample loops run inline. Asserted
+/// within-run from the scheduler counters (they count regions opened,
+/// not cores used, so the check holds on a single-core runner too): no
+/// nested helper task ever runs, and rows < threads opens >= rows
+/// regions. Outputs are byte-compared against a serial run of the same
+/// shape.
 void NestedShapeSweep() {
   const size_t samples = Samples();
   const size_t threads = 8;
@@ -392,10 +391,10 @@ void NestedShapeSweep() {
 
   pip::Database db(20260806);
   std::printf("=== Nested-shape sweep: rows x %zu threads, %zu samples, "
-              "fractional budget splits ===\n",
+              "one parallel axis per region ===\n",
               threads, samples);
-  std::printf("%6s %12s %12s %14s %14s %10s %12s\n", "rows", "serial (s)",
-              "wall (s)", "nested_tasks", "joiner_tasks", "steals",
+  std::printf("%6s %12s %12s %10s %14s %10s %12s\n", "rows", "serial (s)",
+              "wall (s)", "regions", "joiner_tasks", "steals",
               "join_wait_us");
 
   std::vector<BenchRecord> records;
@@ -435,6 +434,7 @@ void NestedShapeSweep() {
         out.value().ToString() == serial_out.value().ToString(),
         "nested-shape Analyze diverged from the serial run");
 
+    const double regions = static_cast<double>(after.regions - before.regions);
     const double nested =
         static_cast<double>(after.nested_tasks - before.nested_tasks);
     const double joiner =
@@ -442,17 +442,16 @@ void NestedShapeSweep() {
     const double steals = static_cast<double>(after.steals - before.steals);
     const double wait_us = static_cast<double>(after.join_wait_micros -
                                                before.join_wait_micros);
-    std::printf("%6zu %12.3f %12.3f %14.0f %14.0f %10.0f %12.0f\n", rows,
-                serial_wall, wall, nested, joiner, steals, wait_us);
+    std::printf("%6zu %12.3f %12.3f %10.0f %14.0f %10.0f %12.0f\n", rows,
+                serial_wall, wall, regions, joiner, steals, wait_us);
+    PIP_CHECK_MSG(nested == 0.0,
+                  "a region's body started another fanned-out region");
     if (rows < threads) {
-      // The saturation claim, made observable: with fewer rows than
-      // threads the row bodies' fractional budgets exceed 1, so their
-      // sample regions must have submitted (and the pool executed)
-      // helper tasks. Counter-based, so it holds on single-core CI too.
-      PIP_CHECK_MSG(nested >= 1.0,
-                    "no nested helper tasks executed on a few-rows-many-"
-                    "threads shape: budget splits are not reaching the "
-                    "sample axis");
+      // Too few rows to fill the width: the sample axis takes it, one
+      // region (at least) per row.
+      PIP_CHECK_MSG(regions >= static_cast<double>(rows),
+                    "a few-rows-many-threads shape did not fan out its "
+                    "rows' samples");
     }
 
     BenchRecord r;
@@ -463,8 +462,7 @@ void NestedShapeSweep() {
     r.samples = static_cast<double>(samples);
     r.samples_per_sec =
         wall > 0 ? static_cast<double>(rows * samples) / wall : 0.0;
-    r.pool_regions =
-        static_cast<double>(after.regions - before.regions);
+    r.pool_regions = regions;
     r.pool_nested_tasks = nested;
     r.pool_joiner_tasks = joiner;
     r.pool_steals = steals;
@@ -693,12 +691,18 @@ void KernelDraws() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Spin calibrations bracket the run: the cores the machine lent it at
+  // the start and at the end, beside every scaling figure below.
+  AppendBenchRecords(BenchJsonPath(),
+                     {pip::bench::SpinCalibration("fig6_start")});
   PrintFigure6();
   ThreadSweep();
   AnalyzeRowSweep();
   NestedShapeSweep();
   BatchDrawAblation();
   KernelDraws();
+  AppendBenchRecords(BenchJsonPath(),
+                     {pip::bench::SpinCalibration("fig6_end")});
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

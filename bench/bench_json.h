@@ -13,12 +13,15 @@
 
 #include <sys/resource.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace pip {
@@ -37,7 +40,7 @@ struct BenchRecord {
   // SchedulerStats; see SHOW POOL). Zero when a bench doesn't sample
   // them.
   double pool_regions = 0;       ///< Fanned-out parallel regions.
-  double pool_nested_tasks = 0;  ///< Executed helper tasks of nested regions.
+  double pool_nested_tasks = 0;  ///< Always 0: one parallel axis per region.
   double pool_joiner_tasks = 0;  ///< Tasks executed inside ParallelFor joins.
   double pool_steals = 0;        ///< Cross-deque task takes.
   double pool_join_wait_micros = 0;  ///< Blocked join wait time.
@@ -58,6 +61,44 @@ inline double ProcessCpuSeconds() {
            1e-6 * static_cast<double>(t.tv_usec);
   };
   return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// Spin calibration: 4 threads busy-loop for 0.3 s of wall time, and
+/// the process CPU time over that wall time is how many cores the
+/// machine lent the run (at most 4; usable cores = cpu_seconds /
+/// wall_seconds of the returned record). Thread-scaling figures taken
+/// beside a reading near 1 say nothing about the code. Prints one
+/// greppable "calibration" line.
+inline BenchRecord SpinCalibration(const std::string& query) {
+  using Clock = std::chrono::steady_clock;
+  constexpr size_t kThreads = 4;
+  const double cpu0 = ProcessCpuSeconds();
+  const Clock::time_point start = Clock::now();
+  const Clock::time_point stop = start + std::chrono::milliseconds(300);
+  std::vector<std::thread> spinners;
+  std::vector<uint64_t> sinks(kThreads, 0);
+  for (size_t t = 0; t < kThreads; ++t) {
+    spinners.emplace_back([&sinks, t, stop] {
+      uint64_t x = t + 1;
+      while (Clock::now() < stop) {
+        for (int i = 0; i < 4096; ++i) x = x * 6364136223846793005ULL + 1;
+      }
+      sinks[t] = x;  // Keeps the loop from being optimized away.
+    });
+  }
+  for (auto& s : spinners) s.join();
+  BenchRecord r;
+  r.bench = "calibration";
+  r.query = query;
+  r.threads = static_cast<double>(kThreads);
+  r.wall_seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  r.cpu_seconds = ProcessCpuSeconds() - cpu0;
+  std::printf("calibration %s: %zu spinning threads, usable cores %.2f "
+              "(cpu %.3f s / wall %.3f s)\n",
+              query.c_str(), kThreads, r.cpu_seconds / r.wall_seconds,
+              r.cpu_seconds, r.wall_seconds);
+  return r;
 }
 
 inline std::string BenchJsonPath() {

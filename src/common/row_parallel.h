@@ -4,13 +4,12 @@
 ///
 /// PIP's batch operators (Analyze, aconf(), the expected_* aggregates,
 /// grouped aggregation) evaluate many independent rows, each of which is
-/// itself a parallel sampling computation. The row dimension is the
-/// outer parallel axis: when the caller's parallelism budget allows,
-/// rows fan out across the pool and each row body runs under the
-/// region's fractional budget share (max(1, budget / row executors), see
-/// thread_pool.h's nesting policy), so a few-rows-many-threads batch
-/// splits the pool across rows × samples; with one row or no budget the
-/// row loop runs serially and the sample axis keeps the whole budget.
+/// itself a parallel sampling computation. A region runs one parallel
+/// axis (see thread_pool.h), so ParallelRows picks the axis from the
+/// input: with at least as many rows as the width, rows fan out and each
+/// row body runs its engine calls inline; with fewer rows (or width 1)
+/// the row loop runs serially and each row's sample region gets the
+/// whole width.
 ///
 /// Determinism contract: the body writes each row's outputs to
 /// pre-sized per-row slots, callers fold emitted rows in row order, and
@@ -36,7 +35,6 @@
 #ifndef PIP_COMMON_ROW_PARALLEL_H_
 #define PIP_COMMON_ROW_PARALLEL_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -74,17 +72,15 @@ class RowBatchContext {
 /// [0, num_rows); body returns the row's Status and writes its outputs
 /// to per-row slots the caller pre-sized. Returns the first non-OK
 /// status in row order. `num_threads` follows the engine convention
-/// (0 = hardware concurrency) and is further clamped by the calling
-/// thread's parallelism budget.
+/// (0 = hardware concurrency); see ThreadPool::Width.
 template <typename Body>
 Status ParallelRows(size_t num_rows, size_t num_threads, const Body& body) {
   if (num_rows == 0) return Status::OK();
-  const size_t workers = std::min(ThreadPool::ResolveThreads(num_threads),
-                                  ThreadPool::ParallelismBudget());
-  if (num_rows == 1 || workers <= 1) {
-    // Serial row loop: nested engine calls keep the inherited budget, so
-    // the sample axis fans out instead of the row axis. Never-cancelled
-    // context: a serial loop stops at the first error by itself.
+  const size_t workers = ThreadPool::Width(num_threads);
+  if (workers <= 1 || num_rows < workers) {
+    // Serial row loop: each row's engine calls may fan out, so the
+    // sample axis gets the width. Never-cancelled context: a serial loop
+    // stops at the first error by itself.
     const RowBatchContext ctx;
     for (size_t row = 0; row < num_rows; ++row) {
       PIP_RETURN_IF_ERROR(body(row, ctx));

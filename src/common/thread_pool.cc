@@ -10,11 +10,9 @@ namespace pip {
 
 namespace {
 
-/// The calling thread's parallelism budget (see header). SIZE_MAX means
-/// "outside any parallel region": unlimited. ParallelFor installs each
-/// region's fractional share on every executor; bare Submit() tasks run
-/// under a budget of 1.
-thread_local size_t t_parallelism_budget = SIZE_MAX;
+/// True while this thread runs a region's chunk bodies (see header): a
+/// ParallelFor started there runs inline.
+thread_local bool t_in_region = false;
 
 /// Which pool owns this thread (nullptr for external threads) and the
 /// worker index within it. Lets a joining worker drain its own deque
@@ -24,27 +22,6 @@ thread_local size_t t_parallelism_budget = SIZE_MAX;
 thread_local const void* t_worker_pool = nullptr;
 thread_local size_t t_worker_index = SIZE_MAX;
 
-/// Internal RAII that sets the budget exactly instead of shrinking it.
-/// A ParallelFor helper task enters execution at the pool-task baseline
-/// of 1 (RunOneTask), but its chunk bodies are owed the region's
-/// fractional share — which may be larger than 1, so the public
-/// shrink-only BudgetScope cannot express the handoff. The share is
-/// still ≤ the budget of the region's caller, so the shrink-only
-/// invariant holds end to end.
-class ExactBudgetScope {
- public:
-  explicit ExactBudgetScope(size_t budget) : saved_(t_parallelism_budget) {
-    t_parallelism_budget = budget;
-  }
-  ~ExactBudgetScope() { t_parallelism_budget = saved_; }
-
-  ExactBudgetScope(const ExactBudgetScope&) = delete;
-  ExactBudgetScope& operator=(const ExactBudgetScope&) = delete;
-
- private:
-  size_t saved_;
-};
-
 }  // namespace
 
 struct ThreadPool::RegionState {
@@ -53,15 +30,6 @@ struct ThreadPool::RegionState {
   std::mutex mu;
   std::condition_variable done_cv;
 };
-
-size_t ThreadPool::ParallelismBudget() { return t_parallelism_budget; }
-
-ThreadPool::BudgetScope::BudgetScope(size_t budget)
-    : saved_(t_parallelism_budget) {
-  t_parallelism_budget = std::min(budget, saved_);
-}
-
-ThreadPool::BudgetScope::~BudgetScope() { t_parallelism_budget = saved_; }
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
@@ -142,17 +110,10 @@ bool ThreadPool::RunOneTask(bool as_joiner) {
   (as_joiner ? counters_.joiner_tasks : counters_.worker_tasks)
       .fetch_add(1, std::memory_order_relaxed);
   if (stolen) counters_.steals.fetch_add(1, std::memory_order_relaxed);
-  {
-    // Chaos site: dispatch latency. Stalls are invisible to results —
-    // chunk schedules and fold order never depend on timing.
-    (void)PIP_FAILPOINT("pool.task");
-    // Pool-task baseline budget of 1: a bare Submit() task that starts a
-    // parallel region of its own must not assume pool width it was never
-    // granted. ParallelFor helper tasks override this from inside with
-    // the fractional share their region computed (ExactBudgetScope).
-    BudgetScope nested(1);
-    task();
-  }
+  // Chaos site: dispatch latency. Stalls are invisible to results —
+  // chunk schedules and fold order never depend on timing.
+  (void)PIP_FAILPOINT("pool.task");
+  task();
   return true;
 }
 
@@ -175,9 +136,8 @@ void ThreadPool::JoinRegion(RegionState& state) {
     // joiner's own region's chunks drain first by construction — its
     // drain call below ParallelFor already emptied the shared chunk
     // counter before we got here — so what remains runnable is other
-    // regions' work, which is exactly what keeps nested fan-out
-    // deadlock-free: a queued task can always find an executor while any
-    // thread is joining.
+    // regions' work (concurrent sessions share the pool), which a queued
+    // task can always find an executor for while any thread is joining.
     if (RunOneTask(/*as_joiner=*/true)) continue;
     // Every queue is empty: the region's remaining helpers are executing
     // on other threads. Wait timed, not open-ended — a task Submitted
@@ -208,54 +168,41 @@ size_t ThreadPool::ResolveThreads(size_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
+size_t ThreadPool::Width(size_t num_threads) {
+  return t_in_region ? 1 : ResolveThreads(num_threads);
+}
+
 void ThreadPool::ParallelFor(size_t num_chunks, size_t max_workers,
                              const std::function<void(size_t)>& fn) {
   if (num_chunks == 0) return;
-  max_workers = std::min(max_workers, t_parallelism_budget);
-  if (max_workers <= 1 || num_chunks == 1) {
-    // Degraded (serial) loops are not parallel regions: the body keeps
-    // the inherited budget, so e.g. a one-row Analyze batch still fans
-    // its per-row sample sharding across the pool.
+  if (t_in_region || max_workers <= 1 || num_chunks == 1) {
+    // One parallel axis per region: a region's body runs its loops
+    // inline. A degraded loop is not a region, so its body keeps the
+    // right to fan out (a one-row batch still shards its samples).
     counters_.inline_regions.fetch_add(1, std::memory_order_relaxed);
     for (size_t i = 0; i < num_chunks; ++i) fn(i);
     return;
   }
   counters_.regions.fetch_add(1, std::memory_order_relaxed);
 
-  // Fractional budget split: R executors share this region's budget, so
-  // each chunk body gets max(1, budget / R) executors of its own. With
-  // more budget than chunks the leftover width flows to the bodies (2
-  // rows on budget 8 -> each row body runs its sample axis at budget 4).
-  const size_t executors = std::min(max_workers, num_chunks);
-  const size_t body_budget = std::max<size_t>(1, max_workers / executors);
-  // A region launched from inside another region (finite caller budget)
-  // is "nested"; its helper tasks are the ones that prove both axes
-  // share the pool, so their executions are counted separately.
-  const bool nested_region = t_parallelism_budget != SIZE_MAX;
-
   auto state = std::make_shared<RegionState>();
-  auto drain = [state, &fn, num_chunks, body_budget] {
-    // Every executor's chunk bodies run at the region's fractional
-    // share. Set exactly (not min): helper tasks arrive here from
-    // RunOneTask's pool-task baseline of 1.
-    ExactBudgetScope scope(body_budget);
+  auto drain = [state, &fn, num_chunks] {
+    t_in_region = true;
     for (size_t i = state->next.fetch_add(1, std::memory_order_relaxed);
          i < num_chunks;
          i = state->next.fetch_add(1, std::memory_order_relaxed)) {
       fn(i);
     }
+    t_in_region = false;
   };
 
-  const size_t helpers = executors - 1;
+  const size_t helpers = std::min(max_workers, num_chunks) - 1;
   state->outstanding.store(helpers, std::memory_order_relaxed);
   for (size_t h = 0; h < helpers; ++h) {
     // Helpers capture only the shared state and the chunk closure; the
     // caller outlives them because JoinRegion does not return until
     // `outstanding` hits zero.
-    Submit([this, state, drain, nested_region] {
-      if (nested_region) {
-        counters_.nested_tasks.fetch_add(1, std::memory_order_relaxed);
-      }
+    Submit([state, drain] {
       drain();
       if (state->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         std::lock_guard<std::mutex> lock(state->mu);
@@ -279,7 +226,6 @@ ThreadPool::SchedulerStats ThreadPool::scheduler_stats() const {
   s.inline_regions = counters_.inline_regions.load(std::memory_order_relaxed);
   s.worker_tasks = counters_.worker_tasks.load(std::memory_order_relaxed);
   s.joiner_tasks = counters_.joiner_tasks.load(std::memory_order_relaxed);
-  s.nested_tasks = counters_.nested_tasks.load(std::memory_order_relaxed);
   s.steals = counters_.steals.load(std::memory_order_relaxed);
   s.join_waits = counters_.join_waits.load(std::memory_order_relaxed);
   s.join_wait_micros =
@@ -292,7 +238,6 @@ void ThreadPool::ResetStats() {
   counters_.inline_regions.store(0, std::memory_order_relaxed);
   counters_.worker_tasks.store(0, std::memory_order_relaxed);
   counters_.joiner_tasks.store(0, std::memory_order_relaxed);
-  counters_.nested_tasks.store(0, std::memory_order_relaxed);
   counters_.steals.store(0, std::memory_order_relaxed);
   counters_.join_waits.store(0, std::memory_order_relaxed);
   counters_.join_wait_micros.store(0, std::memory_order_relaxed);

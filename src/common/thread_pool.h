@@ -1,7 +1,6 @@
 /// \file thread_pool.h
-/// \brief A small work-stealing thread pool, a deterministic
-/// parallel-for with join-stealing, and the nesting-aware fractional
-/// parallelism budget used by the sampling engine.
+/// \brief A small work-stealing thread pool and a deterministic
+/// parallel-for with join-stealing, used by the sampling engine.
 ///
 /// Determinism contract (see README "Threading model"): parallel callers
 /// never let scheduling decide *what* is computed — only *when*. Work is
@@ -11,30 +10,25 @@
 /// irrelevant to the result, so `num_threads` is a throughput knob, not a
 /// semantics knob.
 ///
-/// Nesting policy (fractional budget splits): parallel regions nest (a
-/// row-parallel Analyze batch dispatches per-row Expectation calls that
-/// shard their own sample space), and the pool is shared across both
-/// axes. Each thread carries an explicit parallelism budget
-/// (ParallelismBudget()); a ParallelFor clamps its worker count to that
-/// budget and *divides* it among the chunk bodies: a region using R
-/// executors hands each body max(1, budget / R) executors of its own. A
-/// 2-row batch on an 8-thread budget therefore runs each row body at
-/// budget 4, and the nested sample regions fan out instead of degrading
-/// inline — rows × samples saturate the pool at any batch shape. Bodies
-/// of degraded (single-chunk or budget-1) loops keep the inherited
-/// budget unchanged: a degraded loop is not a parallel region.
+/// One parallel axis per region: a region's chunk bodies never start
+/// another fanned-out region. A ParallelFor called from inside a chunk
+/// body runs inline, and Width() reads 1 there. Callers with two axes
+/// pick one up front: ParallelRows (row_parallel.h) fans rows out when
+/// there are at least as many rows as the width, and otherwise runs the
+/// rows serially so each row's sample region gets the whole width. A
+/// degraded (single-chunk or width-1) loop is not a region: its body can
+/// still fan out.
 ///
 /// Join-stealing: a thread waiting in ParallelFor for its region's
 /// helpers does not block — it drains pending pool tasks (its own
 /// worker's queue first, then steals from the others) until the region
-/// completes. Every queued task therefore gets executed as long as any
-/// thread is waiting on any region, which makes nested fan-out
-/// deadlock-free by construction: the pool can never wedge with all
-/// threads blocked in joins while the tasks they await sit queued.
+/// completes. Concurrent sessions open regions on the same pool, so a
+/// joiner can find other regions' helpers queued; running them keeps
+/// every queued task executable while any thread waits on any region.
 ///
-/// Both mechanisms are semantics-free by the determinism contract: the
-/// budget only ever changes how *wide* a region runs, never which chunks
-/// fold into the result.
+/// Both mechanisms are semantics-free by the determinism contract: they
+/// decide how *wide* a region runs and which thread runs a chunk, never
+/// which chunks fold into the result.
 
 #ifndef PIP_COMMON_THREAD_POOL_H_
 #define PIP_COMMON_THREAD_POOL_H_
@@ -71,9 +65,9 @@ class ThreadPool {
     uint64_t worker_tasks = 0;    ///< Tasks executed by the worker loop.
     uint64_t joiner_tasks = 0;    ///< Tasks executed by threads waiting
                                   ///< in a ParallelFor join.
-    uint64_t nested_tasks = 0;    ///< Executed helper tasks belonging to
-                                  ///< nested regions (caller budget was
-                                  ///< finite at launch).
+    /// Always 0: a region's bodies never start another region (see the
+    /// file comment). Kept because pipbench reports it.
+    uint64_t nested_tasks = 0;
     uint64_t steals = 0;          ///< Tasks taken from another worker's
                                   ///< deque (or any deque, for threads
                                   ///< without one).
@@ -101,31 +95,10 @@ class ThreadPool {
   /// concurrency", anything else is taken literally.
   static size_t ResolveThreads(size_t requested);
 
-  /// The calling thread's parallelism budget: the number of concurrent
-  /// executors a parallel region started here may use. Threads outside
-  /// any parallel region hold an unlimited budget; inside a ParallelFor
-  /// chunk body the budget is the region's fractional share
-  /// (max(1, region budget / executors)); inside a bare Submit() task it
-  /// is 1.
-  static size_t ParallelismBudget();
-
-  /// RAII token that caps the calling thread's parallelism budget for a
-  /// scope. The cap only ever shrinks (`min` with the inherited budget):
-  /// a nested scope cannot re-expand what an outer region reserved.
-  /// (ParallelFor internally installs the fractional share it computed
-  /// for its bodies — that share is itself ≤ the region's budget, so the
-  /// shrink-only invariant holds across the pool handoff too.)
-  class BudgetScope {
-   public:
-    explicit BudgetScope(size_t budget);
-    ~BudgetScope();
-
-    BudgetScope(const BudgetScope&) = delete;
-    BudgetScope& operator=(const BudgetScope&) = delete;
-
-   private:
-    size_t saved_;
-  };
+  /// The width a region started on the calling thread may use for a
+  /// `num_threads` option value: 1 inside a region's chunk body (a
+  /// ParallelFor there runs inline), else ResolveThreads(num_threads).
+  static size_t Width(size_t num_threads);
 
   /// Runs `fn(chunk_index)` for every chunk_index in [0, num_chunks),
   /// using up to `max_workers` concurrent executors (the calling thread
@@ -134,19 +107,12 @@ class ThreadPool {
   /// dynamic; callers must make each chunk's work independent of the
   /// others (write to disjoint slots, fold afterwards).
   ///
-  /// Reentrancy: `max_workers` is clamped to the calling thread's
-  /// ParallelismBudget(), and the region divides that budget among its
-  /// chunk bodies — with R = min(max_workers, num_chunks) executors,
-  /// every body (on pool workers and the participating caller alike)
-  /// runs at budget max(1, max_workers / R), so nested ParallelFor
-  /// calls fan out across the leftover width instead of always
-  /// degrading inline. While the region's helpers are outstanding the
-  /// caller join-steals: it executes pending pool tasks (its own
-  /// region's chunks drain first via the shared chunk counter) rather
-  /// than blocking, which keeps nested fan-out deadlock-free. A loop
-  /// that degrades for lack of budget or chunks does NOT reduce its
-  /// callees' budget (it is not a parallel region), so e.g. a
-  /// single-chunk region leaves the whole budget to its body.
+  /// Runs inline, on the calling thread and in chunk order, when the
+  /// caller is inside a region's chunk body, when `max_workers` <= 1, or
+  /// when there is one chunk. Otherwise the region fans out, and while
+  /// its helpers are outstanding the caller join-steals: it executes
+  /// pending pool tasks (its own region's chunks drain first via the
+  /// shared chunk counter) rather than blocking.
   void ParallelFor(size_t num_chunks, size_t max_workers,
                    const std::function<void(size_t)>& fn);
 
@@ -173,7 +139,6 @@ class ThreadPool {
     std::atomic<uint64_t> inline_regions{0};
     std::atomic<uint64_t> worker_tasks{0};
     std::atomic<uint64_t> joiner_tasks{0};
-    std::atomic<uint64_t> nested_tasks{0};
     std::atomic<uint64_t> steals{0};
     std::atomic<uint64_t> join_waits{0};
     std::atomic<uint64_t> join_wait_micros{0};

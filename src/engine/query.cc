@@ -277,9 +277,9 @@ StatusOr<Prepared<Table>> PrepareAnalyze(const CTable& table,
   // Each row makes one call per expectation column (the first also
   // yields conf() when asked), or one conf() call when there are none.
   // The triage answers exact calls and index hits now; Run samples the
-  // rest row-parallel (rows outer, each row's engine calls under the
-  // region's fractional budget share, the shape-keyed PlanCache
-  // amortizing planning across rows). Results land in per-call slots
+  // rest through ParallelRows (rows fan out when they fill the width,
+  // else each row's samples do; the shape-keyed PlanCache amortizes
+  // planning across rows). Results land in per-call slots
   // and emitted rows fold in row order below, so the output table is
   // byte-identical to a serial row loop at every num_threads.
   const bool conf_only = exp_idx.empty() && spec.with_confidence;

@@ -393,12 +393,11 @@ StatusOr<Table> GroupedAggregate(const AggregateEvaluator& evaluator,
       break;
   }
   Table out((Schema(out_columns)));
-  // Groups are independent per-table aggregations, so they fan out as
-  // the outer parallel axis; the per-group evaluators' own row loops
-  // run under the region's fractional budget share (with fewer groups
-  // than threads the inner rows/samples fan out across the leftover
-  // width). Values land in per-group slots and emit in group order:
-  // identical to the serial loop.
+  // Groups are independent per-table aggregations: with at least as
+  // many groups as threads they fan out and each group's rows run
+  // inline; with fewer, groups run serially and each group's row sweep
+  // (or its rows' samples) takes the width. Values land in per-group
+  // slots and emit in group order: identical to the serial loop.
   std::vector<double> values(groups.size(), 0.0);
   PIP_RETURN_IF_ERROR(ParallelRows(
       groups.size(), evaluator.engine().options().num_threads,

@@ -95,13 +95,13 @@ void RunChunkedWaves(uint64_t cap, size_t chunk, size_t start_chunk,
                      bool wave_limited, size_t num_threads, const Run& run,
                      const Fold& fold) {
   const size_t nchunks = NumChunks(cap, chunk);
-  // Clamped to the parallelism budget so a nested (inline) engine call
-  // sizes its waves like the serial engine: one chunk per barrier check,
-  // no over-computed chunks for the in-order fold to discard. Wave width
-  // never affects the folded chunk set — only how much speculative work
-  // exists past the stopping point — so this is throughput-only.
-  const size_t workers = std::min(ThreadPool::ResolveThreads(num_threads),
-                                  ThreadPool::ParallelismBudget());
+  // Width 1 inside a region's body, so an engine call there (which runs
+  // inline) sizes its waves like the serial engine: one chunk per
+  // barrier check, no over-computed chunks for the in-order fold to
+  // discard. Wave width never affects the folded chunk set — only how
+  // much speculative work exists past the stopping point — so this is
+  // throughput-only.
+  const size_t workers = ThreadPool::Width(num_threads);
   size_t c = start_chunk;
   bool stopped = false;
   std::vector<Outcome> wave;
@@ -290,16 +290,19 @@ struct SamplingEngine::AcceptRun {
   bool collapsed = false;
 };
 
-std::shared_ptr<const PlanSkeleton> SamplingEngine::Skeleton(
-    const Condition& condition, const VarSet& target_vars,
-    std::vector<VarRef>* canon_vars) const {
+SamplingEngine::Shape SamplingEngine::Skeleton(
+    const Condition& condition, const VarSet& target_vars) const {
+  Shape shape;
   std::string key = PlanShapeKey(condition, target_vars, *pool_,
-                                 PlanShapeFlagBits(options_), canon_vars);
-  std::shared_ptr<const PlanSkeleton> skeleton = plan_cache_->Lookup(key);
-  if (skeleton != nullptr) return skeleton;
+                                 PlanShapeFlagBits(options_),
+                                 &shape.canon_vars);
+  shape.skeleton = plan_cache_->Lookup(key);
+  if (shape.skeleton != nullptr) return shape;
   auto built = std::make_shared<PlanSkeleton>();
   std::map<VarRef, size_t> slot_of;
-  for (size_t s = 0; s < canon_vars->size(); ++s) slot_of[(*canon_vars)[s]] = s;
+  for (size_t s = 0; s < shape.canon_vars.size(); ++s) {
+    slot_of[shape.canon_vars[s]] = s;
+  }
   for (const auto& g : PartitionIndependent(condition, target_vars)) {
     PlanSkeleton::Group sg;
     sg.var_slots.reserve(g.vars.size());
@@ -311,12 +314,13 @@ std::shared_ptr<const PlanSkeleton> SamplingEngine::Skeleton(
     built->groups.push_back(std::move(sg));
   }
   plan_cache_->Insert(key, built);
-  return built;
+  shape.skeleton = std::move(built);
+  return shape;
 }
 
 StatusOr<std::vector<SamplingEngine::GroupPlan>> SamplingEngine::PlanGroups(
     const Condition& condition, const VarSet& target_vars,
-    bool* inconsistent) const {
+    bool* inconsistent, const Shape* shape) const {
   *inconsistent = false;
   if (condition.IsKnownFalse()) {
     *inconsistent = true;
@@ -336,13 +340,15 @@ StatusOr<std::vector<SamplingEngine::GroupPlan>> SamplingEngine::PlanGroups(
   std::vector<VariableGroup> groups;
   std::vector<bool> exact_eligible;
   if (options_.use_independence) {
-    std::vector<VarRef> canon_vars;
-    std::shared_ptr<const PlanSkeleton> skeleton =
-        Skeleton(condition, target_vars, &canon_vars);
-    groups.reserve(skeleton->groups.size());
-    for (const auto& sg : skeleton->groups) {
+    Shape looked_up;
+    if (shape == nullptr) {
+      looked_up = Skeleton(condition, target_vars);
+      shape = &looked_up;
+    }
+    groups.reserve(shape->skeleton->groups.size());
+    for (const auto& sg : shape->skeleton->groups) {
       VariableGroup g;
-      for (size_t slot : sg.var_slots) g.vars.insert(canon_vars[slot]);
+      for (size_t slot : sg.var_slots) g.vars.insert(shape->canon_vars[slot]);
       g.atom_indices = sg.atom_indices;
       g.touches_target = sg.touches_target;
       groups.push_back(std::move(g));
@@ -1123,6 +1129,12 @@ StatusOr<double> SamplingEngine::EstimateGroupProbability(
 StatusOr<ExpectationResult> SamplingEngine::Expectation(
     const ExprPtr& expr, const Condition& condition,
     bool compute_probability) const {
+  return Expectation(expr, condition, compute_probability, /*shape=*/nullptr);
+}
+
+StatusOr<ExpectationResult> SamplingEngine::Expectation(
+    const ExprPtr& expr, const Condition& condition, bool compute_probability,
+    const Shape* shape) const {
   ExpectationResult result;
   if (condition.IsKnownFalse()) {
     result.expectation = kNan;
@@ -1133,8 +1145,9 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
 
   VarSet target_vars = expr->Variables();
   bool inconsistent = false;
-  PIP_ASSIGN_OR_RETURN(std::vector<GroupPlan> plans,
-                       PlanGroups(condition, target_vars, &inconsistent));
+  PIP_ASSIGN_OR_RETURN(
+      std::vector<GroupPlan> plans,
+      PlanGroups(condition, target_vars, &inconsistent, shape));
   if (inconsistent) {
     result.expectation = kNan;
     result.probability = 0.0;
@@ -1244,37 +1257,57 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
 
 StatusOr<ExpectationResult> SamplingEngine::Confidence(
     const Condition& condition) const {
+  return Confidence(condition, /*shape=*/nullptr);
+}
+
+StatusOr<ExpectationResult> SamplingEngine::Confidence(
+    const Condition& condition, const Shape* shape) const {
   // conf() is expectation of the constant 1 with getP (the probability is
   // the interesting output).
-  PIP_ASSIGN_OR_RETURN(
-      ExpectationResult r,
-      Expectation(Expr::Constant(1.0), condition, /*compute_probability=*/true));
+  PIP_ASSIGN_OR_RETURN(ExpectationResult r,
+                       Expectation(Expr::Constant(1.0), condition,
+                                   /*compute_probability=*/true, shape));
   if (std::isnan(r.expectation)) r.probability = 0.0;
   return r;
 }
 
-bool SamplingEngine::ClosedForm(const Expr* expr,
-                                const Condition& condition) const {
-  const bool expr_deterministic = expr == nullptr || expr->IsDeterministic();
-  if (condition.IsKnownFalse()) return true;
-  if (condition.IsDeterministic()) return expr_deterministic;
-  // Exact-CDF groups hold one variable under var-vs-constant atoms, so any
-  // other atom (e.g. one over two variables) rules the call out before a
-  // shape key is built.
-  if (!expr_deterministic || !options_.use_independence) return false;
-  for (const ConstraintAtom& atom : condition.atoms()) {
-    const bool var_const =
-        (atom.lhs()->op() == ExprOp::kVar && atom.rhs()->IsConstant()) ||
-        (atom.rhs()->op() == ExprOp::kVar && atom.lhs()->IsConstant());
-    if (!var_const) return false;
+StatusOr<std::optional<ExpectationResult>> SamplingEngine::ClosedForm(
+    const ExprPtr* expr, const Condition& condition,
+    bool compute_probability) const {
+  const bool expr_deterministic =
+      expr == nullptr || (*expr)->IsDeterministic();
+  const bool deterministic =
+      condition.IsKnownFalse() ||
+      (condition.IsDeterministic() && expr_deterministic);
+  Shape shape;
+  if (!deterministic) {
+    // Exact-CDF groups hold one variable under var-vs-constant atoms, so
+    // any other atom (e.g. one over two variables) rules the call out
+    // before a shape key is built.
+    if (!expr_deterministic || !options_.use_independence) {
+      return std::optional<ExpectationResult>{};
+    }
+    for (const ConstraintAtom& atom : condition.atoms()) {
+      const bool var_const =
+          (atom.lhs()->op() == ExprOp::kVar && atom.rhs()->IsConstant()) ||
+          (atom.rhs()->op() == ExprOp::kVar && atom.lhs()->IsConstant());
+      if (!var_const) return std::optional<ExpectationResult>{};
+    }
+    // The target has no variables, so this is the skeleton the call
+    // itself plans with.
+    shape = Skeleton(condition, VarSet());
+    for (const auto& group : shape.skeleton->groups) {
+      if (!group.exact_eligible) return std::optional<ExpectationResult>{};
+    }
   }
-  std::vector<VarRef> canon_vars;
-  std::shared_ptr<const PlanSkeleton> skeleton =
-      Skeleton(condition, VarSet(), &canon_vars);
-  for (const auto& group : skeleton->groups) {
-    if (!group.exact_eligible) return false;
-  }
-  return true;
+  const Shape* planned = deterministic ? nullptr : &shape;
+  std::optional<ExpectationResult> result;
+  PIP_ASSIGN_OR_RETURN(
+      result,
+      expr == nullptr
+          ? Confidence(condition, planned)
+          : Expectation(*expr, condition, compute_probability, planned));
+  return result;
 }
 
 StatusOr<double> SamplingEngine::JointConfidence(

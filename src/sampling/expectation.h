@@ -22,6 +22,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/constraints/consistency.h"
@@ -220,14 +221,18 @@ class SamplingEngine {
   /// conf(): P[condition] for a conjunctive condition.
   StatusOr<ExpectationResult> Confidence(const Condition& condition) const;
 
-  /// True when Expectation(expr, condition, ...), or Confidence(condition)
-  /// for a null `expr`, is answered in closed form: the call is
-  /// deterministic, or `expr` has no variables and every independent
-  /// group of `condition` is exact-CDF eligible by its shape-keyed plan
-  /// skeleton. Such a call makes no draw and no quadrature. Conditions
-  /// with an atom that is not variable-vs-constant return false before
-  /// any shape key is built.
-  bool ClosedForm(const Expr* expr, const Condition& condition) const;
+  /// Expectation(*expr, condition, compute_probability), or
+  /// Confidence(condition) for a null `expr`, when that call is answered
+  /// in closed form: the call is deterministic, or `*expr` has no
+  /// variables and every independent group of `condition` is exact-CDF
+  /// eligible by its shape-keyed plan skeleton. Such a call makes no draw
+  /// and no quadrature, and plans with the skeleton the check looked up,
+  /// so it builds one shape key. std::nullopt, with no call made,
+  /// otherwise; conditions with an atom that is not variable-vs-constant
+  /// get it before any shape key is built.
+  StatusOr<std::optional<ExpectationResult>> ClosedForm(
+      const ExprPtr* expr, const Condition& condition,
+      bool compute_probability) const;
 
   /// aconf(): P[c1 OR c2 OR ...] for the bag-encoded disjuncts of one
   /// distinct row group. Uses inclusion-exclusion over exact/estimated
@@ -248,19 +253,33 @@ class SamplingEngine {
   struct ChunkBatch;
   struct AcceptRun;
 
+  /// A plan skeleton and the canonical VarRefs its slots index.
+  struct Shape {
+    std::shared_ptr<const PlanSkeleton> skeleton;
+    std::vector<VarRef> canon_vars;
+  };
+
   /// The structure-only skeleton of (condition, target_vars), from the
-  /// shape cache or built and cached now. Appends the canonical VarRefs
-  /// to *canon_vars (see PlanCache::ShapeKey).
-  std::shared_ptr<const PlanSkeleton> Skeleton(
-      const Condition& condition, const VarSet& target_vars,
-      std::vector<VarRef>* canon_vars) const;
+  /// shape cache or built and cached now, with the canonical VarRefs of
+  /// its key (see PlanShapeKey in shape_key.h).
+  Shape Skeleton(const Condition& condition,
+                 const VarSet& target_vars) const;
+
+  /// Expectation and Confidence planning with `shape` when non-null: the
+  /// skeleton of (condition, expr's variables) a caller already holds.
+  StatusOr<ExpectationResult> Expectation(const ExprPtr& expr,
+                                          const Condition& condition,
+                                          bool compute_probability,
+                                          const Shape* shape) const;
+  StatusOr<ExpectationResult> Confidence(const Condition& condition,
+                                         const Shape* shape) const;
 
   /// Builds per-group strategy plans. Sets *inconsistent when the
   /// condition is unsatisfiable. Structure-only planning decisions come
-  /// from the shape cache when possible.
-  StatusOr<std::vector<GroupPlan>> PlanGroups(const Condition& condition,
-                                              const VarSet& target_vars,
-                                              bool* inconsistent) const;
+  /// from `shape` when non-null, else from the shape cache.
+  StatusOr<std::vector<GroupPlan>> PlanGroups(
+      const Condition& condition, const VarSet& target_vars,
+      bool* inconsistent, const Shape* shape = nullptr) const;
 
   /// Pre-draws `len` consecutive samples from absolute index
   /// `sample_begin` under attempt key `attempt` for every natural

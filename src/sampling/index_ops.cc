@@ -1,6 +1,7 @@
 #include "src/sampling/index_ops.h"
 
 #include <cmath>
+#include <optional>
 
 #include "src/common/row_parallel.h"
 #include "src/sampling/shape_key.h"
@@ -76,10 +77,12 @@ RowTriage::RowTriage(SamplingEngine engine, const CTable& source,
 
 Status RowTriage::Classify(const SamplingEngine& engine, Slot* slot) const {
   const RowCall& call = slot->call;
-  if (engine.ClosedForm(call.expr != nullptr ? call.expr->get() : nullptr,
-                        *call.condition)) {
+  PIP_ASSIGN_OR_RETURN(std::optional<ExpectationResult> exact,
+                       engine.ClosedForm(call.expr, *call.condition,
+                                         call.compute_probability));
+  if (exact.has_value()) {
     slot->kind = Kind::kExact;
-    PIP_ASSIGN_OR_RETURN(slot->result, Call(engine, call));
+    slot->result = *exact;
     return Status::OK();
   }
   slot->kind = Kind::kSample;

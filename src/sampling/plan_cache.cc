@@ -1,18 +1,6 @@
 #include "src/sampling/plan_cache.h"
 
-#include "src/sampling/shape_key.h"
-
 namespace pip {
-
-std::string PlanCache::ShapeKey(const Condition& condition,
-                                const VarSet& target_vars,
-                                const VariablePool& pool, uint32_t flag_bits,
-                                std::vector<VarRef>* canon_vars) {
-  // One serializer (shape_key.cc) feeds both this cache and the
-  // expectation index, so the two cannot drift on what "same shape"
-  // means.
-  return PlanShapeKey(condition, target_vars, pool, flag_bits, canon_vars);
-}
 
 std::shared_ptr<const PlanSkeleton> PlanCache::Lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);

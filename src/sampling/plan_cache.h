@@ -16,7 +16,8 @@
 /// is how Analyze / AnalyzeJointConfidence batch rows sharing a shape and
 /// pay the planning pass once (ROADMAP "Batching" item).
 ///
-/// Keys abstract constants to their Value type and variables to
+/// Keys (PlanShapeKey, shape_key.h; the expectation index shares the
+/// serializer) abstract constants to their Value type and variables to
 /// (canonical id, component, distribution class); the canonical id
 /// numbering follows first appearance so the key also encodes which atoms
 /// share variables. Engine flags that change planning decisions
@@ -34,15 +35,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/dist/variable_pool.h"
-#include "src/expr/condition.h"
-
 namespace pip {
 
 /// \brief The structure-only part of a group plan.
 struct PlanSkeleton {
   struct Group {
-    /// Indices into the canonical variable order returned by ShapeKey;
+    /// Indices into the canonical variable order of PlanShapeKey
+    /// (shape_key.h);
     /// instantiation maps them back to the row's actual VarRefs.
     std::vector<size_t> var_slots;
     std::vector<size_t> atom_indices;
@@ -61,15 +60,6 @@ class PlanCache {
     size_t hits = 0;
     size_t misses = 0;
   };
-
-  /// Builds the canonical shape key of (condition, target_vars) and
-  /// appends the distinct VarRefs in canonical slot order to *canon_vars
-  /// (cleared first). `flag_bits` folds planning-relevant engine options
-  /// into the key.
-  static std::string ShapeKey(const Condition& condition,
-                              const VarSet& target_vars,
-                              const VariablePool& pool, uint32_t flag_bits,
-                              std::vector<VarRef>* canon_vars);
 
   /// Cached skeleton for `key`, or nullptr (counts a hit/miss).
   std::shared_ptr<const PlanSkeleton> Lookup(const std::string& key);

@@ -487,9 +487,9 @@ class Parser {
     if (Peek().Is("POOL")) {
       Advance();
       PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-      // Scheduler observability: the shared pool's cooperative-scheduling
-      // counters (join-stealing + fractional budget splits), so
-      // saturation is measurable over the wire, not assumed.
+      // Scheduler observability: the shared pool's counters (regions,
+      // join-stealing; nested_tasks is always 0, one axis per region),
+      // so saturation is measurable over the wire, not assumed.
       ThreadPool& pool = ThreadPool::Shared();
       const ThreadPool::SchedulerStats stats = pool.scheduler_stats();
       Table table(Schema({"metric", "value"}));

@@ -445,6 +445,25 @@ TEST_F(TriageTest, ExactCountMakesNoIndexLookupOrInsert) {
   EXPECT_EQ(count.table.row(0)[0].double_value(), want);
 }
 
+TEST_F(TriageTest, ExactCountPlansEachRowOnce) {
+  // An exact call plans with the skeleton its closed-form check looked
+  // up: one plan-cache lookup per row, and the engine's own bits.
+  sql::Session session(&db_);
+  const PlanCache::Stats before = db_.plan_cache_stats();
+  sql::SqlResult count = session.Execute("SELECT expected_count(*) FROM m");
+  ASSERT_TRUE(count.ok()) << count.ToString();
+  const PlanCache::Stats after = db_.plan_cache_stats();
+  EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses),
+            kRows);
+
+  const SamplingEngine engine = db_.MakeEngine(options_);
+  double want = 0.0;
+  for (size_t r = 0; r < kRows; ++r) {
+    want += engine.Confidence(table_->row(r).condition).value().probability;
+  }
+  EXPECT_EQ(count.table.row(0)[0].double_value(), want);
+}
+
 TEST_F(TriageTest, MixedTableSortsIntoExactHitAndSample) {
   // Warm rows 2 and 3: their expectation(v) calls sample and backfill.
   RowTriage warm = Triage(4, [this](size_t r, size_t) {

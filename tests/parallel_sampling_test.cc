@@ -491,34 +491,22 @@ TEST_F(ParallelEngineTest, QuantileTableBuiltOncePerPlanNotPerAttempt) {
 // ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
-// Nesting-aware scheduling: the parallelism budget
+// One parallel axis per region, and join-stealing
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolTest, ChunkBodiesRunUnderUnitBudget) {
-  // Outside any parallel region the budget is unlimited; inside a chunk
-  // body (on workers and on the participating caller alike) it is 1, so
-  // nested parallel regions degrade to inline serial execution.
-  EXPECT_GT(ThreadPool::ParallelismBudget(), 1u);
-  std::vector<size_t> budgets(6, 0);
-  ThreadPool::For(budgets.size(), 4, [&](size_t i) {
-    budgets[i] = ThreadPool::ParallelismBudget();
-  });
-  for (size_t b : budgets) EXPECT_EQ(b, 1u);
+TEST(ThreadPoolTest, ChunkBodiesSeeWidthOne) {
+  // Outside any region the width is the resolved thread count; inside a
+  // chunk body (on workers and on the participating caller alike) it is
+  // 1, so a region's body never starts another region.
+  EXPECT_EQ(ThreadPool::Width(8), 8u);
+  std::vector<size_t> widths(6, 0);
+  ThreadPool::For(widths.size(), 4,
+                  [&](size_t i) { widths[i] = ThreadPool::Width(8); });
+  for (size_t w : widths) EXPECT_EQ(w, 1u);
+  EXPECT_EQ(ThreadPool::Width(8), 8u);  // Restored after the region.
 }
 
-TEST(ThreadPoolTest, BudgetScopeShrinksAndRestores) {
-  size_t outer = ThreadPool::ParallelismBudget();
-  {
-    ThreadPool::BudgetScope cap(3);
-    EXPECT_EQ(ThreadPool::ParallelismBudget(), 3u);
-    // A nested scope can only shrink the cap, never re-expand it.
-    ThreadPool::BudgetScope wider(8);
-    EXPECT_EQ(ThreadPool::ParallelismBudget(), 3u);
-  }
-  EXPECT_EQ(ThreadPool::ParallelismBudget(), outer);
-}
-
-TEST(ThreadPoolTest, NestedParallelForRunsInlineUnderUnitBudget) {
+TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   // A nested loop inside a chunk body must execute on the same thread
   // (inline), not fan back into the pool.
   std::atomic<bool> all_inline{true};
@@ -531,56 +519,39 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineUnderUnitBudget) {
   EXPECT_TRUE(all_inline.load());
 }
 
-TEST(ThreadPoolTest, DegradedLoopKeepsBudgetForItsBody) {
-  // A single-chunk (or single-worker) loop is not a parallel region: its
-  // body keeps the inherited budget so deeper calls may still fan out.
-  size_t seen = 0;
-  ThreadPool::For(1, 8, [&](size_t) { seen = ThreadPool::ParallelismBudget(); });
-  EXPECT_GT(seen, 1u);
+TEST(ThreadPoolTest, DegradedLoopLetsItsBodyFanOut) {
+  // A single-chunk (or single-worker) loop is not a region: its body
+  // keeps the full width, so deeper calls may still fan out.
+  size_t one_chunk = 0;
+  ThreadPool::For(1, 8, [&](size_t) { one_chunk = ThreadPool::Width(8); });
+  EXPECT_EQ(one_chunk, 8u);
+  std::vector<size_t> one_worker(3, 0);
+  ThreadPool::For(one_worker.size(), 1,
+                  [&](size_t i) { one_worker[i] = ThreadPool::Width(8); });
+  for (size_t w : one_worker) EXPECT_EQ(w, 8u);
 }
 
-// ---------------------------------------------------------------------------
-// Fractional budget splits and join-stealing
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, FractionalSplitDividesBudgetAmongBodies) {
-  // A 2-chunk region on an 8-wide request uses 2 executors and hands each
-  // body max(1, 8 / 2) = 4 — the leftover width, so nested regions can
-  // still fan out instead of degrading inline.
-  std::vector<size_t> budgets(2, 0);
-  ThreadPool::For(2, 8,
-                  [&](size_t i) { budgets[i] = ThreadPool::ParallelismBudget(); });
-  EXPECT_EQ(budgets[0], 4u);
-  EXPECT_EQ(budgets[1], 4u);
-}
-
-TEST(ThreadPoolTest, NestedRegionsFanOutAndCountNestedTasks) {
+TEST(ThreadPoolTest, NestedLoopsRunInlineAndCountNoNestedTasks) {
   // Private pool so the counters are isolated from other tests' use of
-  // Shared(). Outer 2-chunk region at width 8 → bodies run at budget 4 →
-  // each body's inner 4-chunk loop is a real region again (4 executors,
-  // 3 helper tasks). nested_tasks counts *executed* helpers of regions
-  // launched under a finite budget; every submitted helper runs (at
-  // worst as a no-op drain) before its region's join returns, so the
-  // total is exact once the outer loop returns.
+  // Shared(). The outer 2-chunk loop at width 8 is the only region; each
+  // body's inner 4-chunk loop runs inline, so no helper task of a nested
+  // region ever exists.
   ThreadPool pool(4);
   std::atomic<size_t> leaves{0};
   pool.ParallelFor(2, 8, [&](size_t) {
-    EXPECT_EQ(ThreadPool::ParallelismBudget(), 4u);
     pool.ParallelFor(4, 8, [&](size_t) { ++leaves; });
   });
   EXPECT_EQ(leaves.load(), 8u);
   const ThreadPool::SchedulerStats stats = pool.scheduler_stats();
-  EXPECT_EQ(stats.regions, 3u);       // One outer + two nested.
-  EXPECT_EQ(stats.nested_tasks, 6u);  // 3 helpers per nested region.
-  EXPECT_EQ(stats.inline_regions, 0u);
+  EXPECT_EQ(stats.regions, 1u);
+  EXPECT_EQ(stats.inline_regions, 2u);  // One inner loop per outer body.
+  EXPECT_EQ(stats.nested_tasks, 0u);
 }
 
 TEST(ThreadPoolTest, JoinStealingCompletesRegionWithAllWorkersBlocked) {
   // The pool's only worker is parked inside a long task, so the region's
   // helper task can never run on a worker. The join must not block on it:
-  // the joining caller steals the queued helper and runs it itself,
-  // which is exactly the mechanism that makes nested fan-out
-  // deadlock-free.
+  // the joining caller steals the queued helper and runs it itself.
   ThreadPool pool(1);
   std::atomic<bool> blocked{false};
   std::atomic<bool> release{false};
@@ -599,19 +570,51 @@ TEST(ThreadPoolTest, JoinStealingCompletesRegionWithAllWorkersBlocked) {
   EXPECT_GE(stats.steals, 1u);
 }
 
-TEST(ThreadPoolTest, NestedSaturationIsDeadlockFree) {
-  // Three levels of nesting on a 3-worker pool: more live regions than
-  // workers, every thread repeatedly inside some join. Completing at all
-  // is the assertion — before join-stealing this shape could wedge with
-  // all threads waiting on queued tasks nobody was left to run.
-  ThreadPool pool(3);
+TEST(ThreadPoolTest, ConcurrentRegionsAreDeadlockFree) {
+  // Four callers (like four server sessions) open wide regions on a
+  // 2-worker pool at once, so every join can find other regions' helpers
+  // queued. Completing at all, with every chunk run once, is the
+  // assertion: joiners run what they find instead of waiting on it.
+  ThreadPool pool(2);
+  constexpr size_t kCallers = 4;
+  constexpr size_t kRounds = 50;
   std::atomic<size_t> leaves{0};
-  pool.ParallelFor(3, 16, [&](size_t) {
-    pool.ParallelFor(3, 16, [&](size_t) {
-      pool.ParallelFor(2, 16, [&](size_t) { ++leaves; });
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&] {
+      for (size_t r = 0; r < kRounds; ++r) {
+        pool.ParallelFor(6, 16, [&](size_t) { ++leaves; });
+      }
     });
-  });
-  EXPECT_EQ(leaves.load(), 18u);
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(leaves.load(), kCallers * kRounds * 6);
+  EXPECT_EQ(pool.scheduler_stats().regions, kCallers * kRounds);
+}
+
+TEST(ThreadPoolTest, ParallelRowsPicksOneAxis) {
+  // Fewer rows than the width: the rows run serially outside any region,
+  // so each row's inner loop (its sample axis) fans out. At least as
+  // many rows as the width: the rows fan out and each body is inside the
+  // region, so its inner loop runs inline.
+  ThreadPool& pool = ThreadPool::Shared();
+  for (size_t rows : {2, 8}) {
+    std::vector<size_t> widths(rows, 0);
+    const ThreadPool::SchedulerStats before = pool.scheduler_stats();
+    Status s = ParallelRows(
+        rows, 8, [&](size_t row, const RowBatchContext&) -> Status {
+          widths[row] = ThreadPool::Width(8);
+          ThreadPool::For(4, 8, [](size_t) {});
+          return Status::OK();
+        });
+    ASSERT_TRUE(s.ok());
+    const ThreadPool::SchedulerStats after = pool.scheduler_stats();
+    const bool rows_fan_out = rows >= 8;
+    for (size_t w : widths) EXPECT_EQ(w, rows_fan_out ? 1u : 8u);
+    EXPECT_EQ(after.regions - before.regions, rows_fan_out ? 1u : rows)
+        << "rows=" << rows;
+    EXPECT_EQ(after.nested_tasks - before.nested_tasks, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -763,10 +766,10 @@ TEST_F(RowParallelTest, ProbabilisticPassthroughErrorMatchesSerial) {
 }
 
 TEST_F(RowParallelTest, AnalyzeNestedShapesBitIdenticalToSerial) {
-  // The fractional-split scheduler's few-rows-many-threads shapes: with
-  // rows < threads each row body gets a multi-executor budget share and
-  // the sample axis fans out *inside* a row region. Every shape must
-  // still be byte-identical to the serial row loop.
+  // Few-rows-many-threads shapes: with rows < threads the rows run
+  // serially and each row's sample axis fans out; with rows >= threads
+  // the rows fan out. Every shape must still be byte-identical to the
+  // serial row loop.
   for (int rows : {1, 2, 4}) {
     CTable t = MakeBatch(rows);
     AnalyzeSpec spec;
@@ -787,8 +790,8 @@ TEST_F(RowParallelTest, AnalyzeNestedShapesBitIdenticalToSerial) {
 }
 
 TEST_F(RowParallelTest, AconfBitIdenticalAtOddThreadCounts) {
-  // Odd thread counts make the fractional split uneven (budget / R
-  // truncates); the fold must stay byte-identical regardless.
+  // Odd thread counts give uneven region widths; the fold must stay
+  // byte-identical regardless.
   CTable t(Schema({"tag"}));
   for (int g = 0; g < 5; ++g) {
     for (int d = 0; d < 2; ++d) {
@@ -811,9 +814,9 @@ TEST_F(RowParallelTest, AconfBitIdenticalAtOddThreadCounts) {
 }
 
 TEST_F(RowParallelTest, GroupedAggregateNestedShapesBitIdenticalToSerial) {
-  // Grouped aggregation nests three levels deep (groups → rows →
-  // samples); run it across the nested-shape grid, including group
-  // counts below the thread count.
+  // Grouped aggregation has three axes (groups, rows, samples), one per
+  // region; run it across the nested-shape grid, including group counts
+  // below the thread count.
   for (int groups : {1, 2, 4}) {
     CTable t(Schema({"g", "v"}));
     for (int g = 0; g < groups; ++g) {

@@ -513,11 +513,11 @@ TEST(ServerAdmissionTest, SamplingStatementsAreGated) {
   {
     Client setup;
     ASSERT_TRUE(setup.Connect("127.0.0.1", srv.port()).ok());
-    ASSERT_TRUE(setup.Execute("CREATE TABLE t (v)").value().ok());
-    ASSERT_TRUE(
-        setup.Execute("INSERT INTO t VALUES (Normal(0, 1)), (Uniform(0, 9))")
-            .value()
-            .ok());
+    ASSERT_TRUE(setup.Execute("CREATE TABLE t (v, w)").value().ok());
+    const char* insert =
+        "INSERT INTO t VALUES (Normal(0, 1), Normal(1, 1)), "
+        "(Uniform(0, 9), Normal(2, 1))";
+    ASSERT_TRUE(setup.Execute(insert).value().ok());
   }
 
   constexpr int kClients = 4;
@@ -533,10 +533,12 @@ TEST(ServerAdmissionTest, SamplingStatementsAreGated) {
       }
       client.Execute("SET FIXED_SAMPLES = 20000");
       // Index off, so every statement samples: a warm index would answer
-      // the repeats without admission (see AdmissionWeightTest).
+      // the repeats without admission (see AdmissionWeightTest). A
+      // product of two variables draws; one variable alone would be
+      // answered by quadrature.
       client.Execute("SET INDEX_ENABLED = 0");
       for (int q = 0; q < kQueries; ++q) {
-        auto r = client.Execute("SELECT expected_sum(v) FROM t");
+        auto r = client.Execute("SELECT expected_sum(v * w) FROM t");
         if (!r.ok() || !r.value().ok()) errors.fetch_add(1);
       }
     });
