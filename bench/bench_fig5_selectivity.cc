@@ -206,8 +206,14 @@ void BatchDrawAblation() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Spin calibrations bracket the run: the cores the machine lent it at
+  // the start and at the end.
+  AppendBenchRecords(BenchJsonPath(),
+                     {pip::bench::SpinCalibration("fig5_start")});
   PrintFigure5();
   BatchDrawAblation();
+  AppendBenchRecords(BenchJsonPath(),
+                     {pip::bench::SpinCalibration("fig5_end")});
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

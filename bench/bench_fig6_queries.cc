@@ -393,9 +393,8 @@ void NestedShapeSweep() {
   std::printf("=== Nested-shape sweep: rows x %zu threads, %zu samples, "
               "one parallel axis per region ===\n",
               threads, samples);
-  std::printf("%6s %12s %12s %10s %14s %10s %12s\n", "rows", "serial (s)",
-              "wall (s)", "regions", "joiner_tasks", "steals",
-              "join_wait_us");
+  std::printf("%6s %12s %12s %10s %12s\n", "rows", "serial (s)", "wall (s)",
+              "regions", "join_wait_us");
 
   std::vector<BenchRecord> records;
   for (size_t rows : row_shapes) {
@@ -437,13 +436,10 @@ void NestedShapeSweep() {
     const double regions = static_cast<double>(after.regions - before.regions);
     const double nested =
         static_cast<double>(after.nested_tasks - before.nested_tasks);
-    const double joiner =
-        static_cast<double>(after.joiner_tasks - before.joiner_tasks);
-    const double steals = static_cast<double>(after.steals - before.steals);
     const double wait_us = static_cast<double>(after.join_wait_micros -
                                                before.join_wait_micros);
-    std::printf("%6zu %12.3f %12.3f %10.0f %14.0f %10.0f %12.0f\n", rows,
-                serial_wall, wall, regions, joiner, steals, wait_us);
+    std::printf("%6zu %12.3f %12.3f %10.0f %12.0f\n", rows, serial_wall,
+                wall, regions, wait_us);
     PIP_CHECK_MSG(nested == 0.0,
                   "a region's body started another fanned-out region");
     if (rows < threads) {
@@ -464,8 +460,6 @@ void NestedShapeSweep() {
         wall > 0 ? static_cast<double>(rows * samples) / wall : 0.0;
     r.pool_regions = regions;
     r.pool_nested_tasks = nested;
-    r.pool_joiner_tasks = joiner;
-    r.pool_steals = steals;
     r.pool_join_wait_micros = wait_us;
     records.push_back(r);
 
@@ -476,8 +470,7 @@ void NestedShapeSweep() {
     s.samples_per_sec = serial_wall > 0
                             ? static_cast<double>(rows * samples) / serial_wall
                             : 0.0;
-    s.pool_regions = s.pool_nested_tasks = s.pool_joiner_tasks = 0;
-    s.pool_steals = s.pool_join_wait_micros = 0;
+    s.pool_regions = s.pool_nested_tasks = s.pool_join_wait_micros = 0;
     records.push_back(s);
   }
   std::printf("bit-identical to serial at every shape: yes\n\n");

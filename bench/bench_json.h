@@ -41,9 +41,7 @@ struct BenchRecord {
   // them.
   double pool_regions = 0;       ///< Fanned-out parallel regions.
   double pool_nested_tasks = 0;  ///< Always 0: one parallel axis per region.
-  double pool_joiner_tasks = 0;  ///< Tasks executed inside ParallelFor joins.
-  double pool_steals = 0;        ///< Cross-deque task takes.
-  double pool_join_wait_micros = 0;  ///< Blocked join wait time.
+  double pool_join_wait_micros = 0;  ///< Time callers blocked in joins.
   /// Process CPU time (user + system, every thread) over the measured
   /// region. cpu_seconds / wall_seconds is the parallelism the run got:
   /// near 1 for a serial region, and below the thread count when the
@@ -121,8 +119,6 @@ inline std::string ToJson(const BenchRecord& r) {
      << ",\"value\":" << r.value
      << ",\"pool_regions\":" << r.pool_regions
      << ",\"pool_nested_tasks\":" << r.pool_nested_tasks
-     << ",\"pool_joiner_tasks\":" << r.pool_joiner_tasks
-     << ",\"pool_steals\":" << r.pool_steals
      << ",\"pool_join_wait_micros\":" << r.pool_join_wait_micros
      << ",\"cpu_seconds\":" << r.cpu_seconds << "}";
   return os.str();

@@ -73,6 +73,10 @@ BenchRecord MakeRecord(const char* query, double wall, size_t rows,
 }  // namespace
 
 int main() {
+  // Spin calibrations bracket the run: the cores the machine lent it at
+  // the start and at the end.
+  AppendBenchRecords(BenchJsonPath(),
+                     {pip::bench::SpinCalibration("index_start")});
   const size_t rows = SmokeMode() ? 64 : 512;
   const size_t samples = SmokeMode() ? 500 : 2000;
   const size_t warm_iters = 10;
@@ -192,5 +196,7 @@ int main() {
   entries.value = static_cast<double>(stats.entries);
   records.push_back(entries);
   AppendBenchRecords(BenchJsonPath(), records);
+  AppendBenchRecords(BenchJsonPath(),
+                     {pip::bench::SpinCalibration("index_end")});
   return 0;
 }

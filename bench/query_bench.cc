@@ -61,6 +61,10 @@ struct Case {
 }  // namespace
 
 int main() {
+  // Spin calibrations bracket the run: the cores the machine lent it at
+  // the start and at the end.
+  AppendBenchRecords(BenchJsonPath(),
+                     {pip::bench::SpinCalibration("query_start")});
   const size_t reps = SmokeMode() ? 100 : 1000;
   const size_t warmup = 10;
 
@@ -130,5 +134,7 @@ int main() {
   std::printf("where_point / project_all = %.3f\n",
               records[0].wall_seconds / records[2].wall_seconds);
   AppendBenchRecords(BenchJsonPath(), records);
+  AppendBenchRecords(BenchJsonPath(),
+                     {pip::bench::SpinCalibration("query_end")});
   return 0;
 }

@@ -114,15 +114,13 @@ int main(int argc, char** argv) {
       ThreadPool::Shared().scheduler_stats();
   std::printf(
       "pip-server pool stats: threads=%llu regions=%llu inline=%llu "
-      "worker_tasks=%llu joiner_tasks=%llu nested_tasks=%llu steals=%llu "
-      "join_waits=%llu join_wait_micros=%llu\n",
+      "worker_tasks=%llu nested_tasks=%llu join_waits=%llu "
+      "join_wait_micros=%llu\n",
       static_cast<unsigned long long>(ThreadPool::Shared().num_threads()),
       static_cast<unsigned long long>(pool_stats.regions),
       static_cast<unsigned long long>(pool_stats.inline_regions),
       static_cast<unsigned long long>(pool_stats.worker_tasks),
-      static_cast<unsigned long long>(pool_stats.joiner_tasks),
       static_cast<unsigned long long>(pool_stats.nested_tasks),
-      static_cast<unsigned long long>(pool_stats.steals),
       static_cast<unsigned long long>(pool_stats.join_waits),
       static_cast<unsigned long long>(pool_stats.join_wait_micros));
   return 0;

@@ -488,8 +488,8 @@ class Parser {
       Advance();
       PIP_RETURN_IF_ERROR(ExpectStatementEnd());
       // Scheduler observability: the shared pool's counters (regions,
-      // join-stealing; nested_tasks is always 0, one axis per region),
-      // so saturation is measurable over the wire, not assumed.
+      // helper tasks, join waits; nested_tasks is always 0, one axis per
+      // region), so saturation is measurable over the wire, not assumed.
       ThreadPool& pool = ThreadPool::Shared();
       const ThreadPool::SchedulerStats stats = pool.scheduler_stats();
       Table table(Schema({"metric", "value"}));
@@ -498,9 +498,7 @@ class Parser {
           {"regions", stats.regions},
           {"inline_regions", stats.inline_regions},
           {"worker_tasks", stats.worker_tasks},
-          {"joiner_tasks", stats.joiner_tasks},
           {"nested_tasks", stats.nested_tasks},
-          {"steals", stats.steals},
           {"join_waits", stats.join_waits},
           {"join_wait_micros", stats.join_wait_micros},
       };

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -491,7 +493,7 @@ TEST_F(ParallelEngineTest, QuantileTableBuiltOncePerPlanNotPerAttempt) {
 // ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------
-// One parallel axis per region, and join-stealing
+// One parallel axis per region, and the caller-runs join
 // ---------------------------------------------------------------------------
 
 TEST(ThreadPoolTest, ChunkBodiesSeeWidthOne) {
@@ -548,10 +550,12 @@ TEST(ThreadPoolTest, NestedLoopsRunInlineAndCountNoNestedTasks) {
   EXPECT_EQ(stats.nested_tasks, 0u);
 }
 
-TEST(ThreadPoolTest, JoinStealingCompletesRegionWithAllWorkersBlocked) {
+TEST(ThreadPoolTest, RegionCompletesWhileEveryWorkerIsParked) {
   // The pool's only worker is parked inside a long task, so the region's
-  // helper task can never run on a worker. The join must not block on it:
-  // the joining caller steals the queued helper and runs it itself.
+  // helper stays queued. The caller runs every chunk itself and returns
+  // without waiting for the helper, which later finds nothing to claim:
+  // it runs after `fn` is gone and must not touch it (ASan and TSan cover
+  // that path).
   ThreadPool pool(1);
   std::atomic<bool> blocked{false};
   std::atomic<bool> release{false};
@@ -562,19 +566,53 @@ TEST(ThreadPoolTest, JoinStealingCompletesRegionWithAllWorkersBlocked) {
   while (!blocked) std::this_thread::yield();
   std::vector<std::atomic<int>> hits(4);
   for (auto& h : hits) h = 0;
-  pool.ParallelFor(4, 2, [&](size_t i) { ++hits[i]; });
-  release = true;
+  auto fn = std::make_unique<std::function<void(size_t)>>(
+      [&](size_t i) { ++hits[i]; });
+  pool.ParallelFor(4, 2, *fn);
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // The caller never blocked, and only the parked task has started.
   const ThreadPool::SchedulerStats stats = pool.scheduler_stats();
-  EXPECT_GE(stats.joiner_tasks, 1u);
-  EXPECT_GE(stats.steals, 1u);
+  EXPECT_EQ(stats.regions, 1u);
+  EXPECT_EQ(stats.worker_tasks, 1u);
+  EXPECT_EQ(stats.join_waits, 0u);
+  fn.reset();
+  release = true;
+  // The queue is FIFO: once a task queued now has run, so has the helper.
+  std::atomic<bool> sentinel{false};
+  pool.Submit([&] { sentinel = true; });
+  while (!sentinel) std::this_thread::yield();
+  // Three worker tasks (parked, helper, sentinel): the helper was still
+  // queued when the caller returned, and it ran on the worker, after fn.
+  EXPECT_EQ(pool.scheduler_stats().worker_tasks, 3u);
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, JoinWaitsAtMostOncePerRegion) {
+  // The caller's chunk (1 ms) ends while the helpers' chunks (5 ms) are
+  // still running, so the caller blocks; it blocks once per region
+  // however long the helpers' chunks take.
+  ThreadPool pool(2);
+  constexpr size_t kRegions = 5;
+  std::atomic<size_t> leaves{0};
+  for (size_t r = 0; r < kRegions; ++r) {
+    pool.ParallelFor(3, 3, [&](size_t i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(i == 0 ? 1 : 5));
+      ++leaves;
+    });
+  }
+  EXPECT_EQ(leaves.load(), kRegions * 3);
+  const ThreadPool::SchedulerStats stats = pool.scheduler_stats();
+  EXPECT_EQ(stats.regions, kRegions);
+  EXPECT_LE(stats.join_waits, stats.regions);
+  EXPECT_EQ(stats.steals, 0u);
 }
 
 TEST(ThreadPoolTest, ConcurrentRegionsAreDeadlockFree) {
   // Four callers (like four server sessions) open wide regions on a
-  // 2-worker pool at once, so every join can find other regions' helpers
-  // queued. Completing at all, with every chunk run once, is the
-  // assertion: joiners run what they find instead of waiting on it.
+  // 2-worker pool at once, so helpers of finished regions queue ahead of
+  // live ones. Completing at all, with every chunk run once, is the
+  // assertion: a caller runs its own chunks and waits only for chunks a
+  // running helper claimed, never for a queued one.
   ThreadPool pool(2);
   constexpr size_t kCallers = 4;
   constexpr size_t kRounds = 50;

@@ -311,33 +311,39 @@ TEST_F(SqlSessionTest, ShowTopics) {
 }
 
 TEST_F(SqlSessionTest, ShowPoolReportsSchedulerCounters) {
-  // Drive at least one fanned-out batch through the shared pool, then
-  // read the scheduler counters back over SQL.
-  Run("CREATE TABLE pool_t (v)");
-  Run("INSERT INTO pool_t VALUES (Normal(10, 2)), (Normal(20, 3))");
+  // Drive a fanned-out batch through the shared pool, then read the
+  // scheduler counters back over SQL. The two-variable target keeps the
+  // rows on the sampling path (one variable would take quadrature and
+  // open no region).
+  auto pool_metrics = [&] {
+    SqlResult r = Run("SHOW POOL");
+    EXPECT_EQ(r.kind, SqlResult::Kind::kTable);
+    EXPECT_EQ(r.table.schema().columns(),
+              (std::vector<std::string>{"metric", "value"}));
+    std::vector<std::pair<std::string, double>> metrics;
+    for (const Row& row : r.table.rows()) {
+      metrics.emplace_back(row[0].string_value(), row[1].double_value());
+    }
+    return metrics;
+  };
+  Run("CREATE TABLE pool_t (v, w)");
+  Run("INSERT INTO pool_t VALUES (Normal(10, 2), Normal(3, 1)), "
+      "(Normal(20, 3), Normal(4, 1))");
   Run("SET num_threads = 4");
   Run("SET fixed_samples = 200");
-  Run("SELECT expected_sum(v) FROM pool_t WHERE v > 5");
+  Run("SET index_enabled = 0");
+  const auto before = pool_metrics();
+  Run("SELECT expected_sum(v * w) FROM pool_t WHERE v > 5");
+  const auto after = pool_metrics();
 
-  SqlResult r = Run("SHOW POOL");
-  ASSERT_EQ(r.kind, SqlResult::Kind::kTable);
-  EXPECT_EQ(r.table.schema().columns(),
-            (std::vector<std::string>{"metric", "value"}));
-  ASSERT_EQ(r.table.num_rows(), 9u);
-  bool saw_threads = false;
-  bool saw_nested = false;
-  bool saw_joiner = false;
-  for (const Row& row : r.table.rows()) {
-    if (row[0] == Value("threads")) {
-      saw_threads = true;
-      EXPECT_GE(row[1].double_value(), 1.0);
-    }
-    if (row[0] == Value("nested_tasks")) saw_nested = true;
-    if (row[0] == Value("joiner_tasks")) saw_joiner = true;
-  }
-  EXPECT_TRUE(saw_threads);
-  EXPECT_TRUE(saw_nested);
-  EXPECT_TRUE(saw_joiner);
+  std::vector<std::string> names;
+  for (const auto& [name, value] : after) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "threads", "regions", "inline_regions", "worker_tasks",
+                       "nested_tasks", "join_waits", "join_wait_micros"}));
+  ASSERT_EQ(before.size(), after.size());
+  EXPECT_GE(after[0].second, 1.0);                     // threads
+  EXPECT_GE(after[1].second - before[1].second, 1.0);  // regions
 
   // POOL joined the SHOW topic list (and the error names it).
   SqlResult bad = session_.Execute("SHOW NONSENSE");
