@@ -28,6 +28,8 @@ using pip::SamplingOptions;
 using pip::bench::AppendBenchRecords;
 using pip::bench::BenchJsonPath;
 using pip::bench::BenchRecord;
+using pip::bench::Quartiles;
+using pip::bench::QuartilesOf;
 using pip::bench::SmokeMode;
 using pip::workload::GenerateTpch;
 using pip::workload::TimedResult;
@@ -190,122 +192,125 @@ void PrintFigure6() {
               "minimal); PIP wins ~10x on Q3 and ~100x+ on Q4.\n\n");
 }
 
-/// Runs the PIP side of Q1-Q4 at num_threads in {1, 2, 8} and records
-/// wall times plus result values to BENCH_sampling.json. The engine's
-/// determinism contract makes the values bit-identical across thread
-/// counts — checked here, not assumed.
+/// Times each (query, threads) cell of the sweeps this many times,
+/// cycling through the thread counts, so a burst of machine load lands
+/// on every thread count alike; records carry the median and quartiles.
+constexpr int kSweepRepeats = 5;
+
+/// Runs the PIP side of Q1-Q4 at num_threads in {1, 2, 8}, kSweepRepeats
+/// times over, and records median wall and CPU times plus result values
+/// to BENCH_sampling.json. The engine's determinism contract makes the
+/// values bit-identical across thread counts and repeats — checked here,
+/// not assumed.
 void ThreadSweep() {
   const size_t samples = Samples();
   const size_t thread_counts[] = {1, 2, 8};
+  constexpr size_t kCounts = 3;
+  // Cell q of a thread count is query q; cell 4 is the four back to back.
+  constexpr int kCells = 5;
 
-  struct SweepRun {
-    size_t threads;
-    double q_wall[4];
-    double q_cpu[4];
-    double q_value[4];
-    double total_wall = 0.0;
-    double total_cpu = 0.0;
-  };
-  std::vector<SweepRun> runs;
-
-  std::printf("=== Thread sweep: PIP Q1-Q4, fixed_samples=%zu ===\n",
-              samples);
-  std::printf("%8s %10s %10s %10s %10s %12s\n", "threads", "Q1 (s)",
-              "Q2 (s)", "Q3 (s)", "Q4 (s)", "total (s)");
-  for (size_t threads : thread_counts) {
-    SamplingOptions opts;
-    opts.fixed_samples = samples;
-    opts.num_threads = threads;
-    SweepRun run;
-    run.threads = threads;
-
-    // Wall and CPU time of each query, read back to back.
-    pip::WallTimer timer;
-    double cpu = pip::bench::ProcessCpuSeconds();
-    auto lap = [&](int q) {
-      run.q_wall[q] = timer.Seconds();
-      const double now = pip::bench::ProcessCpuSeconds();
-      run.q_cpu[q] = now - cpu;
-      cpu = now;
-      timer.Restart();
-    };
-    auto q1 = pip::workload::RunQ1Pip(Data(), 1, opts);
-    lap(0);
-    auto q2 = pip::workload::RunQ2Pip(Data(), 2, opts, samples);
-    lap(1);
-    auto q3 = pip::workload::RunQ3Pip(Data(), 3, opts);
-    lap(2);
-    auto q4 = pip::workload::RunQ4Pip(Data(), kQ4Selectivity, 4, opts);
-    lap(3);
-    PIP_CHECK(q1.ok() && q2.ok() && q3.ok() && q4.ok());
-    run.q_value[0] = q1.value().value;
-    run.q_value[1] = q2.value().value;
-    run.q_value[2] = q3.value().value;
-    run.q_value[3] = q4.value().total;
-    for (double w : run.q_wall) run.total_wall += w;
-    for (double c : run.q_cpu) run.total_cpu += c;
-    std::printf("%8zu %10.3f %10.3f %10.3f %10.3f %12.3f\n", threads,
-                run.q_wall[0], run.q_wall[1], run.q_wall[2], run.q_wall[3],
-                run.total_wall);
-    runs.push_back(run);
-  }
-
-  // Determinism gate: every thread count must produce the same bits.
-  // Bit-pattern compare, not ==, so a legitimate bit-identical NaN
-  // (budget collapse) doesn't read as a determinism failure.
+  std::vector<double> wall[kCounts][kCells], cpu[kCounts][kCells];
+  double values[4];
   bool identical = true;
-  for (const auto& run : runs) {
-    for (int q = 0; q < 4; ++q) {
-      identical = identical && std::memcmp(&run.q_value[q],
-                                           &runs[0].q_value[q],
-                                           sizeof(double)) == 0;
+  for (int rep = 0; rep < kSweepRepeats; ++rep) {
+    for (size_t t = 0; t < kCounts; ++t) {
+      SamplingOptions opts;
+      opts.fixed_samples = samples;
+      opts.num_threads = thread_counts[t];
+
+      // Wall and CPU time of each query, read back to back.
+      double total_wall = 0.0, total_cpu = 0.0;
+      pip::WallTimer timer;
+      double cpu_mark = pip::bench::ProcessCpuSeconds();
+      auto lap = [&](int q) {
+        const double w = timer.Seconds();
+        const double now = pip::bench::ProcessCpuSeconds();
+        wall[t][q].push_back(w);
+        cpu[t][q].push_back(now - cpu_mark);
+        total_wall += w;
+        total_cpu += now - cpu_mark;
+        cpu_mark = now;
+        timer.Restart();
+      };
+      auto q1 = pip::workload::RunQ1Pip(Data(), 1, opts);
+      lap(0);
+      auto q2 = pip::workload::RunQ2Pip(Data(), 2, opts, samples);
+      lap(1);
+      auto q3 = pip::workload::RunQ3Pip(Data(), 3, opts);
+      lap(2);
+      auto q4 = pip::workload::RunQ4Pip(Data(), kQ4Selectivity, 4, opts);
+      lap(3);
+      PIP_CHECK(q1.ok() && q2.ok() && q3.ok() && q4.ok());
+      wall[t][4].push_back(total_wall);
+      cpu[t][4].push_back(total_cpu);
+
+      // Determinism gate: every run must produce the first run's bits.
+      // Bit-pattern compare, not ==, so a legitimate bit-identical NaN
+      // (budget collapse) doesn't read as a determinism failure.
+      const double run_values[4] = {q1.value().value, q2.value().value,
+                                    q3.value().value, q4.value().total};
+      if (rep == 0 && t == 0) std::memcpy(values, run_values, sizeof values);
+      identical =
+          identical && std::memcmp(values, run_values, sizeof values) == 0;
     }
   }
   PIP_CHECK_MSG(identical,
                 "thread sweep produced thread-count-dependent results");
-  double speedup = runs.front().total_wall / runs.back().total_wall;
-  std::printf("bit-identical across threads: yes; end-to-end speedup "
-              "%zu->%zu threads: %.2fx\n\n",
-              runs.front().threads, runs.back().threads, speedup);
 
-  const char* names[] = {"Q1_pip", "Q2_pip", "Q3_pip", "Q4_pip"};
+  std::printf("=== Thread sweep: PIP Q1-Q4, fixed_samples=%zu, median of "
+              "%d interleaved repeats ===\n",
+              samples, kSweepRepeats);
+  std::printf("%8s %10s %10s %10s %10s %12s  %s\n", "threads", "Q1 (s)",
+              "Q2 (s)", "Q3 (s)", "Q4 (s)", "total (s)", "total q1-q3 (s)");
+  const char* names[] = {"Q1_pip", "Q2_pip", "Q3_pip", "Q4_pip",
+                         "end_to_end"};
   std::vector<BenchRecord> records;
-  for (const auto& run : runs) {
-    for (int q = 0; q < 4; ++q) {
+  double total_median[kCounts];
+  for (size_t t = 0; t < kCounts; ++t) {
+    Quartiles cells[kCells];
+    for (int q = 0; q < kCells; ++q) {
+      cells[q] = QuartilesOf(wall[t][q]);
       BenchRecord r;
       r.bench = "fig6_thread_sweep";
       r.query = names[q];
-      r.threads = static_cast<double>(run.threads);
-      r.wall_seconds = run.q_wall[q];
-      r.cpu_seconds = run.q_cpu[q];
+      r.threads = static_cast<double>(thread_counts[t]);
+      r.wall_seconds = cells[q].median;
+      r.wall_q1_seconds = cells[q].q1;
+      r.wall_q3_seconds = cells[q].q3;
+      r.cpu_seconds = QuartilesOf(cpu[t][q]).median;
       r.samples = static_cast<double>(samples);
-      r.samples_per_sec =
-          run.q_wall[q] > 0 ? static_cast<double>(samples) / run.q_wall[q]
-                            : 0.0;
-      r.value = run.q_value[q];
+      if (q < 4) {
+        r.samples_per_sec = r.wall_seconds > 0
+                                ? static_cast<double>(samples) / r.wall_seconds
+                                : 0.0;
+        r.value = values[q];
+      }
       records.push_back(r);
     }
-    BenchRecord total;
-    total.bench = "fig6_thread_sweep";
-    total.query = "end_to_end";
-    total.threads = static_cast<double>(run.threads);
-    total.wall_seconds = run.total_wall;
-    total.cpu_seconds = run.total_cpu;
-    total.samples = static_cast<double>(samples);
-    records.push_back(total);
+    total_median[t] = cells[4].median;
+    std::printf("%8zu %10.3f %10.3f %10.3f %10.3f %12.3f  %.3f-%.3f\n",
+                thread_counts[t], cells[0].median, cells[1].median,
+                cells[2].median, cells[3].median, cells[4].median,
+                cells[4].q1, cells[4].q3);
   }
+  std::printf("bit-identical across threads and repeats: yes; end-to-end "
+              "median speedup %zu->%zu threads: %.2fx\n\n",
+              thread_counts[0], thread_counts[kCounts - 1],
+              total_median[0] / total_median[kCounts - 1]);
   AppendBenchRecords(BenchJsonPath(), records);
 }
 
 /// Batched Analyze with the row axis as the outer parallel loop: the
 /// rows/sec figure ROADMAP's perf-trajectory item tracks for row-level
-/// scaling (per-row conditional expectations over a C-table, §IV). The
-/// output tables are bit-compared across thread counts — the row-parallel
-/// determinism contract, checked here like the query sweep above.
+/// scaling (per-row conditional expectations over a C-table, §IV),
+/// timed like the query sweep above. The output tables are bit-compared
+/// across thread counts and repeats — the row-parallel determinism
+/// contract, checked here like the query sweep.
 void AnalyzeRowSweep() {
   const size_t rows = SmokeMode() ? 48 : 256;
   const size_t samples = Samples();
   const size_t thread_counts[] = {1, 2, 8};
+  constexpr size_t kCounts = 3;
 
   pip::Database db(20260730);
   pip::CTable table((pip::Schema({"v"})));
@@ -319,58 +324,58 @@ void AnalyzeRowSweep() {
   spec.expectation_columns = {"v"};
   spec.with_confidence = true;
 
-  std::printf("=== Analyze row sweep: %zu rows x %zu samples, row-parallel "
-              "===\n",
-              rows, samples);
-  std::printf("%8s %10s %12s\n", "threads", "wall (s)", "rows/sec");
-
-  struct SweepRun {
-    size_t threads;
-    double wall;
-    double cpu;
-    std::string output;
-  };
-  std::vector<SweepRun> runs;
-  for (size_t threads : thread_counts) {
-    SamplingOptions opts;
-    opts.fixed_samples = samples;
-    opts.num_threads = threads;
-    opts.use_numeric_integration = false;  // Keep the sampling path hot.
-    pip::SamplingEngine engine = db.MakeEngine(opts);
-    const double cpu0 = pip::bench::ProcessCpuSeconds();
-    pip::WallTimer timer;
-    auto out = pip::Analyze(table, engine, spec);
-    double wall = timer.Seconds();
-    const double cpu = pip::bench::ProcessCpuSeconds() - cpu0;
-    PIP_CHECK(out.ok());
-    PIP_CHECK(out.value().num_rows() == rows);
-    runs.push_back({threads, wall, cpu, out.value().ToString()});
-    std::printf("%8zu %10.3f %12.1f\n", threads, wall,
-                wall > 0 ? static_cast<double>(rows) / wall : 0.0);
+  std::vector<double> wall[kCounts], cpu[kCounts];
+  std::string first_output;
+  for (int rep = 0; rep < kSweepRepeats; ++rep) {
+    for (size_t t = 0; t < kCounts; ++t) {
+      SamplingOptions opts;
+      opts.fixed_samples = samples;
+      opts.num_threads = thread_counts[t];
+      opts.use_numeric_integration = false;  // Keep the sampling path hot.
+      pip::SamplingEngine engine = db.MakeEngine(opts);
+      const double cpu0 = pip::bench::ProcessCpuSeconds();
+      pip::WallTimer timer;
+      auto out = pip::Analyze(table, engine, spec);
+      wall[t].push_back(timer.Seconds());
+      cpu[t].push_back(pip::bench::ProcessCpuSeconds() - cpu0);
+      PIP_CHECK(out.ok());
+      PIP_CHECK(out.value().num_rows() == rows);
+      std::string output = out.value().ToString();
+      if (rep == 0 && t == 0) first_output = output;
+      PIP_CHECK_MSG(output == first_output,
+                    "row-parallel Analyze produced thread-count-dependent "
+                    "rows");
+    }
   }
-  for (const auto& run : runs) {
-    PIP_CHECK_MSG(run.output == runs[0].output,
-                  "row-parallel Analyze produced thread-count-dependent rows");
-  }
-  std::printf("bit-identical across threads: yes; rows/sec speedup "
-              "%zu->%zu threads: %.2fx\n\n",
-              runs.front().threads, runs.back().threads,
-              runs.front().wall / runs.back().wall);
 
+  std::printf("=== Analyze row sweep: %zu rows x %zu samples, row-parallel, "
+              "median of %d interleaved repeats ===\n",
+              rows, samples, kSweepRepeats);
+  std::printf("%8s %10s %12s  %s\n", "threads", "wall (s)", "rows/sec",
+              "wall q1-q3 (s)");
   std::vector<BenchRecord> records;
-  for (const auto& run : runs) {
+  for (size_t t = 0; t < kCounts; ++t) {
+    const Quartiles w = QuartilesOf(wall[t]);
     BenchRecord r;
     r.bench = "fig6_analyze_rows";
     r.query = "analyze_batch";
-    r.threads = static_cast<double>(run.threads);
-    r.wall_seconds = run.wall;
-    r.cpu_seconds = run.cpu;
+    r.threads = static_cast<double>(thread_counts[t]);
+    r.wall_seconds = w.median;
+    r.wall_q1_seconds = w.q1;
+    r.wall_q3_seconds = w.q3;
+    r.cpu_seconds = QuartilesOf(cpu[t]).median;
     r.samples = static_cast<double>(rows);
     // For the row-parallel axis the throughput figure is rows/sec.
     r.samples_per_sec =
-        run.wall > 0 ? static_cast<double>(rows) / run.wall : 0.0;
+        w.median > 0 ? static_cast<double>(rows) / w.median : 0.0;
     records.push_back(r);
+    std::printf("%8zu %10.3f %12.1f  %.3f-%.3f\n", thread_counts[t],
+                w.median, r.samples_per_sec, w.q1, w.q3);
   }
+  std::printf("bit-identical across threads and repeats: yes; rows/sec "
+              "median speedup %zu->%zu threads: %.2fx\n\n",
+              thread_counts[0], thread_counts[kCounts - 1],
+              records.front().wall_seconds / records.back().wall_seconds);
   AppendBenchRecords(BenchJsonPath(), records);
 }
 

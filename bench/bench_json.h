@@ -13,6 +13,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -47,7 +48,29 @@ struct BenchRecord {
   /// near 1 for a serial region, and below the thread count when the
   /// machine lent fewer cores than asked for.
   double cpu_seconds = 0;
+  /// Quartiles of wall_seconds when it is the median of repeated runs
+  /// (see QuartilesOf); written only when set.
+  double wall_q1_seconds = 0;
+  double wall_q3_seconds = 0;
 };
+
+/// First quartile, median and third quartile of repeated timings, each
+/// interpolated linearly between order statistics: with 5 repeats they
+/// are the 2nd, 3rd and 4th smallest.
+struct Quartiles {
+  double q1 = 0, median = 0, q3 = 0;
+};
+
+inline Quartiles QuartilesOf(std::vector<double> xs) {
+  std::sort(xs.begin(), xs.end());
+  auto at = [&xs](double p) {
+    const double pos = p * static_cast<double>(xs.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, xs.size() - 1);
+    return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
 
 /// User + system CPU seconds this process has used so far, summed over
 /// all threads. Differences bracket a region for BenchRecord::cpu_seconds.
@@ -120,7 +143,12 @@ inline std::string ToJson(const BenchRecord& r) {
      << ",\"pool_regions\":" << r.pool_regions
      << ",\"pool_nested_tasks\":" << r.pool_nested_tasks
      << ",\"pool_join_wait_micros\":" << r.pool_join_wait_micros
-     << ",\"cpu_seconds\":" << r.cpu_seconds << "}";
+     << ",\"cpu_seconds\":" << r.cpu_seconds;
+  if (r.wall_q1_seconds != 0 || r.wall_q3_seconds != 0) {
+    os << ",\"wall_q1_seconds\":" << r.wall_q1_seconds
+       << ",\"wall_q3_seconds\":" << r.wall_q3_seconds;
+  }
+  os << "}";
   return os.str();
 }
 

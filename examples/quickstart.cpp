@@ -11,8 +11,10 @@
 ///   where O.ShipTo = S.Dest and O.Cust = 'Joe' and S.Duration >= 7;
 
 #include <cstdio>
+#include <memory>
 
-#include "src/engine/query.h"
+#include "src/ctable/algebra.h"
+#include "src/engine/database.h"
 #include "src/sampling/aggregates.h"
 
 using namespace pip;
@@ -41,18 +43,18 @@ int main() {
   PIP_CHECK(db.RegisterCTable("orders", orders).ok());
   PIP_CHECK(db.RegisterCTable("shipping", shipping).ok());
 
-  // 3. Query symbolically. Deterministic predicates filter rows now;
-  //    probabilistic predicates become row conditions, and no sampling
-  //    happens yet.
-  Query plan = Query::Scan("orders")
-                   .JoinOn(Query::Scan("shipping"),
-                           {CE::Column("ship_to") == CE::Column("dest"),
-                            CE::Column("duration") >= CE::Literal(7.0)})
-                   .Where({CE::Column("cust") == CE::Literal("Joe")})
-                   .SelectCols({{"price", CE::Column("price")}});
-  std::printf("Logical plan:\n%s\n\n", plan.ToString().c_str());
-
-  CTable result = plan.Execute(db).value();
+  // 3. Query symbolically with the c-table algebra, on the catalogue's
+  //    snapshots. Deterministic predicates filter rows now; probabilistic
+  //    predicates become row conditions, and no sampling happens yet.
+  std::shared_ptr<const CTable> order_rows = db.GetTable("orders").value();
+  std::shared_ptr<const CTable> shipping_rows =
+      db.GetTable("shipping").value();
+  CTable late = Join(*order_rows, *shipping_rows,
+                     {CE::Column("ship_to") == CE::Column("dest"),
+                      CE::Column("duration") >= CE::Literal(7.0)})
+                    .value();
+  CTable joe = Select(late, {CE::Column("cust") == CE::Literal("Joe")}).value();
+  CTable result = Project(joe, {{"price", CE::Column("price")}}).value();
   std::printf("Symbolic result (the paper's c-table R):\n%s\n",
               result.ToString().c_str());
 

@@ -8,9 +8,11 @@
 /// "lossless symbolic phase" that lets PIP defer integration until the
 /// full expression is known.
 ///
-/// Operators read their inputs in place (the query engine passes a
-/// catalogue snapshot itself, not a copy) and copy only the rows they
-/// emit. Column names are looked up once per call, not once per row.
+/// The SQL session, the workloads and library code call these functions
+/// directly. Operators read their inputs in place (a caller passes the
+/// catalogue snapshot from Database::GetTable itself, not a copy) and
+/// copy only the rows they emit. Column names are looked up once per
+/// call, not once per row.
 
 #ifndef PIP_CTABLE_ALGEBRA_H_
 #define PIP_CTABLE_ALGEBRA_H_

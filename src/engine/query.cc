@@ -1,242 +1,11 @@
 #include "src/engine/query.h"
 
-#include <sstream>
 #include <unordered_map>
 
 #include "src/common/row_parallel.h"
 #include "src/sampling/index_ops.h"
 
 namespace pip {
-
-struct Query::Node {
-  enum class Kind {
-    kScan,
-    kValues,
-    kWhere,
-    kSelect,
-    kProduct,
-    kJoin,
-    kUnion,
-    kDistinct,
-    kExcept,
-    kExplode,
-  };
-
-  Kind kind;
-  // Payloads (unused fields empty).
-  std::string table_name;
-  CTable inline_table;
-  ColPredicate predicate;
-  std::vector<NamedColExpr> targets;
-  std::string rhs_prefix;
-  std::vector<NodePtr> children;
-};
-
-Query Query::Scan(std::string table_name) {
-  auto node = std::make_shared<Node>();
-  node->kind = Node::Kind::kScan;
-  node->table_name = std::move(table_name);
-  return Query(std::move(node));
-}
-
-Query Query::Values(CTable table) {
-  auto node = std::make_shared<Node>();
-  node->kind = Node::Kind::kValues;
-  node->inline_table = std::move(table);
-  return Query(std::move(node));
-}
-
-Query Query::Where(ColPredicate predicate) const {
-  auto node = std::make_shared<Node>();
-  node->kind = Node::Kind::kWhere;
-  node->predicate = std::move(predicate);
-  node->children = {node_};
-  return Query(std::move(node));
-}
-
-Query Query::SelectCols(std::vector<NamedColExpr> targets) const {
-  auto node = std::make_shared<Node>();
-  node->kind = Node::Kind::kSelect;
-  node->targets = std::move(targets);
-  node->children = {node_};
-  return Query(std::move(node));
-}
-
-Query Query::CrossJoin(Query right, std::string rhs_prefix) const {
-  auto node = std::make_shared<Node>();
-  node->kind = Node::Kind::kProduct;
-  node->rhs_prefix = std::move(rhs_prefix);
-  node->children = {node_, right.node_};
-  return Query(std::move(node));
-}
-
-Query Query::JoinOn(Query right, ColPredicate predicate,
-                    std::string rhs_prefix) const {
-  auto node = std::make_shared<Node>();
-  node->kind = Node::Kind::kJoin;
-  node->predicate = std::move(predicate);
-  node->rhs_prefix = std::move(rhs_prefix);
-  node->children = {node_, right.node_};
-  return Query(std::move(node));
-}
-
-Query Query::UnionAll(Query right) const {
-  auto node = std::make_shared<Node>();
-  node->kind = Node::Kind::kUnion;
-  node->children = {node_, right.node_};
-  return Query(std::move(node));
-}
-
-Query Query::DistinctRows() const {
-  auto node = std::make_shared<Node>();
-  node->kind = Node::Kind::kDistinct;
-  node->children = {node_};
-  return Query(std::move(node));
-}
-
-Query Query::Except(Query right) const {
-  auto node = std::make_shared<Node>();
-  node->kind = Node::Kind::kExcept;
-  node->children = {node_, right.node_};
-  return Query(std::move(node));
-}
-
-Query Query::Explode() const {
-  auto node = std::make_shared<Node>();
-  node->kind = Node::Kind::kExplode;
-  node->children = {node_};
-  return Query(std::move(node));
-}
-
-namespace {
-
-StatusOr<CTable> ExecuteNode(const Query::Node* node, const Database& db);
-
-/// An operator's input: a Scan's catalogue snapshot, read in place (the
-/// query holds it while it runs), or the subplan's own result. Operators
-/// copy only the rows they keep, so no catalogue table is copied here.
-StatusOr<std::shared_ptr<const CTable>> ExecuteInput(const Query::Node* node,
-                                                     const Database& db) {
-  if (node->kind == Query::Node::Kind::kScan) {
-    return db.GetTable(node->table_name);
-  }
-  PIP_ASSIGN_OR_RETURN(CTable t, ExecuteNode(node, db));
-  return std::make_shared<const CTable>(std::move(t));
-}
-
-}  // namespace
-
-StatusOr<CTable> Query::Execute(const Database& db) const {
-  return ExecuteNode(node_.get(), db);
-}
-
-namespace {
-
-StatusOr<CTable> ExecuteNode(const Query::Node* node, const Database& db) {
-  using Kind = Query::Node::Kind;
-  auto input = [&](size_t i) {
-    return ExecuteInput(node->children[i].get(), db);
-  };
-  switch (node->kind) {
-    case Kind::kScan: {
-      // A bare scan is the statement's whole result, so it is a copy.
-      PIP_ASSIGN_OR_RETURN(std::shared_ptr<const CTable> t,
-                           db.GetTable(node->table_name));
-      return *t;
-    }
-    case Kind::kValues:
-      return node->inline_table;
-    case Kind::kWhere: {
-      PIP_ASSIGN_OR_RETURN(auto in, input(0));
-      return Select(*in, node->predicate);
-    }
-    case Kind::kSelect: {
-      PIP_ASSIGN_OR_RETURN(auto in, input(0));
-      return Project(*in, node->targets);
-    }
-    case Kind::kProduct: {
-      PIP_ASSIGN_OR_RETURN(auto l, input(0));
-      PIP_ASSIGN_OR_RETURN(auto r, input(1));
-      return Product(*l, *r, node->rhs_prefix);
-    }
-    case Kind::kJoin: {
-      PIP_ASSIGN_OR_RETURN(auto l, input(0));
-      PIP_ASSIGN_OR_RETURN(auto r, input(1));
-      return Join(*l, *r, node->predicate, node->rhs_prefix);
-    }
-    case Kind::kUnion: {
-      PIP_ASSIGN_OR_RETURN(auto l, input(0));
-      PIP_ASSIGN_OR_RETURN(auto r, input(1));
-      return Union(*l, *r);
-    }
-    case Kind::kDistinct: {
-      PIP_ASSIGN_OR_RETURN(auto in, input(0));
-      return Distinct(*in);
-    }
-    case Kind::kExcept: {
-      PIP_ASSIGN_OR_RETURN(auto l, input(0));
-      PIP_ASSIGN_OR_RETURN(auto r, input(1));
-      return Difference(*l, *r);
-    }
-    case Kind::kExplode: {
-      PIP_ASSIGN_OR_RETURN(auto in, input(0));
-      return ExplodeDiscrete(*in, db.pool());
-    }
-  }
-  return Status::Internal("unknown plan node");
-}
-
-std::string NodeToString(const Query::Node* node, int indent) {
-  using Kind = Query::Node::Kind;
-  std::string pad(indent * 2, ' ');
-  std::ostringstream os;
-  switch (node->kind) {
-    case Kind::kScan:
-      os << pad << "Scan(" << node->table_name << ")";
-      break;
-    case Kind::kValues:
-      os << pad << "Values(" << node->inline_table.num_rows() << " rows)";
-      break;
-    case Kind::kWhere:
-      os << pad << "Where(" << node->predicate.ToString() << ")";
-      break;
-    case Kind::kSelect: {
-      os << pad << "Select(";
-      for (size_t i = 0; i < node->targets.size(); ++i) {
-        if (i) os << ", ";
-        os << node->targets[i].name << " := " << node->targets[i].expr->ToString();
-      }
-      os << ")";
-      break;
-    }
-    case Kind::kProduct:
-      os << pad << "CrossJoin";
-      break;
-    case Kind::kJoin:
-      os << pad << "Join(" << node->predicate.ToString() << ")";
-      break;
-    case Kind::kUnion:
-      os << pad << "UnionAll";
-      break;
-    case Kind::kDistinct:
-      os << pad << "Distinct";
-      break;
-    case Kind::kExcept:
-      os << pad << "Except";
-      break;
-    case Kind::kExplode:
-      os << pad << "Explode";
-      break;
-  }
-  for (const auto& c : node->children) {
-    os << "\n" << NodeToString(c.get(), indent + 1);
-  }
-  return os.str();
-}
-
-}  // namespace
-
-std::string Query::ToString() const { return NodeToString(node_.get(), 0); }
 
 StatusOr<Prepared<Table>> PrepareAnalyze(const CTable& table,
                                          const SamplingEngine& engine,
@@ -389,8 +158,7 @@ StatusOr<Table> AnalyzeJointConfidence(const CTable& table,
         const SamplingEngine group_engine =
             engine.WithCancelCheck([ctx] { return ctx.Cancelled(); });
         PIP_ASSIGN_OR_RETURN(
-            probs[g],
-            IndexedJointConfidence(group_engine, table, groups[g].disjuncts));
+            probs[g], group_engine.JointConfidence(groups[g].disjuncts));
         return Status::OK();
       }));
   for (size_t g = 0; g < groups.size(); ++g) {

@@ -1,17 +1,20 @@
 /// \file query.h
-/// \brief Composable logical query plans over c-tables.
+/// \brief The result operators that end a query: per-row expectation and
+/// confidence (Analyze) and aconf() over bag-encoded disjunctions.
 ///
-/// The fluent builder mirrors the deterministic-SQL illusion of §V-A: users
-/// write filters and targets over columns without distinguishing constants
-/// from random variables; the executor performs the paper's rewriting
-/// automatically — decidable predicate atoms filter rows, probabilistic
-/// atoms migrate into the row conditions (the CTYPE columns of the Postgres
-/// implementation), and conditions are threaded through every operator.
+/// A query runs in two phases. The symbolic phase is the c-table
+/// algebra of Fig. 1 (src/ctable/algebra.h), called directly on catalogue
+/// snapshots (Database::GetTable): decidable predicate atoms filter rows,
+/// probabilistic atoms migrate into the row conditions (the CTYPE columns
+/// of the Postgres implementation), and conditions are threaded through
+/// every operator. The operators here are the second phase: they remove
+/// the probability from a symbolic result, sampling only what has no
+/// closed form. This header includes both the catalogue and the algebra,
+/// so one include serves a whole query.
 
 #ifndef PIP_ENGINE_QUERY_H_
 #define PIP_ENGINE_QUERY_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,55 +23,6 @@
 #include "src/sampling/index_ops.h"
 
 namespace pip {
-
-/// \brief A lazily-executed relational query plan.
-class Query {
- public:
-  /// Leaf: scan a registered table by name.
-  static Query Scan(std::string table_name);
-  /// Leaf: inline c-table (e.g. freshly built data).
-  static Query Values(CTable table);
-
-  /// WHERE: conjunction of column-level comparisons. Probabilistic atoms
-  /// become row conditions; deterministic atoms filter eagerly.
-  Query Where(ColPredicate predicate) const;
-  /// SELECT: generalized projection (targets may be arithmetic over
-  /// columns and embedded random-variable equations).
-  Query SelectCols(std::vector<NamedColExpr> targets) const;
-  /// Cross product.
-  Query CrossJoin(Query right, std::string rhs_prefix = "r") const;
-  /// Theta join (product + where).
-  Query JoinOn(Query right, ColPredicate predicate,
-               std::string rhs_prefix = "r") const;
-  /// Bag union.
-  Query UnionAll(Query right) const;
-  /// Duplicate coalescing (bag-encoded disjunction preserving).
-  Query DistinctRows() const;
-  /// Bag difference (Fig. 1 semantics).
-  Query Except(Query right) const;
-  /// Repair-key style explosion of finite discrete variables.
-  Query Explode() const;
-
-  /// Executes the plan against `db`, producing the symbolic result.
-  StatusOr<CTable> Execute(const Database& db) const;
-
-  /// Plan rendering for debugging/EXPLAIN.
-  std::string ToString() const;
-
-  /// Plan node; public for the executor, not for construction by users.
-  struct Node;
-
- private:
-  using NodePtr = std::shared_ptr<const Node>;
-
-  explicit Query(NodePtr node) : node_(std::move(node)) {}
-
-  NodePtr node_;
-};
-
-// ---------------------------------------------------------------------------
-// Statistical result operators (the probability-removing functions).
-// ---------------------------------------------------------------------------
 
 /// \brief Per-row analysis of a probabilistic query result.
 ///

@@ -223,8 +223,10 @@ struct SamplingEngine::GroupPlan {
   /// scheduling (see RunAcceptSchedule).
   bool allow_metropolis = true;
   std::unique_ptr<MetropolisSampler> metropolis;
+  /// The chain's key and the group's consistency bounds (pilot plan
+  /// only: a chunk clone leaves both empty).
   uint64_t chain_key = 0;
-  ConsistencyResult consistency;  // Shared bounds (copied per group).
+  ConsistencyResult consistency;
 
   /// Sets the variables with every window open: each draws naturally.
   void SetVars(const VarSet& group_vars) {
@@ -242,11 +244,10 @@ struct SamplingEngine::GroupPlan {
            (i == 0 || vars[i].var_id != vars[i - 1].var_id);
   }
 
-  /// A counter-reset copy for one shard of the sample-index space.
-  /// `chunk_salt` decorrelates any chain this clone might otherwise seed
-  /// (it cannot — allow_metropolis is off — but the salt keeps the key
-  /// schedule honest if that ever changes).
-  GroupPlan CloneForChunk(uint64_t chunk_salt) const {
+  /// A counter-reset copy for one shard of the sample-index space. A
+  /// clone never arms Metropolis, so it carries neither the chain key
+  /// nor the consistency bounds only the chain reads.
+  GroupPlan CloneForChunk() const {
     GroupPlan c;
     c.vars = vars;
     c.atoms = atoms;
@@ -259,8 +260,6 @@ struct SamplingEngine::GroupPlan {
     c.exact = exact;
     c.exact_prob = exact_prob;
     c.allow_metropolis = false;
-    c.chain_key = MixBits(chain_key, chunk_salt, 0x63686e6bULL, 1);
-    c.consistency = consistency;
     return c;
   }
 };
@@ -1006,7 +1005,7 @@ StatusOr<SamplingEngine::AcceptRun> SamplingEngine::RunAcceptSchedule(
         [&](size_t c, uint64_t begin, uint64_t end) {
           std::vector<GroupPlan> clones;
           clones.reserve(plans->size());
-          for (const auto& p : *plans) clones.push_back(p.CloneForChunk(c));
+          for (const auto& p : *plans) clones.push_back(p.CloneForChunk());
           Outcome out = run_chunk(&clones, c, begin, end, later_budget);
           for (const auto& p : clones) {
             out.clone_counts.emplace_back(p.accepted, p.attempts);

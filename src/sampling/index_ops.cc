@@ -92,7 +92,7 @@ Status RowTriage::Classify(const SamplingEngine& engine, Slot* slot) const {
                                               : 'E';
   slot->key = ExactResultKey(tag, key_head_,
                              call.expr != nullptr ? *call.expr : nullptr,
-                             {call.condition}, engine.pool());
+                             *call.condition, engine.pool());
   if (auto hit = index_->Lookup(slot->key)) {
     slot->kind = Kind::kHit;
     slot->result = ToExpectationResult(*hit);
@@ -156,28 +156,6 @@ Status RowTriage::Run() {
         return Advance(row_engine, todo[i], /*sample=*/true);
       }));
   return error_;
-}
-
-StatusOr<double> IndexedJointConfidence(
-    const SamplingEngine& engine, const CTable& source,
-    const std::vector<Condition>& disjuncts) {
-  ExpectationIndex* index = IndexFor(engine, source);
-  if (index == nullptr) return engine.JointConfidence(disjuncts);
-  std::vector<const Condition*> conditions;
-  conditions.reserve(disjuncts.size());
-  for (const Condition& c : disjuncts) conditions.push_back(&c);
-  std::string key =
-      ExactResultKey('J', ExactResultKeyHead(engine.pool(), engine.options()),
-                     nullptr, conditions, engine.pool());
-  if (auto hit = index->Lookup(key)) {
-    return hit->probability;
-  }
-  PIP_ASSIGN_OR_RETURN(double probability, engine.JointConfidence(disjuncts));
-  IndexedValue value;
-  value.expectation = probability;
-  value.probability = probability;
-  index->Insert(key, std::move(value));
-  return probability;
 }
 
 }  // namespace pip

@@ -145,12 +145,6 @@ struct Prepared {
   std::function<StatusOr<T>()> finish;
 };
 
-/// engine.JointConfidence through the index: a hit replays, a miss
-/// computes and backfills. The ordered disjunct list is part of the key.
-StatusOr<double> IndexedJointConfidence(const SamplingEngine& engine,
-                                        const CTable& source,
-                                        const std::vector<Condition>& disjuncts);
-
 }  // namespace pip
 
 #endif  // PIP_SAMPLING_INDEX_OPS_H_

@@ -216,8 +216,7 @@ std::string ExactResultKeyHead(const VariablePool& pool,
 }
 
 std::string ExactResultKey(char op_tag, const std::string& head,
-                           const ExprPtr& expr,
-                           const std::vector<const Condition*>& conditions,
+                           const ExprPtr& expr, const Condition& condition,
                            const VariablePool& pool) {
   KeyBuilder b;
   b.pool = &pool;
@@ -226,10 +225,8 @@ std::string ExactResultKey(char op_tag, const std::string& head,
   b.out += op_tag;
   b.out += head;
   if (expr != nullptr) b.AppendExpr(*expr);
-  for (const Condition* condition : conditions) {
-    b.out += "|C";
-    b.AppendCondition(*condition);
-  }
+  b.out += "|C";
+  b.AppendCondition(condition);
   return std::move(b.out);
 }
 

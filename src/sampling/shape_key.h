@@ -62,16 +62,13 @@ std::string ExactResultKeyHead(const VariablePool& pool,
 
 /// Exact result key for the expectation index. `op_tag` distinguishes
 /// the operator ('E' expectation, 'P' expectation+probability,
-/// 'C' confidence, 'J' joint confidence); `head` is ExactResultKeyHead
-/// of the engine making the call; `expr` may be null for
-/// condition-only operators; `conditions` holds one conjunction
-/// (expectation/conf) or the ordered disjunct list (aconf). The key pins
-/// the registry generation, the pool seed, the options fingerprint, and
-/// the exact content of every expression and atom, so equal keys imply
+/// 'C' confidence); `head` is ExactResultKeyHead of the engine making
+/// the call; `expr` may be null for conf(). The key pins the registry
+/// generation, the pool seed, the options fingerprint, and the exact
+/// content of every expression and atom, so equal keys imply
 /// bit-identical recomputation.
 std::string ExactResultKey(char op_tag, const std::string& head,
-                           const ExprPtr& expr,
-                           const std::vector<const Condition*>& conditions,
+                           const ExprPtr& expr, const Condition& condition,
                            const VariablePool& pool);
 
 }  // namespace pip

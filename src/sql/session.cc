@@ -693,13 +693,29 @@ class Parser {
     }
     PIP_RETURN_IF_ERROR(ExpectStatementEnd());
 
-    // Build the plan: FROM list as cross products, then WHERE.
-    Query plan = Query::Scan(tables[0]);
+    // FROM: fetch each catalogue snapshot in FROM order (the first
+    // missing table is the error) and fold them into one product, each
+    // right-hand table's name prefixing its colliding columns. WHERE
+    // reads a lone table's snapshot in place; without WHERE a lone table
+    // is copied.
+    PIP_ASSIGN_OR_RETURN(std::shared_ptr<const CTable> snapshot,
+                         db_->GetTable(tables[0]));
+    const CTable* from = snapshot.get();
+    CTable product;
     for (size_t i = 1; i < tables.size(); ++i) {
-      plan = plan.CrossJoin(Query::Scan(tables[i]), tables[i]);
+      PIP_ASSIGN_OR_RETURN(std::shared_ptr<const CTable> rhs,
+                           db_->GetTable(tables[i]));
+      PIP_ASSIGN_OR_RETURN(product, Product(*from, *rhs, tables[i]));
+      from = &product;
     }
-    if (!predicate.empty()) plan = plan.Where(std::move(predicate));
-    PIP_ASSIGN_OR_RETURN(CTable base, plan.Execute(*db_));
+    CTable base;
+    if (!predicate.empty()) {
+      PIP_ASSIGN_OR_RETURN(base, Select(*from, predicate));
+    } else if (from == &product) {
+      base = std::move(product);
+    } else {
+      base = *snapshot;
+    }
 
     // Classify the target list.
     bool any_table_wide = false, any_per_row = false, any_plain = false;

@@ -185,6 +185,13 @@ using AdmissionHook =
 /// database defaults, plus the statement envelope) so SET is
 /// connection-local, while data, named variables, the thread pool, and
 /// the plan cache are shared through the Database.
+///
+/// A SELECT's symbolic phase calls the c-table algebra (algebra.h)
+/// directly. The session holds the catalogue snapshots
+/// (Database::GetTable) while the statement runs: FROM folds them into
+/// one Product in FROM order, WHERE is one Select (over a lone table's
+/// snapshot in place), and the targets are one Project. The result
+/// operators of query.h then remove the probability.
 class Session {
  public:
   /// Inherits the database's default sampling options and an envelope
@@ -210,7 +217,7 @@ class Session {
 
   /// Installs admission control — the server wires its AdmissionGate
   /// here. Execute calls the hook at most once per SELECT, after the
-  /// symbolic plan produced the rows that survive WHERE and their engine
+  /// symbolic phase produced the rows that survive WHERE and their engine
   /// calls were triaged (index_ops.h), and before the first draw. The
   /// draw volume it passes is the rows that will sample x per-row draws
   /// (FIXED_SAMPLES when pinned, else MIN_SAMPLES). Rows answered in

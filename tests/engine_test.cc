@@ -23,9 +23,8 @@ class EngineTest : public ::testing::Test {
 TEST_F(EngineTest, RegisterAndScan) {
   EXPECT_TRUE(db_.HasTable("orders"));
   EXPECT_FALSE(db_.HasTable("nope"));
-  CTable t = Query::Scan("orders").Execute(db_).value();
-  EXPECT_EQ(t.num_rows(), 2u);
-  EXPECT_FALSE(Query::Scan("nope").Execute(db_).ok());
+  EXPECT_EQ(db_.GetTable("orders").value()->num_rows(), 2u);
+  EXPECT_EQ(db_.GetTable("nope").status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(EngineTest, DuplicateRegistrationRejected) {
@@ -38,14 +37,12 @@ TEST_F(EngineTest, MaterializeViewReplaces) {
   CTable view(Schema({"v"}));
   PIP_CHECK(view.Append({Expr::Constant(1.0)}).ok());
   db_.MaterializeView("orders", view);
-  CTable t = Query::Scan("orders").Execute(db_).value();
-  EXPECT_EQ(t.schema().ToString(), "(v)");
+  EXPECT_EQ(db_.GetTable("orders").value()->schema().ToString(), "(v)");
 }
 
 TEST_F(EngineTest, WhereMovesDeterministicFilters) {
-  CTable t = Query::Scan("orders")
-                 .Where({CE::Column("cust") == CE::Literal("Joe")})
-                 .Execute(db_)
+  CTable t = Select(*db_.GetTable("orders").value(),
+                    {CE::Column("cust") == CE::Literal("Joe")})
                  .value();
   ASSERT_EQ(t.num_rows(), 1u);
   EXPECT_TRUE(t.row(0).condition.IsTrue());
@@ -53,13 +50,14 @@ TEST_F(EngineTest, WhereMovesDeterministicFilters) {
 
 TEST_F(EngineTest, WhereMovesProbabilisticAtomsIntoConditions) {
   VarRef noise = db_.CreateVariable("Normal", {0.0, 1.0}).value();
-  CTable t = Query::Scan("orders")
-                 .SelectCols({{"cust", CE::Column("cust")},
-                              {"noisy_price",
-                               CE::Column("price") + CE::Embed(Expr::Var(noise))}})
-                 .Where({CE::Column("noisy_price") > CE::Literal(150.0)})
-                 .Execute(db_)
-                 .value();
+  CTable noisy =
+      Project(*db_.GetTable("orders").value(),
+              {{"cust", CE::Column("cust")},
+               {"noisy_price",
+                CE::Column("price") + CE::Embed(Expr::Var(noise))}})
+          .value();
+  CTable t =
+      Select(noisy, {CE::Column("noisy_price") > CE::Literal(150.0)}).value();
   ASSERT_EQ(t.num_rows(), 2u);
   // The atom over the probabilistic column became a row condition (the
   // paper's CTYPE rewriting); deterministic evaluation is deferred.
@@ -71,44 +69,14 @@ TEST_F(EngineTest, ChainedPlanProducesExpectedRows) {
   PIP_CHECK(shipping.Append({Value("NY"), Value(3.0)}).ok());
   PIP_CHECK(shipping.Append({Value("LA"), Value(9.0)}).ok());
   PIP_CHECK(db_.RegisterTable("shipping", shipping).ok());
-  CTable t = Query::Scan("orders")
-                 .JoinOn(Query::Scan("shipping"),
-                         {CE::Column("dest") == CE::Column("dest_2")}, "")
-                 .Where({CE::Column("days") > CE::Literal(5.0)})
-                 .SelectCols({{"cust", CE::Column("cust")}})
-                 .Execute(db_)
-                 .value();
+  CTable joined = Join(*db_.GetTable("orders").value(),
+                       *db_.GetTable("shipping").value(),
+                       {CE::Column("dest") == CE::Column("dest_2")}, "")
+                      .value();
+  CTable slow = Select(joined, {CE::Column("days") > CE::Literal(5.0)}).value();
+  CTable t = Project(slow, {{"cust", CE::Column("cust")}}).value();
   ASSERT_EQ(t.num_rows(), 1u);
   EXPECT_EQ(t.row(0).cells[0]->value(), Value("Bob"));
-}
-
-TEST_F(EngineTest, UnionDistinctExceptRoundTrip) {
-  Query q = Query::Scan("orders");
-  CTable doubled = q.UnionAll(q).Execute(db_).value();
-  EXPECT_EQ(doubled.num_rows(), 4u);
-  CTable dedup = q.UnionAll(q).DistinctRows().Execute(db_).value();
-  EXPECT_EQ(dedup.num_rows(), 2u);
-  CTable none = q.Except(q).Execute(db_).value();
-  EXPECT_EQ(none.num_rows(), 0u);
-}
-
-TEST_F(EngineTest, ValuesLeafAndToString) {
-  CTable inline_table(Schema({"x"}));
-  PIP_CHECK(inline_table.Append({Expr::Constant(7.0)}).ok());
-  Query q = Query::Values(inline_table).Where({CE::Column("x") >
-                                               CE::Literal(0.0)});
-  EXPECT_EQ(q.Execute(db_).value().num_rows(), 1u);
-  std::string plan = q.ToString();
-  EXPECT_NE(plan.find("Where"), std::string::npos);
-  EXPECT_NE(plan.find("Values"), std::string::npos);
-}
-
-TEST_F(EngineTest, ExplodePlanNode) {
-  VarRef coin = db_.CreateVariable("Bernoulli", {0.5}).value();
-  CTable t(Schema({"v"}));
-  PIP_CHECK(t.Append({Expr::Var(coin)}).ok());
-  CTable exploded = Query::Values(t).Explode().Execute(db_).value();
-  EXPECT_EQ(exploded.num_rows(), 2u);
 }
 
 TEST_F(EngineTest, AnalyzeProducesExpectationsAndConfidence) {
@@ -202,14 +170,13 @@ TEST_F(EngineTest, RunningExampleEndToEnd) {
   PIP_CHECK(db.RegisterCTable("orders", orders).ok());
   PIP_CHECK(db.RegisterCTable("shipping", shipping).ok());
 
-  CTable result = Query::Scan("orders")
-                      .JoinOn(Query::Scan("shipping"),
-                              {CE::Column("ship_to") == CE::Column("dest"),
-                               CE::Column("duration") >= CE::Literal(7.0)})
-                      .Where({CE::Column("cust") == CE::Literal("Joe")})
-                      .SelectCols({{"price", CE::Column("price")}})
-                      .Execute(db)
-                      .value();
+  CTable late = Join(*db.GetTable("orders").value(),
+                     *db.GetTable("shipping").value(),
+                     {CE::Column("ship_to") == CE::Column("dest"),
+                      CE::Column("duration") >= CE::Literal(7.0)})
+                    .value();
+  CTable joe = Select(late, {CE::Column("cust") == CE::Literal("Joe")}).value();
+  CTable result = Project(joe, {{"price", CE::Column("price")}}).value();
   ASSERT_EQ(result.num_rows(), 1u);
 
   SamplingOptions opts;

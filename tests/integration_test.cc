@@ -141,9 +141,8 @@ TEST_F(DiscreteWorldTest, QueryPlusExplosionMatchesEnumeration) {
                 .ok());
   db.MaterializeView("items", items);
 
-  CTable result = Query::Scan("items")
-                      .Where({CE::Column("payoff") > CE::Literal(4.0)})
-                      .Execute(db)
+  CTable result = Select(*db.GetTable("items").value(),
+                         {CE::Column("payoff") > CE::Literal(4.0)})
                       .value();
 
   double exact = 0.0;

@@ -143,6 +143,49 @@ TEST_F(SqlSessionTest, CrossProductFrom) {
   EXPECT_EQ(res.ctable.num_rows(), 2u);
 }
 
+// FROM folds its tables into one product in FROM order: a right-hand
+// column whose name is taken gets its table's name as a prefix, and the
+// first missing table is the one the error names.
+TEST_F(SqlSessionTest, ThreeTableFromPrefixesCollidingColumns) {
+  Run("CREATE TABLE l (k, a)");
+  Run("CREATE TABLE r (k, b)");
+  Run("CREATE TABLE s (k, c)");
+  Run("INSERT INTO l VALUES (1, 10), (2, 20)");
+  Run("INSERT INTO r VALUES (1, 100), (2, 200)");
+  Run("INSERT INTO s VALUES (1, 1000), (3, 3000)");
+
+  SqlResult all = Run("SELECT * FROM l, r, s");
+  EXPECT_EQ(all.ctable.schema().columns(),
+            (std::vector<std::string>{"k", "a", "r.k", "b", "s.k", "c"}));
+  EXPECT_EQ(all.ctable.num_rows(), 8u);
+
+  SqlResult joined = Run("SELECT * FROM l, r, s WHERE k = r.k AND r.k = s.k");
+  ASSERT_EQ(joined.ctable.num_rows(), 1u);
+  std::vector<Value> cells;
+  for (const auto& cell : joined.ctable.row(0).cells) {
+    cells.push_back(cell->value());
+  }
+  EXPECT_EQ(cells, (std::vector<Value>{Value(1.0), Value(10.0), Value(1.0),
+                                       Value(100.0), Value(1.0),
+                                       Value(1000.0)}));
+
+  SqlResult picked = Run("SELECT a, s.k, c FROM l, r, s WHERE b = 200");
+  EXPECT_EQ(picked.ctable.schema().columns(),
+            (std::vector<std::string>{"a", "s.k", "c"}));
+  EXPECT_EQ(picked.ctable.num_rows(), 4u);
+
+  for (const auto& [stmt, first_missing] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"SELECT * FROM l, nope1, r, nope2", "nope1"},
+           {"SELECT * FROM nope2, l, nope1", "nope2"}}) {
+    SqlResult err = session_.Execute(stmt);
+    ASSERT_FALSE(err.ok()) << stmt;
+    EXPECT_EQ(err.error.code, WireErrorCode::kNotFound) << stmt;
+    EXPECT_EQ(err.error.message, "no table named '" + first_missing + "'")
+        << stmt;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Session: WHERE over deterministic cells. Atoms whose two sides are
 // constant cells are decided by Value::Compare before any row is copied;
