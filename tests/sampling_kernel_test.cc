@@ -19,7 +19,9 @@
 /// (fixed and adaptive, plus Example 4.4's expected_max) at 1 and 8
 /// threads. The values were produced by the lattice-walk quantile and
 /// the Value evaluator, and the aggregates' by their four separate row
-/// loops; a mismatch means an answer changed.
+/// loops; a mismatch means an answer changed. A second table pins one
+/// case per expectation strategy under the default toggles and under
+/// each use_* toggle off alone.
 
 #include <gtest/gtest.h>
 
@@ -681,6 +683,328 @@ TEST(SamplingGoldenTest, AnswersKeepTheirBits) {
   for (size_t threads : {size_t{1}, size_t{8}}) {
     SCOPED_TRACE(threads);
     std::map<std::string, std::string> got = GoldenRun(threads);
+    ASSERT_EQ(got.size(), golden.size());
+    for (const auto& [name, want] : golden) {
+      EXPECT_EQ(got[name], want) << name;
+    }
+  }
+}
+
+/// Golden line of a SampleConditional draw: count, FNV hash of the bits,
+/// and the sum.
+std::string DescribeSamples(const StatusOr<std::vector<double>>& samples) {
+  if (!samples.ok()) return samples.status().ToString();
+  uint64_t h = 1469598103934665603ULL;
+  double sum = 0.0;
+  for (double s : samples.value()) {
+    h = (h ^ Bits(s)) * 1099511628211ULL;
+    sum += s;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return "n=" + std::to_string(samples.value().size()) + " h=" + buf +
+         " s=" + Hex(sum);
+}
+
+/// The strategy cases, evaluated under `options`: one line per case. Each
+/// case lands on a different strategy under the default toggles (CDF band,
+/// lattice band, quadrature, lattice sum, windowed or plain rejection,
+/// Metropolis, inclusion-exclusion, joint hit rate), and a toggle that is
+/// off sends it to the next strategy down.
+std::map<std::string, std::string> ToggleRun(const GoldenPool& g,
+                                             const SamplingOptions& options) {
+  const std::vector<ExprPtr>& price = g.price;
+  const std::vector<ExprPtr>& qty = g.qty;
+  auto c = [](double v) { return Expr::Constant(v); };
+  auto describe = [](const StatusOr<ExpectationResult>& r) {
+    return r.ok() ? Describe(r.value()) : r.status().ToString();
+  };
+  SamplingEngine engine(&g.pool, options);
+  std::map<std::string, std::string> out;
+
+  // Single-variable bands: CDF differences, lattice-rounded for Poisson.
+  out["band_continuous"] = describe(engine.Confidence(
+      Condition(price[0] > c(85.0)).And(Condition(price[0] <= c(100.0)))));
+  out["band_poisson"] = describe(engine.Confidence(
+      Condition(qty[1] > c(2.0))
+          .And(Condition(qty[1] < c(9.5)))
+          .And(Condition(qty[1] != c(5.0)))));
+
+  // Single-variable targets: quadrature and an exact lattice sum.
+  out["integrate_continuous"] = describe(engine.Expectation(
+      price[1] * price[1],
+      Condition(price[1] > c(95.0)).And(Condition(price[1] <= c(110.0))),
+      /*compute_probability=*/true));
+  out["integrate_poisson"] = describe(engine.Expectation(
+      qty[2] * c(2.0),
+      Condition(qty[2] >= c(3.0)).And(Condition(qty[2] != c(6.0))), true));
+
+  // A target group beside an independent constrained group.
+  out["target_plus_group"] = describe(engine.Expectation(
+      price[4], Condition(price[4] > c(100.0)).And(Condition(qty[4] > c(5.0))),
+      true));
+  ExprPtr line5 = price[5] * qty[5];
+  out["product_plus_group"] = describe(engine.Expectation(
+      line5, Condition(line5 > c(700.0)).And(Condition(qty[6] >= c(7.0))),
+      true));
+
+  // Two-variable targets: rejection, and a rare one the chain takes.
+  ExprPtr line = price[3] * qty[3];
+  out["product_normal_poisson"] =
+      describe(engine.Expectation(line, Condition(line > c(700.0)), true));
+  SamplingOptions rare_options = options;
+  rare_options.fixed_samples = 300;
+  SamplingEngine rare(&g.pool, rare_options);
+  out["rare_normal_normal"] = describe(
+      rare.Expectation(g.x * g.y, Condition(g.x * g.y > c(190.0)), true));
+
+  // Adaptive stopping over a sampled confidence.
+  SamplingOptions adaptive_options = options;
+  adaptive_options.fixed_samples = 0;
+  SamplingEngine adaptive(&g.pool, adaptive_options);
+  out["conf_product_adaptive"] =
+      describe(adaptive.Confidence(Condition(line > c(700.0))));
+
+  // aconf: inclusion-exclusion over bands, and the joint hit rate.
+  std::vector<Condition> bands;
+  for (int i = 0; i < 3; ++i) {
+    bands.emplace_back(price[i] > c(100.0 + 5.0 * i));
+  }
+  auto aconf_bands = engine.JointConfidence(bands);
+  out["aconf_bands"] = aconf_bands.ok() ? "p=" + Hex(aconf_bands.value())
+                                        : aconf_bands.status().ToString();
+  std::vector<Condition> products;
+  for (int i = 0; i < 7; ++i) {
+    products.emplace_back(price[i] * qty[i] > c(700.0 + 150.0 * i));
+  }
+  auto aconf_products = engine.JointConfidence(products);
+  out["aconf_products"] = aconf_products.ok()
+                              ? "p=" + Hex(aconf_products.value())
+                              : aconf_products.status().ToString();
+
+  // SampleConditional: rejection over a product, a windowed band.
+  out["sample_product"] = DescribeSamples(
+      engine.SampleConditional(line, Condition(line > c(700.0)), 300));
+  out["sample_band"] = DescribeSamples(engine.SampleConditional(
+      price[2],
+      Condition(price[2] > c(100.0)).And(Condition(price[2] < c(105.0))),
+      200));
+  return out;
+}
+
+TEST(SamplingGoldenTest, EveryToggleKeepsItsBits) {
+  // The default toggles and each use_* toggle off alone, under fixed
+  // sampling (the adaptive case overrides it).
+  std::vector<std::pair<std::string, SamplingOptions>> configs(7);
+  configs[0].first = "default";
+  configs[1].first = "no_exact_cdf";
+  configs[1].second.use_exact_cdf = false;
+  configs[2].first = "no_cdf_sampling";
+  configs[2].second.use_cdf_sampling = false;
+  configs[3].first = "no_independence";
+  configs[3].second.use_independence = false;
+  configs[4].first = "no_metropolis";
+  configs[4].second.use_metropolis = false;
+  configs[5].first = "no_batch_generation";
+  configs[5].second.use_batch_generation = false;
+  configs[6].first = "no_numeric_integration";
+  configs[6].second.use_numeric_integration = false;
+  const std::map<std::string, std::string> golden = {
+      {"default/aconf_bands",
+       "p=3fd2f5f90b0e2e12"},
+      {"default/aconf_products",
+       "p=3fceb851eb851eb8"},
+      {"default/band_continuous",
+       "e=3ff0000000000000 p=3fe41b904819862b n=0 a=0"},
+      {"default/band_poisson",
+       "e=3ff0000000000000 p=3fe31e7b808e3e24 n=0 a=0"},
+      {"default/conf_product_adaptive",
+       "e=3ff0000000000000 p=3fd58eb3e45306eb n=0 a=18944"},
+      {"default/integrate_continuous",
+       "e=40c3dcbe23e822b7 p=3fdac13b5db9c842 n=0 a=0"},
+      {"default/integrate_poisson",
+       "e=4025821301e5bc3e p=3fe754fe504197ab n=0 a=0"},
+      {"default/product_normal_poisson",
+       "e=408c361b25ac680a p=3fd579fc90527845 n=500 a=1490"},
+      {"default/product_plus_group",
+       "e=40903861d770c9da p=3fe10ef851ea052f n=500 a=744"},
+      {"default/rare_normal_normal",
+       "e=40693f45b3a2a8d7 p=3f7b4e81b4e81b4f n=300 a=2300"},
+      {"default/sample_band",
+       "n=200 h=15757b97d185d297 s=40d4039746df02ab"},
+      {"default/sample_product",
+       "n=300 h=ea110b044f151215 s=411061628c1bf0fd"},
+      {"default/target_plus_group",
+       "e=405c070903bb3e1f p=3fdef2387de602a0 n=0 a=0"},
+      {"no_batch_generation/aconf_bands",
+       "p=3fd2f5f90b0e2e12"},
+      {"no_batch_generation/aconf_products",
+       "p=3fceb851eb851eb8"},
+      {"no_batch_generation/band_continuous",
+       "e=3ff0000000000000 p=3fe41b904819862b n=0 a=0"},
+      {"no_batch_generation/band_poisson",
+       "e=3ff0000000000000 p=3fe31e7b808e3e24 n=0 a=0"},
+      {"no_batch_generation/conf_product_adaptive",
+       "e=3ff0000000000000 p=3fd58eb3e45306eb n=0 a=18944"},
+      {"no_batch_generation/integrate_continuous",
+       "e=40c3dcbe23e822b7 p=3fdac13b5db9c842 n=0 a=0"},
+      {"no_batch_generation/integrate_poisson",
+       "e=4025821301e5bc3e p=3fe754fe504197ab n=0 a=0"},
+      {"no_batch_generation/product_normal_poisson",
+       "e=408c361b25ac680a p=3fd579fc90527845 n=500 a=1490"},
+      {"no_batch_generation/product_plus_group",
+       "e=40903861d770c9da p=3fe10ef851ea052f n=500 a=744"},
+      {"no_batch_generation/rare_normal_normal",
+       "e=40693f45b3a2a8d7 p=3f7b4e81b4e81b4f n=300 a=2300"},
+      {"no_batch_generation/sample_band",
+       "n=200 h=15757b97d185d297 s=40d4039746df02ab"},
+      {"no_batch_generation/sample_product",
+       "n=300 h=ea110b044f151215 s=411061628c1bf0fd"},
+      {"no_batch_generation/target_plus_group",
+       "e=405c070903bb3e1f p=3fdef2387de602a0 n=0 a=0"},
+      {"no_cdf_sampling/aconf_bands",
+       "p=3fd2f5f90b0e2e12"},
+      {"no_cdf_sampling/aconf_products",
+       "p=3fceb851eb851eb8"},
+      {"no_cdf_sampling/band_continuous",
+       "e=3ff0000000000000 p=3fe41b904819862b n=0 a=0"},
+      {"no_cdf_sampling/band_poisson",
+       "e=3ff0000000000000 p=3fe31e7b808e3e24 n=0 a=0"},
+      {"no_cdf_sampling/conf_product_adaptive",
+       "e=3ff0000000000000 p=3fd58eb3e45306eb n=0 a=18944"},
+      {"no_cdf_sampling/integrate_continuous",
+       "e=40c3dcbe23e822b7 p=3fdac13b5db9c842 n=0 a=0"},
+      {"no_cdf_sampling/integrate_poisson",
+       "e=4025821301e5bc3e p=3fe754fe504197ab n=0 a=0"},
+      {"no_cdf_sampling/product_normal_poisson",
+       "e=408c361b25ac680a p=3fd579fc90527845 n=500 a=1490"},
+      {"no_cdf_sampling/product_plus_group",
+       "e=40903861d770c9da p=3fe10ef851ea052f n=500 a=744"},
+      {"no_cdf_sampling/rare_normal_normal",
+       "e=40693f45b3a2a8d7 p=3f7b4e81b4e81b4f n=300 a=2300"},
+      {"no_cdf_sampling/sample_band",
+       "n=200 h=8f08a3e7e655725c s=40d40fed7f321fb3"},
+      {"no_cdf_sampling/sample_product",
+       "n=300 h=ea110b044f151215 s=411061628c1bf0fd"},
+      {"no_cdf_sampling/target_plus_group",
+       "e=405c070903bb3e1f p=3fdef2387de602a0 n=0 a=0"},
+      {"no_exact_cdf/aconf_bands",
+       "p=3fd2f5f90b0e2e12"},
+      {"no_exact_cdf/aconf_products",
+       "p=3fceb851eb851eb8"},
+      {"no_exact_cdf/band_continuous",
+       "e=3ff0000000000000 p=3fe41b904819862b n=0 a=500"},
+      {"no_exact_cdf/band_poisson",
+       "e=3ff0000000000000 p=3fe2c89cb9a9799f n=0 a=500"},
+      {"no_exact_cdf/conf_product_adaptive",
+       "e=3ff0000000000000 p=3fd58eb3e45306eb n=0 a=18944"},
+      {"no_exact_cdf/integrate_continuous",
+       "e=40c3fcd338892668 p=3fdac13b5db9c842 n=500 a=500"},
+      {"no_exact_cdf/integrate_poisson",
+       "e=402520c49ba5e354 p=3fe6ff65dd89c4b9 n=500 a=609"},
+      {"no_exact_cdf/product_normal_poisson",
+       "e=408c361b25ac680a p=3fd579fc90527845 n=500 a=1490"},
+      {"no_exact_cdf/product_plus_group",
+       "e=40903861d770c9da p=3fe10ef851ea052f n=500 a=1244"},
+      {"no_exact_cdf/rare_normal_normal",
+       "e=40693f45b3a2a8d7 p=3f7b4e81b4e81b4f n=300 a=2300"},
+      {"no_exact_cdf/sample_band",
+       "n=200 h=15757b97d185d297 s=40d4039746df02ab"},
+      {"no_exact_cdf/sample_product",
+       "n=300 h=ea110b044f151215 s=411061628c1bf0fd"},
+      {"no_exact_cdf/target_plus_group",
+       "e=405bd44ef9ba0f14 p=3fdf4138e5c772f3 n=500 a=1000"},
+      {"no_independence/aconf_bands",
+       "p=3fd2f5f90b0e2e12"},
+      {"no_independence/aconf_products",
+       "p=3fceb851eb851eb8"},
+      {"no_independence/band_continuous",
+       "e=3ff0000000000000 p=3fe41b904819862b n=0 a=0"},
+      {"no_independence/band_poisson",
+       "e=3ff0000000000000 p=3fe31e7b808e3e24 n=0 a=0"},
+      {"no_independence/conf_product_adaptive",
+       "e=3ff0000000000000 p=3fd58eb3e45306eb n=0 a=18944"},
+      {"no_independence/integrate_continuous",
+       "e=40c3dcbe23e822b7 p=3fdac13b5db9c842 n=0 a=0"},
+      {"no_independence/integrate_poisson",
+       "e=4025821301e5bc3e p=3fe754fe504197ab n=0 a=0"},
+      {"no_independence/product_normal_poisson",
+       "e=408c361b25ac680a p=3fd579fc90527845 n=500 a=1490"},
+      {"no_independence/product_plus_group",
+       "e=40903861d770c9da p=3fe10ef851ea052f n=500 a=744"},
+      {"no_independence/rare_normal_normal",
+       "e=40693f45b3a2a8d7 p=3f7b4e81b4e81b4f n=300 a=2300"},
+      {"no_independence/sample_band",
+       "n=200 h=15757b97d185d297 s=40d4039746df02ab"},
+      {"no_independence/sample_product",
+       "n=300 h=ea110b044f151215 s=411061628c1bf0fd"},
+      {"no_independence/target_plus_group",
+       "e=405bd411fd53ddbc p=3fdf8cd240f31810 n=500 a=580"},
+      {"no_metropolis/aconf_bands",
+       "p=3fd2f5f90b0e2e12"},
+      {"no_metropolis/aconf_products",
+       "p=3fceb851eb851eb8"},
+      {"no_metropolis/band_continuous",
+       "e=3ff0000000000000 p=3fe41b904819862b n=0 a=0"},
+      {"no_metropolis/band_poisson",
+       "e=3ff0000000000000 p=3fe31e7b808e3e24 n=0 a=0"},
+      {"no_metropolis/conf_product_adaptive",
+       "e=3ff0000000000000 p=3fd58eb3e45306eb n=0 a=18944"},
+      {"no_metropolis/integrate_continuous",
+       "e=40c3dcbe23e822b7 p=3fdac13b5db9c842 n=0 a=0"},
+      {"no_metropolis/integrate_poisson",
+       "e=4025821301e5bc3e p=3fe754fe504197ab n=0 a=0"},
+      {"no_metropolis/product_normal_poisson",
+       "e=408c361b25ac680a p=3fd579fc90527845 n=500 a=1490"},
+      {"no_metropolis/product_plus_group",
+       "e=40903861d770c9da p=3fe10ef851ea052f n=500 a=744"},
+      {"no_metropolis/rare_normal_normal",
+       "e=406925336c2f57d6 p=3f6c2e79df9a5bca n=300 a=87206"},
+      {"no_metropolis/sample_band",
+       "n=200 h=15757b97d185d297 s=40d4039746df02ab"},
+      {"no_metropolis/sample_product",
+       "n=300 h=ea110b044f151215 s=411061628c1bf0fd"},
+      {"no_metropolis/target_plus_group",
+       "e=405c070903bb3e1f p=3fdef2387de602a0 n=0 a=0"},
+      {"no_numeric_integration/aconf_bands",
+       "p=3fd2f5f90b0e2e12"},
+      {"no_numeric_integration/aconf_products",
+       "p=3fceb851eb851eb8"},
+      {"no_numeric_integration/band_continuous",
+       "e=3ff0000000000000 p=3fe41b904819862b n=0 a=0"},
+      {"no_numeric_integration/band_poisson",
+       "e=3ff0000000000000 p=3fe31e7b808e3e24 n=0 a=0"},
+      {"no_numeric_integration/conf_product_adaptive",
+       "e=3ff0000000000000 p=3fd58eb3e45306eb n=0 a=18944"},
+      {"no_numeric_integration/integrate_continuous",
+       "e=40c3fcd338892668 p=3fdac13b5db9c842 n=500 a=500"},
+      {"no_numeric_integration/integrate_poisson",
+       "e=402520c49ba5e354 p=3fe754fe504197ab n=500 a=609"},
+      {"no_numeric_integration/product_normal_poisson",
+       "e=408c361b25ac680a p=3fd579fc90527845 n=500 a=1490"},
+      {"no_numeric_integration/product_plus_group",
+       "e=40903861d770c9da p=3fe10ef851ea052f n=500 a=744"},
+      {"no_numeric_integration/rare_normal_normal",
+       "e=40693f45b3a2a8d7 p=3f7b4e81b4e81b4f n=300 a=2300"},
+      {"no_numeric_integration/sample_band",
+       "n=200 h=15757b97d185d297 s=40d4039746df02ab"},
+      {"no_numeric_integration/sample_product",
+       "n=300 h=ea110b044f151215 s=411061628c1bf0fd"},
+      {"no_numeric_integration/target_plus_group",
+       "e=405bd44ef9ba0f14 p=3fdef2387de602a0 n=500 a=500"},
+  };
+  GoldenPool g;
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE(threads);
+    std::map<std::string, std::string> got;
+    for (auto& [name, options] : configs) {
+      options.fixed_samples = 500;
+      options.num_threads = threads;
+      for (auto& [key, line] : ToggleRun(g, options)) {
+        got[name + "/" + key] = std::move(line);
+      }
+    }
     ASSERT_EQ(got.size(), golden.size());
     for (const auto& [name, want] : golden) {
       EXPECT_EQ(got[name], want) << name;
