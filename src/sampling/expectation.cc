@@ -58,24 +58,88 @@ bool AsVarConst(const ConstraintAtom& atom, VarRef* var, CmpOp* op,
   return true;
 }
 
-/// Shape-level exact-CDF eligibility of one group: a single variable
-/// with a CDF, every atom var-vs-numeric-const, and a PMF available when
-/// equality/disequality atoms occur. Depends only on structure and class
-/// capabilities, so PlanCache skeletons carry the verdict across rows.
-bool ExactCdfEligible(const Condition& condition, const VariableGroup& group,
-                      const VariablePool& pool) {
-  if (group.vars.size() != 1 || group.atom_indices.empty()) return false;
-  VarRef v = *group.vars.begin();
-  if (!pool.HasCdf(v)) return false;
-  bool needs_pmf = false;
-  for (size_t idx : group.atom_indices) {
+/// The strategy of one group (see GroupStrategy), from its structure, its
+/// classes' capabilities and the use_* toggles; `sole_target` says no
+/// other group touches the target. Reads no constant or parameter, so
+/// PlanCache skeletons carry it across rows.
+GroupStrategy ChooseStrategy(const Condition& condition,
+                             const VariableGroup& group, bool sole_target,
+                             const VariablePool& pool,
+                             const SamplingOptions& options) {
+  if (group.vars.size() != 1) return GroupStrategy::kSample;
+  const VarRef v = *group.vars.begin();
+  // Exact CDF: a CDF, every atom var-vs-numeric-const, and a PMF when an
+  // = or != atom occurs.
+  bool exact = options.use_exact_cdf && !group.atom_indices.empty() &&
+               pool.HasCdf(v);
+  for (size_t i = 0; exact && i < group.atom_indices.size(); ++i) {
     VarRef av;
     CmpOp op;
     double c;
-    if (!AsVarConst(condition.atoms()[idx], &av, &op, &c)) return false;
-    if (op == CmpOp::kEq || op == CmpOp::kNe) needs_pmf = true;
+    exact = AsVarConst(condition.atoms()[group.atom_indices[i]], &av, &op,
+                       &c) &&
+            ((op != CmpOp::kEq && op != CmpOp::kNe) || pool.HasPdf(v));
   }
-  return !needs_pmf || pool.HasPdf(v);
+  // Integration: the sole target group, unconstrained or an exact-CDF
+  // band, over one univariate variable with a PDF and a CDF.
+  if (options.use_numeric_integration && sole_target &&
+      (group.atom_indices.empty() || exact) && pool.HasPdf(v) &&
+      pool.HasCdf(v)) {
+    auto info = pool.Info(v.var_id);
+    if (info.ok() && info.value()->num_components == 1) {
+      return GroupStrategy::kIntegrate;
+    }
+  }
+  return exact ? GroupStrategy::kExactCdf : GroupStrategy::kSample;
+}
+
+/// The atoms of a kExactCdf or kIntegrate group folded into one band on
+/// its variable: [lo, hi], rounded inward to the integer lattice for
+/// discrete laws, plus the = pin and the != pins (sorted, unique).
+/// Contradictory = pins leave lo > hi.
+struct Band {
+  double lo = -kInf, hi = kInf;
+  std::optional<double> eq;
+  std::vector<double> ne;
+};
+
+/// Folds var-vs-constant `atoms` into *band; false on another atom shape.
+bool FoldBand(const std::vector<ConstraintAtom>& atoms, bool discrete,
+              Band* band) {
+  for (const auto& atom : atoms) {
+    VarRef v;
+    CmpOp op;
+    double c;
+    if (!AsVarConst(atom, &v, &op, &c)) return false;
+    switch (op) {
+      case CmpOp::kGt:
+        band->lo = std::max(band->lo, discrete ? std::floor(c) + 1.0 : c);
+        break;
+      case CmpOp::kGe:
+        band->lo = std::max(band->lo, discrete ? std::ceil(c) : c);
+        break;
+      case CmpOp::kLt:
+        band->hi = std::min(band->hi, discrete ? std::ceil(c) - 1.0 : c);
+        break;
+      case CmpOp::kLe:
+        band->hi = std::min(band->hi, discrete ? std::floor(c) : c);
+        break;
+      case CmpOp::kEq:
+        if (band->eq && *band->eq != c) {
+          band->lo = kInf;
+          band->hi = -kInf;
+        }
+        band->eq = c;
+        break;
+      case CmpOp::kNe:
+        band->ne.push_back(c);
+        break;
+    }
+  }
+  std::sort(band->ne.begin(), band->ne.end());
+  band->ne.erase(std::unique(band->ne.begin(), band->ne.end()),
+                 band->ne.end());
+  return true;
 }
 
 /// The shared chunk-wave determinism protocol: runs chunks
@@ -212,7 +276,9 @@ struct SamplingEngine::GroupPlan {
   /// distribution's InverseCdf). Shared by chunk clones.
   std::vector<std::shared_ptr<const QuantileTable>> quantile_tables;
 
-  bool exact = false;        // Exact CDF integration available.
+  GroupStrategy strategy = GroupStrategy::kSample;
+  /// The folded atoms and P[atoms] of a kExactCdf or kIntegrate group.
+  Band band;
   double exact_prob = 1.0;
 
   // Runtime counters (Alg. 4.3's N and Count[K]).
@@ -245,8 +311,9 @@ struct SamplingEngine::GroupPlan {
   }
 
   /// A counter-reset copy for one shard of the sample-index space. A
-  /// clone never arms Metropolis, so it carries neither the chain key
-  /// nor the consistency bounds only the chain reads.
+  /// clone only draws: it never arms Metropolis, so it carries neither
+  /// the chain key nor the consistency bounds only the chain reads, and
+  /// P comes from the original, so it carries no strategy or band.
   GroupPlan CloneForChunk() const {
     GroupPlan c;
     c.vars = vars;
@@ -257,8 +324,6 @@ struct SamplingEngine::GroupPlan {
     c.cdf_constrained = cdf_constrained;
     c.window_prob = window_prob;
     c.quantile_tables = quantile_tables;
-    c.exact = exact;
-    c.exact_prob = exact_prob;
     c.allow_metropolis = false;
     return c;
   }
@@ -302,14 +367,31 @@ SamplingEngine::Shape SamplingEngine::Skeleton(
   for (size_t s = 0; s < shape.canon_vars.size(); ++s) {
     slot_of[shape.canon_vars[s]] = s;
   }
-  for (const auto& g : PartitionIndependent(condition, target_vars)) {
+  std::vector<VariableGroup> groups;
+  if (options_.use_independence) {
+    groups = PartitionIndependent(condition, target_vars);
+  } else {
+    // Ablation mode: one monolithic group.
+    VariableGroup g;
+    g.vars.insert(shape.canon_vars.begin(), shape.canon_vars.end());
+    for (size_t i = 0; i < condition.atoms().size(); ++i) {
+      g.atom_indices.push_back(i);
+    }
+    g.touches_target = !target_vars.empty();
+    if (!g.vars.empty()) groups.push_back(std::move(g));
+  }
+  const size_t target_groups = static_cast<size_t>(
+      std::count_if(groups.begin(), groups.end(),
+                    [](const VariableGroup& g) { return g.touches_target; }));
+  for (const auto& g : groups) {
     PlanSkeleton::Group sg;
     sg.var_slots.reserve(g.vars.size());
     for (const VarRef& v : g.vars) sg.var_slots.push_back(slot_of.at(v));
     sg.atom_indices = g.atom_indices;
     sg.touches_target = g.touches_target;
-    sg.exact_eligible =
-        options_.use_exact_cdf && ExactCdfEligible(condition, g, *pool_);
+    sg.strategy =
+        ChooseStrategy(condition, g, g.touches_target && target_groups == 1,
+                       *pool_, options_);
     built->groups.push_back(std::move(sg));
   }
   plan_cache_->Insert(key, built);
@@ -332,61 +414,37 @@ StatusOr<std::vector<SamplingEngine::GroupPlan>> SamplingEngine::PlanGroups(
     return std::vector<GroupPlan>{};
   }
 
-  // Structure-only planning: partition + per-group exact eligibility.
-  // Both are pure functions of the condition's *shape*, so rows sharing a
-  // shape (Analyze batches, inclusion-exclusion conjunctions) pay them
-  // once through the shape cache.
-  std::vector<VariableGroup> groups;
-  std::vector<bool> exact_eligible;
-  if (options_.use_independence) {
-    Shape looked_up;
-    if (shape == nullptr) {
-      looked_up = Skeleton(condition, target_vars);
-      shape = &looked_up;
-    }
-    groups.reserve(shape->skeleton->groups.size());
-    for (const auto& sg : shape->skeleton->groups) {
-      VariableGroup g;
-      for (size_t slot : sg.var_slots) g.vars.insert(shape->canon_vars[slot]);
-      g.atom_indices = sg.atom_indices;
-      g.touches_target = sg.touches_target;
-      groups.push_back(std::move(g));
-      exact_eligible.push_back(sg.exact_eligible);
-    }
-  } else {
-    // Ablation mode: one monolithic group.
-    VariableGroup g;
-    g.vars = condition.Variables();
-    g.vars.insert(target_vars.begin(), target_vars.end());
-    for (size_t i = 0; i < condition.atoms().size(); ++i) {
-      g.atom_indices.push_back(i);
-    }
-    g.touches_target = !target_vars.empty();
-    if (!g.vars.empty()) {
-      exact_eligible.push_back(options_.use_exact_cdf &&
-                               ExactCdfEligible(condition, g, *pool_));
-      groups.push_back(std::move(g));
-    }
+  // Structure-only planning (the groups and their strategies) is a pure
+  // function of the condition's *shape*, so rows sharing a shape
+  // (Analyze batches, inclusion-exclusion conjunctions) pay it once
+  // through the shape cache.
+  Shape looked_up;
+  if (shape == nullptr) {
+    looked_up = Skeleton(condition, target_vars);
+    shape = &looked_up;
   }
 
+  const auto& groups = shape->skeleton->groups;
   std::vector<GroupPlan> plans;
   plans.reserve(groups.size());
-  size_t group_index = 0;
-  for (const auto& g : groups) {
+  for (size_t group_index = 0; group_index < groups.size(); ++group_index) {
+    const PlanSkeleton::Group& sg = groups[group_index];
     GroupPlan plan;
-    plan.SetVars(g.vars);
-    for (size_t idx : g.atom_indices) {
+    VarSet vars;
+    for (size_t slot : sg.var_slots) vars.insert(shape->canon_vars[slot]);
+    plan.SetVars(vars);
+    for (size_t idx : sg.atom_indices) {
       plan.atoms.push_back(condition.atoms()[idx]);
     }
-    plan.touches_target = g.touches_target;
+    plan.touches_target = sg.touches_target;
+    plan.strategy = sg.strategy;
     plan.consistency = consistency;
     // Chain key: stable per (condition, group) so Metropolis chains are
     // replayable.
     uint64_t atoms_hash = 0;
     for (const auto& a : plan.atoms) atoms_hash ^= a.Hash();
-    plan.exact = exact_eligible[group_index];
     plan.chain_key =
-        MixBits(atoms_hash, group_index++, options_.sample_offset, 0x4d48ULL);
+        MixBits(atoms_hash, group_index, options_.sample_offset, 0x4d48ULL);
 
     // Per-variable CDF windows from the consistency bounds, memoized in
     // the plan: endpoints are evaluated here exactly once and reused by
@@ -461,8 +519,15 @@ StatusOr<std::vector<SamplingEngine::GroupPlan>> SamplingEngine::PlanGroups(
       }
     }
 
-    if (plan.exact) {
-      PIP_ASSIGN_OR_RETURN(plan.exact_prob, ExactGroupProbability(plan));
+    if (plan.strategy != GroupStrategy::kSample) {
+      PIP_ASSIGN_OR_RETURN(const VariableInfo* info,
+                           pool_->Info(plan.vars[0].var_id));
+      const bool discrete = info->dist->domain() != DomainKind::kContinuous;
+      if (!FoldBand(plan.atoms, discrete, &plan.band)) {
+        return Status::Internal("exact plan with a non var-vs-const atom");
+      }
+      PIP_ASSIGN_OR_RETURN(plan.exact_prob,
+                           ExactGroupProbability(plan, discrete));
       if (plan.exact_prob <= 0.0) {
         *inconsistent = true;
         return std::vector<GroupPlan>{};
@@ -474,116 +539,45 @@ StatusOr<std::vector<SamplingEngine::GroupPlan>> SamplingEngine::PlanGroups(
   return plans;
 }
 
-StatusOr<double> SamplingEngine::ExactGroupProbability(
-    const GroupPlan& plan) const {
+StatusOr<double> SamplingEngine::ExactGroupProbability(const GroupPlan& plan,
+                                                       bool discrete) const {
   const VarRef v = plan.vars[0];
-  PIP_ASSIGN_OR_RETURN(const VariableInfo* info, pool_->Info(v.var_id));
-  bool discrete = info->dist->domain() != DomainKind::kContinuous;
-
-  // Fold the atoms into one interval, tracking strictness (it matters on
-  // the integer lattice of discrete variables) plus equality /
-  // disequality pins.
-  double lo = -kInf, hi = kInf;
-  bool lo_strict = false, hi_strict = false;
-  std::optional<double> eq;
-  std::vector<double> ne;
-  for (const auto& atom : plan.atoms) {
-    VarRef av;
-    CmpOp op;
-    double c;
-    if (!AsVarConst(atom, &av, &op, &c)) {
-      return Status::Internal("exact plan with a non var-vs-const atom");
-    }
-    switch (op) {
-      case CmpOp::kGt:
-        if (c > lo || (c == lo && !lo_strict)) {
-          lo = c;
-          lo_strict = true;
-        }
-        break;
-      case CmpOp::kGe:
-        if (c > lo) {
-          lo = c;
-          lo_strict = false;
-        }
-        break;
-      case CmpOp::kLt:
-        if (c < hi || (c == hi && !hi_strict)) {
-          hi = c;
-          hi_strict = true;
-        }
-        break;
-      case CmpOp::kLe:
-        if (c < hi) {
-          hi = c;
-          hi_strict = false;
-        }
-        break;
-      case CmpOp::kEq:
-        if (eq && *eq != c) return 0.0;
-        eq = c;
-        break;
-      case CmpOp::kNe:
-        ne.push_back(c);
-        break;
-    }
-  }
-
-  auto cdf = [&](double x) -> StatusOr<double> { return pool_->Cdf(v, x); };
-
+  const Band& band = plan.band;
+  double fhi = 1.0, flo = 0.0;
   if (!discrete) {
-    if (eq) return 0.0;  // Zero mass (disequalities have full mass).
-    if (hi <= lo) return 0.0;
-    double fhi = std::isfinite(hi) ? ({
-      PIP_ASSIGN_OR_RETURN(double f, cdf(hi));
-      f;
-    })
-                                   : 1.0;
-    double flo = std::isfinite(lo) ? ({
-      PIP_ASSIGN_OR_RETURN(double f, cdf(lo));
-      f;
-    })
-                                   : 0.0;
+    // A point has zero mass; != pins have full mass.
+    if (band.eq || band.hi <= band.lo) return 0.0;
+    if (std::isfinite(band.hi)) {
+      PIP_ASSIGN_OR_RETURN(fhi, pool_->Cdf(v, band.hi));
+    }
+    if (std::isfinite(band.lo)) {
+      PIP_ASSIGN_OR_RETURN(flo, pool_->Cdf(v, band.lo));
+    }
     return std::max(0.0, fhi - flo);
   }
 
-  // Discrete (integer-lattice) case.
-  double lo_int = std::isfinite(lo)
-                      ? (lo_strict ? std::floor(lo) + 1.0 : std::ceil(lo))
-                      : -kInf;
-  double hi_int = std::isfinite(hi)
-                      ? (hi_strict ? std::ceil(hi) - 1.0 : std::floor(hi))
-                      : kInf;
-  if (lo_int > hi_int) return 0.0;
-
-  auto pmf = [&](double k) -> StatusOr<double> { return pool_->Pdf(v, k); };
-
-  if (eq) {
-    if (*eq < lo_int || *eq > hi_int) return 0.0;
-    for (double x : ne) {
-      if (x == *eq) return 0.0;
+  // Integer lattice. An infinite bound is a bound: X > +inf and X < -inf
+  // hold nowhere.
+  if (band.lo > band.hi || band.lo == kInf || band.hi == -kInf) return 0.0;
+  if (band.eq) {
+    if (*band.eq < band.lo || *band.eq > band.hi) return 0.0;
+    for (double x : band.ne) {
+      if (x == *band.eq) return 0.0;
     }
-    return pmf(*eq);
+    return pool_->Pdf(v, *band.eq);
   }
-
-  double fhi = std::isfinite(hi_int) ? ({
-    PIP_ASSIGN_OR_RETURN(double f, cdf(hi_int));
-    f;
-  })
-                                     : 1.0;
-  double flo = std::isfinite(lo_int) ? ({
-    PIP_ASSIGN_OR_RETURN(double f, cdf(lo_int - 1.0));
-    f;
-  })
-                                     : 0.0;
+  if (band.hi != kInf) {
+    PIP_ASSIGN_OR_RETURN(fhi, pool_->Cdf(v, band.hi));
+  }
+  if (band.lo != -kInf) {
+    PIP_ASSIGN_OR_RETURN(flo, pool_->Cdf(v, band.lo - 1.0));
+  }
   double p = std::max(0.0, fhi - flo);
-  // Remove disequality pins inside the window (deduplicated).
-  std::sort(ne.begin(), ne.end());
-  ne.erase(std::unique(ne.begin(), ne.end()), ne.end());
-  for (double x : ne) {
+  // Remove the != pins inside the band.
+  for (double x : band.ne) {
     if (std::floor(x) != x) continue;  // Off-lattice: zero mass anyway.
-    if (x < lo_int || x > hi_int) continue;
-    PIP_ASSIGN_OR_RETURN(double m, pmf(x));
+    if (x < band.lo || x > band.hi) continue;
+    PIP_ASSIGN_OR_RETURN(double m, pool_->Pdf(v, x));
     p -= m;
   }
   return std::max(0.0, p);
@@ -591,51 +585,16 @@ StatusOr<double> SamplingEngine::ExactGroupProbability(
 
 StatusOr<std::optional<double>> SamplingEngine::TryNumericIntegration(
     const ExprPtr& expr, const GroupPlan& plan) const {
-  if (!options_.use_numeric_integration) return std::optional<double>{};
-  if (plan.vars.size() != 1) return std::optional<double>{};
   const VarRef v = plan.vars[0];
   PIP_ASSIGN_OR_RETURN(const VariableInfo* info, pool_->Info(v.var_id));
-  if (info->num_components != 1 || !info->dist->HasPdf() ||
-      !info->dist->HasCdf()) {
-    return std::optional<double>{};
-  }
-  // Constraints must reduce to an interval on v (the exact-plan shape) or
-  // be absent entirely.
-  if (!plan.atoms.empty() && !plan.exact) return std::optional<double>{};
-
   bool discrete = info->dist->domain() != DomainKind::kContinuous;
-  Interval region =
-      plan.consistency.BoundsFor(v).Intersect(pool_->Support(v));
-  // Refold the atoms to recover lattice strictness (the bounds map stores
-  // closed intervals only).
-  double lo = region.lo, hi = region.hi;
-  std::vector<double> excluded;
-  for (const auto& atom : plan.atoms) {
-    VarRef av;
-    CmpOp op;
-    double c;
-    if (!AsVarConst(atom, &av, &op, &c)) return std::optional<double>{};
-    switch (op) {
-      case CmpOp::kGt:
-        lo = std::max(lo, discrete ? std::floor(c) + 1.0 : c);
-        break;
-      case CmpOp::kGe:
-        lo = std::max(lo, discrete ? std::ceil(c) : c);
-        break;
-      case CmpOp::kLt:
-        hi = std::min(hi, discrete ? std::ceil(c) - 1.0 : c);
-        break;
-      case CmpOp::kLe:
-        hi = std::min(hi, discrete ? std::floor(c) : c);
-        break;
-      case CmpOp::kEq:
-        lo = std::max(lo, c);
-        hi = std::min(hi, c);
-        break;
-      case CmpOp::kNe:
-        if (discrete) excluded.push_back(c);
-        break;
-    }
+  // The folded band inside the support, narrowed to its = pin.
+  const Interval support = pool_->Support(v);
+  double lo = std::max(support.lo, plan.band.lo);
+  double hi = std::min(support.hi, plan.band.hi);
+  if (plan.band.eq) {
+    lo = std::max(lo, *plan.band.eq);
+    hi = std::min(hi, *plan.band.eq);
   }
   if (lo > hi) return std::optional<double>{};
 
@@ -660,9 +619,10 @@ StatusOr<std::optional<double>> SamplingEngine::TryNumericIntegration(
     }
     double numerator = 0.0, mass = 0.0;
     for (double k = k_lo; k <= k_hi; k += 1.0) {
-      bool skip = false;
-      for (double x : excluded) skip = skip || (x == k);
-      if (skip) continue;
+      if (std::find(plan.band.ne.begin(), plan.band.ne.end(), k) !=
+          plan.band.ne.end()) {
+        continue;
+      }
       PIP_ASSIGN_OR_RETURN(double pmf, pool_->Pdf(v, k));
       if (pmf <= 0.0) continue;
       auto value = g(k);
@@ -1104,7 +1064,6 @@ StatusOr<double> SamplingEngine::HitRate(const GroupPlan& plan,
 
 StatusOr<double> SamplingEngine::EstimateGroupProbability(
     const GroupPlan& plan, size_t* total_attempts) const {
-  if (plan.exact) return plan.exact_prob;
   if (plan.atoms.empty()) return 1.0;
   // Fresh Monte Carlo estimate of P[atoms | windows] * window_prob.
   constexpr uint64_t kEstimateMarker = 0xE571ULL << 32;
@@ -1158,28 +1117,19 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
   bool sampled = false;
 
   // ---- Expectation over the target-touching groups. ----
-  bool integrated = false;
-  if (target_vars.empty()) {
+  bool integrated = target_vars.empty();
+  if (integrated) {
     PIP_ASSIGN_OR_RETURN(result.expectation, expr->EvalDouble(Assignment()));
-    integrated = true;
-  } else {
-    // Exact path: a single-variable target group with interval constraints
-    // integrates in closed numeric form, sidestepping sampling entirely.
-    GroupPlan* target_plan = nullptr;
-    size_t target_plan_count = 0;
-    for (auto& plan : plans) {
-      if (plan.touches_target) {
-        target_plan = &plan;
-        ++target_plan_count;
-      }
-    }
-    if (target_plan_count == 1) {
-      PIP_ASSIGN_OR_RETURN(std::optional<double> exact_value,
-                           TryNumericIntegration(expr, *target_plan));
-      if (exact_value.has_value()) {
-        result.expectation = *exact_value;
-        integrated = true;
-      }
+  }
+  for (const GroupPlan& plan : plans) {
+    if (plan.strategy != GroupStrategy::kIntegrate) continue;
+    // The sole target group integrates in closed numeric form,
+    // sidestepping sampling unless a value-level fallback hits.
+    PIP_ASSIGN_OR_RETURN(std::optional<double> value,
+                         TryNumericIntegration(expr, plan));
+    if (value.has_value()) {
+      result.expectation = *value;
+      integrated = true;
     }
   }
   if (!integrated) {
@@ -1226,7 +1176,7 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
   if (compute_probability) {
     double prob = 1.0;
     for (auto& plan : plans) {
-      if (plan.exact) {
+      if (plan.strategy != GroupStrategy::kSample) {
         prob *= plan.exact_prob;
       } else if (plan.metropolis != nullptr) {
         // "Metropolis doesn't give us a probability" — estimate the group
@@ -1243,7 +1193,7 @@ StatusOr<ExpectationResult> SamplingEngine::Expectation(
         PIP_ASSIGN_OR_RETURN(double p,
                              EstimateGroupProbability(plan, &total_attempts));
         prob *= p;
-        sampled = sampled || !plan.exact;
+        sampled = true;
       }
     }
     result.probability = prob;
@@ -1283,9 +1233,7 @@ StatusOr<std::optional<ExpectationResult>> SamplingEngine::ClosedForm(
     // Exact-CDF groups hold one variable under var-vs-constant atoms, so
     // any other atom (e.g. one over two variables) rules the call out
     // before a shape key is built.
-    if (!expr_deterministic || !options_.use_independence) {
-      return std::optional<ExpectationResult>{};
-    }
+    if (!expr_deterministic) return std::optional<ExpectationResult>{};
     for (const ConstraintAtom& atom : condition.atoms()) {
       const bool var_const =
           (atom.lhs()->op() == ExprOp::kVar && atom.rhs()->IsConstant()) ||
@@ -1296,7 +1244,9 @@ StatusOr<std::optional<ExpectationResult>> SamplingEngine::ClosedForm(
     // itself plans with.
     shape = Skeleton(condition, VarSet());
     for (const auto& group : shape.skeleton->groups) {
-      if (!group.exact_eligible) return std::optional<ExpectationResult>{};
+      if (group.strategy != GroupStrategy::kExactCdf) {
+        return std::optional<ExpectationResult>{};
+      }
     }
   }
   const Shape* planned = deterministic ? nullptr : &shape;

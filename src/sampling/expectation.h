@@ -7,11 +7,15 @@
 /// the operator
 ///   1. checks C's consistency and harvests per-variable bounds (Alg. 3.2),
 ///   2. partitions {vars(E)} U {vars(C)} into minimal independent subsets,
-///   3. picks per-group strategies: exact CDF integration when a group
-///      reduces to interval constraints on one variable with a CDF;
-///      inverse-CDF-constrained sampling when bounds and inverse CDFs are
-///      available; plain rejection otherwise; and a Metropolis fallback
-///      when the observed rejection rate crosses a threshold,
+///   3. reads each group's GroupStrategy (plan_cache.h), chosen once per
+///      condition shape: kExactCdf when a group reduces to interval
+///      constraints on one variable with a CDF; kIntegrate when the sole
+///      target group is one univariate variable with PDF and CDF under
+///      such constraints (or none), so E comes from quadrature or a
+///      lattice sum; kSample otherwise, which draws inside inverse-CDF
+///      windows where bounds and inverse CDFs allow, by plain rejection
+///      elsewhere, and switches to Metropolis at run time when the
+///      observed rejection rate crosses a threshold,
 ///   4. runs an (epsilon, delta)-adaptive sampling loop over only the
 ///      groups the expression touches, and
 ///   5. assembles P[C] from per-group acceptance rates, CDF windows and
@@ -224,8 +228,8 @@ class SamplingEngine {
   /// Expectation(*expr, condition, compute_probability), or
   /// Confidence(condition) for a null `expr`, when that call is answered
   /// in closed form: the call is deterministic, or `*expr` has no
-  /// variables and every independent group of `condition` is exact-CDF
-  /// eligible by its shape-keyed plan skeleton. Such a call makes no draw
+  /// variables and every group of `condition`'s shape-keyed plan skeleton
+  /// has strategy kExactCdf. Such a call makes no draw
   /// and no quadrature, and plans with the skeleton the check looked up,
   /// so it builds one shape key. std::nullopt, with no call made,
   /// otherwise; conditions with an atom that is not variable-vs-constant
@@ -261,7 +265,9 @@ class SamplingEngine {
 
   /// The structure-only skeleton of (condition, target_vars), from the
   /// shape cache or built and cached now, with the canonical VarRefs of
-  /// its key (see PlanShapeKey in shape_key.h).
+  /// its key (see PlanShapeKey in shape_key.h): the minimal independent
+  /// groups (one monolithic group when use_independence is off), each
+  /// with the GroupStrategy ChooseStrategy picks for it.
   Shape Skeleton(const Condition& condition,
                  const VarSet& target_vars) const;
 
@@ -274,9 +280,11 @@ class SamplingEngine {
   StatusOr<ExpectationResult> Confidence(const Condition& condition,
                                          const Shape* shape) const;
 
-  /// Builds per-group strategy plans. Sets *inconsistent when the
-  /// condition is unsatisfiable. Structure-only planning decisions come
-  /// from `shape` when non-null, else from the shape cache.
+  /// Builds per-group plans: the skeleton's groups and strategies (from
+  /// `shape` when non-null, else from the shape cache) plus the per-row
+  /// CDF windows, and for kExactCdf and kIntegrate groups the folded band
+  /// and its exact probability. Sets *inconsistent when the condition is
+  /// unsatisfiable.
   StatusOr<std::vector<GroupPlan>> PlanGroups(
       const Condition& condition, const VarSet& target_vars,
       bool* inconsistent, const Shape* shape = nullptr) const;
@@ -347,15 +355,17 @@ class SamplingEngine {
   StatusOr<double> HitRate(const GroupPlan& plan, uint64_t marker,
                            size_t cap, const Hit& hit, size_t* ledger) const;
 
-  /// Exact probability of a single-variable interval-constrained group.
-  StatusOr<double> ExactGroupProbability(const GroupPlan& plan) const;
+  /// P[atoms] of a kExactCdf or kIntegrate group, from its folded band.
+  StatusOr<double> ExactGroupProbability(const GroupPlan& plan,
+                                         bool discrete) const;
 
   /// MC estimate of P[group atoms] for groups not touching the target.
   StatusOr<double> EstimateGroupProbability(const GroupPlan& plan,
                                             size_t* total_attempts) const;
 
-  /// Attempts exact numeric integration of E[expr | plan's interval].
-  /// Returns nullopt when the shape does not qualify.
+  /// E[expr | band] of a kIntegrate group by adaptive quadrature, or an
+  /// exact lattice sum for discrete laws. nullopt on a value-level
+  /// fallback: the lattice span cap, zero mass or a failed quadrature.
   StatusOr<std::optional<double>> TryNumericIntegration(
       const ExprPtr& expr, const GroupPlan& plan) const;
 

@@ -7,7 +7,7 @@
 /// each call, how it is answered:
 ///   * exact: the call is answered in closed form
 ///     (SamplingEngine::ClosedForm: deterministic, or no variables in the
-///     target and every independent group exact-CDF eligible). The
+///     target and every group's strategy kExactCdf). The
 ///     triage computes it on the spot through the same engine call, so
 ///     its bits are the engine's. It builds no key and never touches the
 ///     expectation index: recomputing it costs microseconds, and closed

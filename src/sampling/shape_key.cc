@@ -143,10 +143,12 @@ struct KeyBuilder {
 }  // namespace
 
 uint32_t PlanShapeFlagBits(const SamplingOptions& options) {
-  // use_independence is deliberately absent: the shape cache is only
-  // consulted when it is on, so folding it in would only fragment keys.
   return (options.use_exact_cdf ? 1u : 0u) |
-         (options.use_cdf_sampling ? 2u : 0u);
+         (options.use_cdf_sampling ? 2u : 0u) |
+         (options.use_independence ? 4u : 0u) |
+         (options.use_metropolis ? 8u : 0u) |
+         (options.use_batch_generation ? 16u : 0u) |
+         (options.use_numeric_integration ? 32u : 0u);
 }
 
 std::string PlanShapeKey(const Condition& condition, const VarSet& target_vars,
@@ -190,13 +192,7 @@ std::string SamplingOptionsFingerprint(const SamplingOptions& options) {
   // Every strategy toggle, even ones contracted bit-identical today
   // (batch generation): conservative inclusion means a future kernel
   // change can never surface as a silently wrong index hit.
-  uint32_t strategy = (options.use_exact_cdf ? 1u : 0u) |
-                      (options.use_cdf_sampling ? 2u : 0u) |
-                      (options.use_independence ? 4u : 0u) |
-                      (options.use_metropolis ? 8u : 0u) |
-                      (options.use_batch_generation ? 16u : 0u) |
-                      (options.use_numeric_integration ? 32u : 0u);
-  out += std::to_string(strategy);
+  out += std::to_string(PlanShapeFlagBits(options));
   out += '|';
   AppendDoubleBits(options.metropolis_threshold, &out);
   out += std::to_string(options.metropolis_check_after);

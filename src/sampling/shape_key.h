@@ -31,8 +31,12 @@ namespace pip {
 
 struct SamplingOptions;
 
-/// Planning-relevant engine flags folded into plan shape keys (the
-/// decisions PlanGroups bakes into a skeleton).
+/// The six use_* toggles as bits (exact CDF 1, CDF sampling 2,
+/// independence 4, Metropolis 8, batch generation 16, numeric
+/// integration 32): the one list of toggle bits. Plan shape keys fold it
+/// in because a skeleton's grouping and strategies are built under the
+/// toggles; SamplingOptionsFingerprint because they select the sampler
+/// behind a value.
 uint32_t PlanShapeFlagBits(const SamplingOptions& options);
 
 /// Canonical shape key of (condition, target_vars): constants abstract to

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/common/special_math.h"
 
@@ -212,6 +213,50 @@ TEST_F(ExpectationTest, PoissonEqualityUsesPmf) {
                 .value();
   EXPECT_TRUE(eq.exact);
   EXPECT_NEAR(eq.probability, std::exp(PoissonLogPmf(4.0, 3)), 1e-12);
+}
+
+TEST_F(ExpectationTest, InfiniteBoundsAreBoundsOnTheLattice) {
+  // No lattice value lies beyond +inf or below -inf: those bands are
+  // empty, exactly and without a draw, while X < +inf and X > -inf hold
+  // everywhere.
+  const double inf = std::numeric_limits<double>::infinity();
+  ExprPtr x = Expr::Var(pool_.Create("Poisson", {4.0}).value());
+  SamplingEngine engine(&pool_);
+  for (const ConstraintAtom& empty :
+       {x > Expr::Constant(inf), x >= Expr::Constant(inf),
+        x < Expr::Constant(-inf), x <= Expr::Constant(-inf)}) {
+    SCOPED_TRACE(empty.ToString());
+    auto conf = engine.Confidence(Condition(empty)).value();
+    EXPECT_EQ(conf.probability, 0.0);
+    EXPECT_TRUE(conf.exact);
+    auto e = engine.Expectation(x, Condition(empty), true).value();
+    EXPECT_TRUE(std::isnan(e.expectation));
+    EXPECT_EQ(e.probability, 0.0);
+    EXPECT_EQ(e.attempts, 0u);
+  }
+  for (const ConstraintAtom& all :
+       {x < Expr::Constant(inf), x > Expr::Constant(-inf)}) {
+    SCOPED_TRACE(all.ToString());
+    EXPECT_EQ(engine.Confidence(Condition(all)).value().probability, 1.0);
+  }
+}
+
+TEST_F(ExpectationTest, ClosedFormAnswersTheMonolithicGroup) {
+  // With use_independence off the one group is still an exact-CDF band
+  // when the condition holds one variable, and ClosedForm serves it with
+  // the engine's own bits.
+  ExprPtr x = Expr::Var(pool_.Create("Normal", {5.0, 2.0}).value());
+  Condition band = Condition(x > Expr::Constant(4.0))
+                       .And(Condition(x <= Expr::Constant(7.0)));
+  SamplingOptions options;
+  options.use_independence = false;
+  SamplingEngine engine(&pool_, options);
+  auto closed = engine.ClosedForm(nullptr, band, true).value();
+  ASSERT_TRUE(closed.has_value());
+  auto direct = engine.Confidence(band).value();
+  EXPECT_TRUE(closed->exact);
+  EXPECT_EQ(closed->probability, direct.probability);
+  EXPECT_NEAR(closed->probability, NormalCdf(1.0) - NormalCdf(-0.5), 1e-12);
 }
 
 TEST_F(ExpectationTest, ConfidenceOfConjunctionAcrossGroups) {

@@ -7,15 +7,17 @@
 ///      operators can be checked *exactly* against brute-force enumeration
 ///      over all worlds.
 ///   2. Strategy agreement: the same conditional expectation computed via
-///      exact CDF, CDF-window sampling, plain rejection and Metropolis
-///      must agree within Monte Carlo tolerance (parameterized sweep
-///      across distributions and selectivities).
+///      CDF-window sampling, plain rejection and Metropolis must agree,
+///      within Monte Carlo tolerance, with numeric integration
+///      (parameterized sweep across distributions and selectivities).
 ///   3. Engine cross-validation: PIP and Sample-First answer the same
 ///      query with statistically consistent results.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "src/common/special_math.h"
 #include "src/ctable/algebra.h"
@@ -124,9 +126,10 @@ TEST_F(DiscreteWorldTest, ConfidenceMatchesEnumeration) {
 }
 
 TEST_F(DiscreteWorldTest, QueryPlusExplosionMatchesEnumeration) {
-  // Full pipeline: query over a c-table with a discrete variable, exploded,
-  // grouped, aggregated — vs enumeration. All variables live in the
-  // database's pool (the engine resolves ids against it).
+  // Full pipeline: a query over a c-table with discrete variables, the
+  // result exploded over `quality`, then grouped by label and aggregated,
+  // against enumeration. All variables live in the database's pool (the
+  // engine resolves ids against it).
   Database db(31);
   VarRef quality = db.CreateVariable("Categorical", {0.2, 0.5, 0.3}).value();
   VarRef bonus = db.CreateVariable("DiscreteUniform", {0.0, 3.0}).value();
@@ -144,14 +147,25 @@ TEST_F(DiscreteWorldTest, QueryPlusExplosionMatchesEnumeration) {
   CTable result = Select(*db.GetTable("items").value(),
                          {CE::Column("payoff") > CE::Literal(4.0)})
                       .value();
+  // A bound of 3 valuations per row explodes quality's 3 values; bonus's
+  // 4 exceed it and stay symbolic.
+  CTable exploded = ExplodeDiscrete(result, *db.pool(), 3).value();
+  size_t widget_rows = 0;
+  for (const auto& row : exploded.rows()) {
+    // Quality is substituted into the cells and kept only in the guards.
+    EXPECT_FALSE(row.cells[1]->Variables().count(quality));
+    if (row.cells[0]->value() == Value("widget")) ++widget_rows;
+  }
+  EXPECT_EQ(widget_rows, 3u);
+  EXPECT_EQ(exploded.num_rows(), 4u);
 
-  double exact = 0.0;
+  std::map<std::string, double> exact;
   ForEachWorld(*db.pool(), {quality, bonus},
                [&](const Assignment& w, double p) {
     Table world = items.Instantiate(w).value();
     for (const auto& row : world.rows()) {
       double payoff = row[1].AsDouble().value();
-      if (payoff > 4.0) exact += p * payoff;
+      if (payoff > 4.0) exact[row[0].string_value()] += p * payoff;
     }
   });
 
@@ -159,8 +173,17 @@ TEST_F(DiscreteWorldTest, QueryPlusExplosionMatchesEnumeration) {
   opts.fixed_samples = 80000;
   SamplingEngine engine = db.MakeEngine(opts);
   AggregateEvaluator agg(&engine);
-  double measured = agg.ExpectedSum(result, "payoff").value();
-  EXPECT_NEAR(measured, exact, 0.03 * exact);
+  Table sums = GroupedAggregate(agg, exploded, {"label"}, "payoff",
+                                GroupAggregate::kExpectedSum)
+                   .value();
+  ASSERT_EQ(sums.num_rows(), exact.size());
+  for (size_t i = 0; i < sums.num_rows(); ++i) {
+    const std::string label = sums.Get(i, "label").value().string_value();
+    SCOPED_TRACE(label);
+    double measured =
+        sums.Get(i, "expected_sum(payoff)").value().double_value();
+    EXPECT_NEAR(measured, exact.at(label), 0.03 * exact.at(label));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -171,6 +194,10 @@ struct StrategyCase {
   const char* dist;
   std::vector<double> params;
   double lo, hi;  // Conditioning interval (quantile-ish range).
+  /// Run the Metropolis leg. Lattice laws skip it: the chain's Gaussian
+  /// proposals land off the lattice and stick (ROADMAP "Small
+  /// expectations", the metropolis_normal_poisson golden pin).
+  bool metropolis = true;
 };
 
 class StrategyAgreementTest : public ::testing::TestWithParam<StrategyCase> {};
@@ -182,6 +209,14 @@ TEST_P(StrategyAgreementTest, AllStrategiesEstimateTheSameConditional) {
   Condition cond;
   cond.AddAtom(Expr::Var(x) > Expr::Constant(c.lo));
   cond.AddAtom(Expr::Var(x) < Expr::Constant(c.hi));
+
+  // The reference: the default engine integrates the one-variable target
+  // group (adaptive quadrature, or an exact lattice sum) without a draw.
+  auto reference = SamplingEngine(&pool).Expectation(Expr::Var(x), cond,
+                                                     false);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference.value().exact);
+  const double exact = reference.value().expectation;
 
   auto run = [&](bool cdf, bool metropolis, uint64_t offset) {
     SamplingOptions opts;
@@ -195,17 +230,19 @@ TEST_P(StrategyAgreementTest, AllStrategiesEstimateTheSameConditional) {
     SamplingEngine engine(&pool, opts);
     auto r = engine.Expectation(Expr::Var(x), cond, false);
     PIP_CHECK(r.ok());
+    EXPECT_FALSE(r.value().exact);
     return r.value().expectation;
   };
 
-  double via_window = run(true, false, 0);
-  double via_rejection = run(false, false, 1u << 20);
-  double via_metropolis = run(false, true, 2u << 20);
-
   // Monte Carlo agreement within a generous band scaled to the interval.
-  double scale = std::max(1.0, std::fabs(via_window));
-  EXPECT_NEAR(via_rejection, via_window, 0.04 * scale) << c.dist;
-  EXPECT_NEAR(via_metropolis, via_window, 0.06 * scale) << c.dist;
+  double scale = std::max(1.0, std::fabs(exact));
+  EXPECT_NEAR(run(true, false, 0), exact, 0.04 * scale) << "window";
+  EXPECT_NEAR(run(false, false, 1u << 20), exact, 0.04 * scale)
+      << "rejection";
+  if (c.metropolis) {
+    EXPECT_NEAR(run(false, true, 2u << 20), exact, 0.06 * scale)
+        << "metropolis";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -215,7 +252,9 @@ INSTANTIATE_TEST_SUITE_P(
                       StrategyCase{"Exponential", {0.5}, 1.0, 5.0},
                       StrategyCase{"Gamma", {3.0, 2.0}, 4.0, 12.0},
                       StrategyCase{"Lognormal", {0.0, 0.5}, 1.0, 2.5},
-                      StrategyCase{"Uniform", {0.0, 10.0}, 2.0, 4.0}));
+                      StrategyCase{"Uniform", {0.0, 10.0}, 2.0, 4.0},
+                      StrategyCase{"Poisson", {4.0}, 2.0, 9.0,
+                                   /*metropolis=*/false}));
 
 /// Exact CDF integration agrees with the closed form across distributions
 /// and selectivities (parameterized sweep of the Fig. 8 machinery).

@@ -468,6 +468,26 @@ TEST_F(SqlSessionTest, PerRowExpectationAndConf) {
   EXPECT_NEAR(r.table.Get(0, "conf").value().double_value(), 1.0, 1e-6);
 }
 
+TEST_F(SqlSessionTest, InfiniteBoundIsABound) {
+  // 1e999 lexes as +inf. No lattice value lies beyond +inf or below -inf,
+  // so these rows carry probability 0, as for 1e300 and as for
+  // continuous laws.
+  Run("CREATE TABLE t (id, q)");
+  Run("INSERT INTO t VALUES (1, Poisson(4))");
+  for (const char* where : {"q > 1e999", "q < -1e999", "q >= 1e999",
+                            "q > 1e300"}) {
+    SCOPED_TRACE(where);
+    const std::string from = std::string(" FROM t WHERE ") + where;
+    // A probability-0 row leaves the per-row results.
+    EXPECT_EQ(Run("SELECT id, conf()" + from).table.num_rows(), 0u);
+    EXPECT_EQ(Run("SELECT id, expectation(q), conf()" + from)
+                  .table.num_rows(),
+              0u);
+    EXPECT_EQ(Run("SELECT expected_count(*)" + from).table.row(0)[0],
+              Value(0.0));
+  }
+}
+
 TEST_F(SqlSessionTest, MixingTableWideAndPerRowRejected) {
   Run("CREATE TABLE m (v)");
   Run("INSERT INTO m VALUES (1)");
