@@ -502,6 +502,23 @@ std::string Describe(const ExpectationResult& r) {
          " a=" + std::to_string(r.attempts);
 }
 
+/// Golden line of a SampleConditional draw: count, FNV hash of the bits,
+/// and the sum.
+std::string DescribeSamples(const StatusOr<std::vector<double>>& samples) {
+  if (!samples.ok()) return samples.status().ToString();
+  uint64_t h = 1469598103934665603ULL;
+  double sum = 0.0;
+  for (double s : samples.value()) {
+    h = (h ^ Bits(s)) * 1099511628211ULL;
+    sum += s;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return "n=" + std::to_string(samples.value().size()) + " h=" + buf +
+         " s=" + Hex(sum);
+}
+
 /// The golden variables: pipbench-shaped order lines (price ~ Normal,
 /// qty ~ Poisson) plus two Normals for a rare product.
 struct GoldenPool {
@@ -571,24 +588,8 @@ std::map<std::string, std::string> GoldenRun(size_t threads) {
   out["aconf_7"] =
       aconf.ok() ? "p=" + Hex(aconf.value()) : aconf.status().ToString();
 
-  auto samples =
-      probe.SampleConditional(line, Condition(line > Expr::Constant(700.0)),
-                              300);
-  if (samples.ok()) {
-    uint64_t h = 1469598103934665603ULL;
-    double sum = 0.0;
-    for (double s : samples.value()) {
-      h = (h ^ Bits(s)) * 1099511628211ULL;
-      sum += s;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(h));
-    out["sample_conditional"] = "n=" + std::to_string(samples.value().size()) +
-                                " h=" + buf + " s=" + Hex(sum);
-  } else {
-    out["sample_conditional"] = samples.status().ToString();
-  }
+  out["sample_conditional"] = DescribeSamples(probe.SampleConditional(
+      line, Condition(line > Expr::Constant(700.0)), 300));
 
   CTable table(Schema({"v"}));
   for (int i = 0; i < 6; ++i) {
@@ -688,23 +689,6 @@ TEST(SamplingGoldenTest, AnswersKeepTheirBits) {
       EXPECT_EQ(got[name], want) << name;
     }
   }
-}
-
-/// Golden line of a SampleConditional draw: count, FNV hash of the bits,
-/// and the sum.
-std::string DescribeSamples(const StatusOr<std::vector<double>>& samples) {
-  if (!samples.ok()) return samples.status().ToString();
-  uint64_t h = 1469598103934665603ULL;
-  double sum = 0.0;
-  for (double s : samples.value()) {
-    h = (h ^ Bits(s)) * 1099511628211ULL;
-    sum += s;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
-  return "n=" + std::to_string(samples.value().size()) + " h=" + buf +
-         " s=" + Hex(sum);
 }
 
 /// The strategy cases, evaluated under `options`: one line per case. Each
