@@ -111,6 +111,78 @@ TEST_F(SqlSessionTest, DistributionParamsMustBeConstant) {
 }
 
 // ---------------------------------------------------------------------------
+// Session: which variable a name or a constructor stands for.
+// ---------------------------------------------------------------------------
+
+VarSet VarsOf(const ExprPtr& e) {
+  VarSet vars;
+  e->CollectVariables(&vars);
+  return vars;
+}
+
+TEST_F(SqlSessionTest, TargetConstructorIsOneVariableSharedByEveryRow) {
+  Run("CREATE TABLE t (a)");
+  Run("INSERT INTO t VALUES (1), (2)");
+  SqlResult r = Run("SELECT a + Normal(0, 1) AS b FROM t");
+  ASSERT_EQ(r.ctable.num_rows(), 2u);
+  EXPECT_EQ(db_.pool()->num_variables(), 1u);
+  const VarSet first = VarsOf(r.ctable.row(0).cells[0]);
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(VarsOf(r.ctable.row(1).cells[0]), first);
+  // A second run of the statement is a second variable.
+  SqlResult again = Run("SELECT a + Normal(0, 1) AS b FROM t");
+  EXPECT_EQ(db_.pool()->num_variables(), 2u);
+  EXPECT_NE(VarsOf(again.ctable.row(0).cells[0]), first);
+}
+
+TEST_F(SqlSessionTest, EachInsertConstructorIsItsOwnVariable) {
+  Run("CREATE TABLE t (a, b)");
+  Run("INSERT INTO t VALUES (Normal(0, 1), Normal(0, 1) + 1), "
+      "(Normal(0, 1), 2)");
+  EXPECT_EQ(db_.pool()->num_variables(), 3u);
+  SqlResult r = Run("SELECT * FROM t");
+  ASSERT_EQ(r.ctable.num_rows(), 2u);
+  const VarSet a0 = VarsOf(r.ctable.row(0).cells[0]);
+  const VarSet b0 = VarsOf(r.ctable.row(0).cells[1]);
+  const VarSet a1 = VarsOf(r.ctable.row(1).cells[0]);
+  ASSERT_EQ(a0.size(), 1u);
+  ASSERT_EQ(b0.size(), 1u);
+  ASSERT_EQ(a1.size(), 1u);
+  // Left to right, row by row.
+  EXPECT_LT(*a0.begin(), *b0.begin());
+  EXPECT_LT(*b0.begin(), *a1.begin());
+}
+
+TEST_F(SqlSessionTest, BareNamedVariableTargetIsAnonymous) {
+  Run("CREATE VARIABLE d AS Poisson(3)");
+  Run("CREATE TABLE t (a)");
+  Run("INSERT INTO t VALUES (1)");
+  SqlResult r = Run("SELECT d, a, d * 2 FROM t");
+  EXPECT_EQ(r.ctable.schema().columns(),
+            (std::vector<std::string>{"col1", "a", "col2"}));
+  EXPECT_EQ(db_.pool()->num_variables(), 1u);
+}
+
+TEST_F(SqlSessionTest, TargetConstructorsComeBeforeWhereConstructors) {
+  Run("CREATE TABLE t (a)");
+  Run("INSERT INTO t VALUES (1)");
+  SqlResult r = Run(
+      "SELECT a + Uniform(0, 1) AS x, Exponential(2) AS y FROM t "
+      "WHERE a < Normal(5, 1)");
+  ASSERT_EQ(r.ctable.num_rows(), 1u);
+  const VarSet x = VarsOf(r.ctable.row(0).cells[0]);
+  const VarSet y = VarsOf(r.ctable.row(0).cells[1]);
+  const VarSet where = r.ctable.row(0).condition.Variables();
+  ASSERT_EQ(x.size(), 1u);
+  ASSERT_EQ(y.size(), 1u);
+  ASSERT_EQ(where.size(), 1u);
+  EXPECT_LT(*x.begin(), *y.begin());
+  EXPECT_LT(*y.begin(), *where.begin());
+  EXPECT_EQ(db_.pool()->Info(where.begin()->var_id).value()->class_name,
+            "Normal");
+}
+
+// ---------------------------------------------------------------------------
 // Session: symbolic SELECT.
 // ---------------------------------------------------------------------------
 
