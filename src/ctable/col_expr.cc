@@ -32,6 +32,15 @@ ColExprPtr ColExpr::Embed(ExprPtr expr) {
   return e;
 }
 
+ColExprPtr ColExpr::Distribution(std::string class_name,
+                                 std::vector<double> params) {
+  auto e = std::shared_ptr<ColExpr>(new ColExpr());
+  e->kind_ = Kind::kDistribution;
+  e->column_ = std::move(class_name);
+  e->params_ = std::move(params);
+  return e;
+}
+
 ColExprPtr ColExpr::Add(ColExprPtr l, ColExprPtr r) {
   return Make(Kind::kAdd, {std::move(l), std::move(r)});
 }
@@ -80,6 +89,7 @@ void ColExpr::CollectColumns(std::vector<std::string>* out) const {
 std::string ColExpr::ToString() const {
   switch (kind_) {
     case Kind::kColumn:
+    case Kind::kDistribution:  // Its class name.
       return column_;
     case Kind::kLiteral:
       return literal().ToString();

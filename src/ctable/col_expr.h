@@ -28,7 +28,8 @@ using ColExprPtr = std::shared_ptr<const ColExpr>;
 /// equations.
 class ColExpr {
  public:
-  enum class Kind { kColumn, kLiteral, kEmbed, kAdd, kSub, kMul, kDiv, kNeg, kFunc };
+  enum class Kind { kColumn, kLiteral, kEmbed, kDistribution,
+                    kAdd, kSub, kMul, kDiv, kNeg, kFunc };
 
   // -- Builders ---------------------------------------------------------
 
@@ -42,6 +43,10 @@ class ColExpr {
   /// Embeds an already-built equation (e.g. a freshly created random
   /// variable introduced by the query's target clause).
   static ColExprPtr Embed(ExprPtr e);
+  /// A distribution constructor with no variable yet: class name (column())
+  /// and constant parameters. SQL replaces it by an Embed before binding.
+  static ColExprPtr Distribution(std::string class_name,
+                                 std::vector<double> params);
   static ColExprPtr Add(ColExprPtr l, ColExprPtr r);
   static ColExprPtr Sub(ColExprPtr l, ColExprPtr r);
   static ColExprPtr Mul(ColExprPtr l, ColExprPtr r);
@@ -52,6 +57,7 @@ class ColExpr {
 
   Kind kind() const { return kind_; }
   const std::string& column() const { return column_; }
+  const std::vector<double>& params() const { return params_; }
   const Value& literal() const { return embedded_->value(); }
   const ExprPtr& embedded() const { return embedded_; }
   FuncKind func() const { return func_; }
@@ -74,7 +80,8 @@ class ColExpr {
   static ColExprPtr Make(Kind kind, std::vector<ColExprPtr> children);
 
   Kind kind_ = Kind::kLiteral;
-  std::string column_;
+  std::string column_;  // kColumn's name, kDistribution's class.
+  std::vector<double> params_;
   /// kEmbed's equation, or kLiteral's constant: built once, at
   /// construction, and shared by every row it binds into (Expr is
   /// immutable).

@@ -10,12 +10,10 @@ namespace sql {
 
 namespace {
 
-std::string ToUpperCopy(std::string s) {
+std::string ToUpper(std::string s) {
   for (char& c : s) c = static_cast<char>(std::toupper(c));
   return s;
 }
-
-std::string RenderCount(size_t v) { return std::to_string(v); }
 
 std::string RenderDouble(double v) {
   std::ostringstream os;
@@ -24,44 +22,41 @@ std::string RenderDouble(double v) {
   return os.str();
 }
 
-StatusOr<size_t> AsCount(const std::string& name, double value) {
-  if (value < 0 || value != std::floor(value)) {
-    return Status::InvalidArgument("SET " + name +
-                                   " expects a non-negative integer");
-  }
-  return static_cast<size_t>(value);
+/// A knob holding a count: a non-negative integer, or a positive one when
+/// `positive`, stored in the settings field that `field` selects.
+template <typename Field>
+KnobDef Count(std::string name, std::string help, Field field,
+              bool positive = false) {
+  auto set = [name, field, positive](SessionSettings* s, double v) {
+    if (v < 0 || v != std::floor(v)) {
+      return Status::InvalidArgument("SET " + name +
+                                     " expects a non-negative integer");
+    }
+    if (positive && v == 0) {
+      return Status::InvalidArgument("SET " + name +
+                                     " expects a positive integer");
+    }
+    field(*s) = static_cast<size_t>(v);
+    return Status::OK();
+  };
+  return {std::move(name), std::move(help),
+          [field](const SessionSettings& s) { return std::to_string(field(s)); },
+          std::move(set)};
 }
 
-// The registry itself. Sorted by name; SHOW KNOBS renders it in this
-// order.
-const std::vector<KnobDef>& Registry() {
+}  // namespace
+
+// Sorted by name; SHOW KNOBS renders it in this order.
+const std::vector<KnobDef>& KnobRegistry() {
   static const std::vector<KnobDef>* knobs = new std::vector<KnobDef>{
-      {"ADMISSION_TIMEOUT_MS",
-       "max wait in the server admission gate before ERR OVERLOADED "
-       "(0 = queue without bound)",
-       [](const SessionSettings& s) {
-         return RenderCount(
-             static_cast<size_t>(s.envelope.admission_timeout_ms));
-       },
-       [](SessionSettings* s, double v) {
-         PIP_ASSIGN_OR_RETURN(size_t ms, AsCount("ADMISSION_TIMEOUT_MS", v));
-         s->envelope.admission_timeout_ms = ms;
-         return Status::OK();
-       }},
-      {"CHUNK_SAMPLES",
-       "samples per shard chunk (determinism schedule; must be >= 1)",
-       [](const SessionSettings& s) {
-         return RenderCount(s.sampling.chunk_samples);
-       },
-       [](SessionSettings* s, double v) {
-         PIP_ASSIGN_OR_RETURN(size_t n, AsCount("CHUNK_SAMPLES", v));
-         if (n == 0) {
-           return Status::InvalidArgument(
-               "SET CHUNK_SAMPLES expects a positive integer");
-         }
-         s->sampling.chunk_samples = n;
-         return Status::OK();
-       }},
+      Count("ADMISSION_TIMEOUT_MS",
+            "max wait in the server admission gate before ERR OVERLOADED "
+            "(0 = queue without bound)",
+            [](auto& s) -> auto& { return s.envelope.admission_timeout_ms; }),
+      Count("CHUNK_SAMPLES",
+            "samples per shard chunk (determinism schedule; must be >= 1)",
+            [](auto& s) -> auto& { return s.sampling.chunk_samples; },
+            /*positive=*/true),
       {"DELTA", "relative precision target for adaptive stopping",
        [](const SessionSettings& s) { return RenderDouble(s.sampling.delta); },
        [](SessionSettings* s, double v) {
@@ -85,20 +80,13 @@ const std::vector<KnobDef>& Registry() {
          s->sampling.epsilon = v;
          return Status::OK();
        }},
-      {"FIXED_SAMPLES",
-       "exact sample count (0 = adaptive epsilon/delta stopping)",
-       [](const SessionSettings& s) {
-         return RenderCount(s.sampling.fixed_samples);
-       },
-       [](SessionSettings* s, double v) {
-         PIP_ASSIGN_OR_RETURN(s->sampling.fixed_samples,
-                              AsCount("FIXED_SAMPLES", v));
-         return Status::OK();
-       }},
+      Count("FIXED_SAMPLES",
+            "exact sample count (0 = adaptive epsilon/delta stopping)",
+            [](auto& s) -> auto& { return s.sampling.fixed_samples; }),
       {"INDEX_ENABLED",
        "serve repeated per-row queries from the expectation index (0/1)",
        [](const SessionSettings& s) {
-         return RenderCount(s.sampling.index_enabled ? 1 : 0);
+         return std::string(s.sampling.index_enabled ? "1" : "0");
        },
        [](SessionSettings* s, double v) {
          if (v != 0.0 && v != 1.0) {
@@ -107,85 +95,33 @@ const std::vector<KnobDef>& Registry() {
          s->sampling.index_enabled = (v == 1.0);
          return Status::OK();
        }},
-      {"INDEX_MEMORY_BUDGET",
-       "expectation-index LRU byte budget (0 = unlimited)",
-       [](const SessionSettings& s) {
-         return RenderCount(s.sampling.index_memory_budget);
-       },
-       [](SessionSettings* s, double v) {
-         PIP_ASSIGN_OR_RETURN(s->sampling.index_memory_budget,
-                              AsCount("INDEX_MEMORY_BUDGET", v));
-         return Status::OK();
-       }},
-      {"MAX_SAMPLES", "adaptive stopping sample ceiling",
-       [](const SessionSettings& s) {
-         return RenderCount(s.sampling.max_samples);
-       },
-       [](SessionSettings* s, double v) {
-         PIP_ASSIGN_OR_RETURN(s->sampling.max_samples,
-                              AsCount("MAX_SAMPLES", v));
-         return Status::OK();
-       }},
-      {"MIN_SAMPLES", "adaptive stopping sample floor",
-       [](const SessionSettings& s) {
-         return RenderCount(s.sampling.min_samples);
-       },
-       [](SessionSettings* s, double v) {
-         PIP_ASSIGN_OR_RETURN(s->sampling.min_samples,
-                              AsCount("MIN_SAMPLES", v));
-         return Status::OK();
-       }},
-      {"NUM_THREADS", "sampling worker threads (0 = hardware concurrency)",
-       [](const SessionSettings& s) {
-         return RenderCount(s.sampling.num_threads);
-       },
-       [](SessionSettings* s, double v) {
-         PIP_ASSIGN_OR_RETURN(s->sampling.num_threads,
-                              AsCount("NUM_THREADS", v));
-         return Status::OK();
-       }},
-      {"SAMPLE_OFFSET",
-       "offset into the deterministic sample-index space (fresh runs)",
-       [](const SessionSettings& s) {
-         return RenderCount(static_cast<size_t>(s.sampling.sample_offset));
-       },
-       [](SessionSettings* s, double v) {
-         PIP_ASSIGN_OR_RETURN(size_t offset, AsCount("SAMPLE_OFFSET", v));
-         s->sampling.sample_offset = offset;
-         return Status::OK();
-       }},
-      {"STATEMENT_TIMEOUT_MS",
-       "per-statement deadline enforced at chunk barriers, ERR TIMEOUT "
-       "(0 = no deadline)",
-       [](const SessionSettings& s) {
-         return RenderCount(
-             static_cast<size_t>(s.envelope.statement_timeout_ms));
-       },
-       [](SessionSettings* s, double v) {
-         PIP_ASSIGN_OR_RETURN(size_t ms, AsCount("STATEMENT_TIMEOUT_MS", v));
-         s->envelope.statement_timeout_ms = ms;
-         return Status::OK();
-       }},
+      Count("INDEX_MEMORY_BUDGET",
+            "expectation-index LRU byte budget (0 = unlimited)",
+            [](auto& s) -> auto& { return s.sampling.index_memory_budget; }),
+      Count("MAX_SAMPLES", "adaptive stopping sample ceiling",
+            [](auto& s) -> auto& { return s.sampling.max_samples; }),
+      Count("MIN_SAMPLES", "adaptive stopping sample floor",
+            [](auto& s) -> auto& { return s.sampling.min_samples; }),
+      Count("NUM_THREADS",
+            "sampling worker threads (0 = hardware concurrency)",
+            [](auto& s) -> auto& { return s.sampling.num_threads; }),
+      Count("SAMPLE_OFFSET",
+            "offset into the deterministic sample-index space (fresh runs)",
+            [](auto& s) -> auto& { return s.sampling.sample_offset; }),
+      Count("STATEMENT_TIMEOUT_MS",
+            "per-statement deadline enforced at chunk barriers, ERR TIMEOUT "
+            "(0 = no deadline)",
+            [](auto& s) -> auto& { return s.envelope.statement_timeout_ms; }),
   };
   return *knobs;
 }
 
-}  // namespace
-
-const std::vector<KnobDef>& KnobRegistry() { return Registry(); }
-
 StatusOr<const KnobDef*> FindKnob(const std::string& name) {
-  std::string upper = ToUpperCopy(name);
-  for (const KnobDef& knob : Registry()) {
+  std::string upper = ToUpper(name);
+  for (const KnobDef& knob : KnobRegistry()) {
     if (knob.name == upper) return &knob;
   }
   return Status::NotFound("unknown knob '" + name + "'");
-}
-
-Status SetKnob(SessionSettings* settings, const std::string& name,
-               double value) {
-  PIP_ASSIGN_OR_RETURN(const KnobDef* knob, FindKnob(name));
-  return knob->set(settings, value);
 }
 
 Status SetKnobFromSpec(SessionSettings* settings, const std::string& spec) {
@@ -202,7 +138,8 @@ Status SetKnobFromSpec(SessionSettings* settings, const std::string& spec) {
     return Status::InvalidArgument("knob value '" + text +
                                    "' is not a number");
   }
-  return SetKnob(settings, name, value);
+  PIP_ASSIGN_OR_RETURN(const KnobDef* knob, FindKnob(name));
+  return knob->set(settings, value);
 }
 
 }  // namespace sql

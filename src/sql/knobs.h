@@ -11,6 +11,7 @@
 #ifndef PIP_SQL_KNOBS_H_
 #define PIP_SQL_KNOBS_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -49,9 +50,9 @@ struct KnobDef {
   std::string name;  ///< Canonical upper-case name, e.g. "NUM_THREADS".
   std::string help;  ///< One-line description for SHOW KNOBS.
   /// Current value rendered for SHOW KNOBS / diagnostics.
-  std::string (*get)(const SessionSettings&);
+  std::function<std::string(const SessionSettings&)> get;
   /// Validates and applies `value`; error Status on rejection.
-  Status (*set)(SessionSettings*, double value);
+  std::function<Status(SessionSettings*, double value)> set;
 };
 
 /// The registry, sorted by name.
@@ -60,10 +61,6 @@ const std::vector<KnobDef>& KnobRegistry();
 /// The definition of `name` (case-insensitive); NotFound for unknown
 /// knobs.
 StatusOr<const KnobDef*> FindKnob(const std::string& name);
-
-/// Validates and applies one knob (case-insensitive name).
-Status SetKnob(SessionSettings* settings, const std::string& name,
-               double value);
 
 /// Applies a "NAME=VALUE" spec (the server startup-flag form).
 Status SetKnobFromSpec(SessionSettings* settings, const std::string& spec);

@@ -1,28 +1,23 @@
 #include "src/sql/lexer.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 
 namespace pip {
 namespace sql {
 
-namespace {
-
-std::string ToUpper(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::toupper(c));
-  return out;
-}
-
-}  // namespace
-
-bool Token::Is(const std::string& upper) const {
-  if (kind != TokenKind::kIdent) return false;
-  return ToUpper(text) == upper;
+bool Token::Is(std::string_view upper) const {
+  return kind == TokenKind::kIdent && text.size() == upper.size() &&
+         std::equal(text.begin(), text.end(), upper.begin(), [](char a, char b) {
+           return std::toupper(static_cast<unsigned char>(a)) == b;
+         });
 }
 
 StatusOr<std::vector<Token>> Tokenize(const std::string& input) {
   std::vector<Token> tokens;
+  // Statements average a little over two characters per token.
+  tokens.reserve(input.size() / 2 + 1);
   size_t i = 0;
   const size_t n = input.size();
   while (i < n) {

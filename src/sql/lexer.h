@@ -5,6 +5,7 @@
 #define PIP_SQL_LEXER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
@@ -26,10 +27,11 @@ struct Token {
   double number = 0;  ///< Value for kNumber.
   size_t position = 0;
 
-  /// Case-insensitive keyword/identifier comparison.
-  bool Is(const std::string& upper) const;
+  /// Case-insensitive keyword/identifier comparison against an
+  /// upper-case word.
+  bool Is(std::string_view upper) const;
   /// Exact symbol comparison.
-  bool IsSymbol(const std::string& s) const {
+  bool IsSymbol(std::string_view s) const {
     return kind == TokenKind::kSymbol && text == s;
   }
 };

@@ -18,42 +18,56 @@ namespace {
 
 using CE = ColExpr;
 
-/// Function names with special meaning in target position.
-enum class AggKind {
-  kNone,
-  kTableWide,    // expected_sum / _count / _avg / _max.
-  kExpectation,  // Per-row.
-  kConf,         // Per-row.
-};
-
-/// A target-position function name: its kind, and for table-wide
-/// aggregates which one.
+/// A function with special meaning in target position: its upper-case
+/// name (also the target's default name), whether it is table-wide
+/// (expected_*) or per-row, and for table-wide ones which aggregate.
+enum class AggKind { kTableWide, kExpectation, kConf };
 struct AggName {
-  AggKind kind = AggKind::kNone;
-  GroupAggregate aggregate = GroupAggregate::kExpectedSum;
+  const char* name;
+  AggKind kind;
+  GroupAggregate aggregate;
 };
 
-AggName AggNameFromUpper(const std::string& upper) {
-  if (upper == "EXPECTED_SUM") {
-    return {AggKind::kTableWide, GroupAggregate::kExpectedSum};
-  }
-  if (upper == "EXPECTED_COUNT") {
-    return {AggKind::kTableWide, GroupAggregate::kExpectedCount};
-  }
-  if (upper == "EXPECTED_AVG") {
-    return {AggKind::kTableWide, GroupAggregate::kExpectedAvg};
-  }
-  if (upper == "EXPECTED_MAX") {
-    return {AggKind::kTableWide, GroupAggregate::kExpectedMax};
-  }
-  if (upper == "EXPECTATION") return {AggKind::kExpectation};
-  if (upper == "CONF") return {AggKind::kConf};
-  return {};
-}
+constexpr AggName kAggNames[] = {
+    {"EXPECTED_SUM", AggKind::kTableWide, GroupAggregate::kExpectedSum},
+    {"EXPECTED_COUNT", AggKind::kTableWide, GroupAggregate::kExpectedCount},
+    {"EXPECTED_AVG", AggKind::kTableWide, GroupAggregate::kExpectedAvg},
+    {"EXPECTED_MAX", AggKind::kTableWide, GroupAggregate::kExpectedMax},
+    {"EXPECTATION", AggKind::kExpectation, GroupAggregate::kExpectedSum},
+    {"CONF", AggKind::kConf, GroupAggregate::kExpectedSum},
+};
 
-std::string ToUpper(std::string s) {
-  for (char& c : s) c = static_cast<char>(std::toupper(c));
-  return s;
+/// A scalar function usable inside expressions, with its arity.
+struct ScalarFunc {
+  const char* name;
+  FuncKind func;
+  size_t arity;
+};
+
+constexpr ScalarFunc kScalarFuncs[] = {
+    {"EXP", FuncKind::kExp, 1},  {"LOG", FuncKind::kLog, 1},
+    {"SQRT", FuncKind::kSqrt, 1}, {"ABS", FuncKind::kAbs, 1},
+    {"MIN", FuncKind::kMin, 2},  {"MAX", FuncKind::kMax, 2},
+    {"POW", FuncKind::kPow, 2},
+};
+
+constexpr std::pair<const char*, CmpOp> kCmpOps[] = {
+    {"<", CmpOp::kLt},  {"<=", CmpOp::kLe}, {">", CmpOp::kGt},
+    {">=", CmpOp::kGe}, {"=", CmpOp::kEq},  {"<>", CmpOp::kNe},
+    {"!=", CmpOp::kNe},
+};
+
+constexpr const char* kShowTopics[] = {
+    "DISTRIBUTIONS", "FAILPOINTS", "INDEX", "KNOBS", "POOL", "TABLES",
+    "VARIABLES"};
+
+/// The entry of `table` whose name the identifier `t` spells, or null.
+template <typename Entry, size_t N>
+const Entry* Lookup(const Entry (&table)[N], const Token& t) {
+  for (const Entry& entry : table) {
+    if (t.Is(entry.name)) return &entry;
+  }
+  return nullptr;
 }
 
 /// Per-row Monte Carlo draw estimate: the pinned count in fixed mode, the
@@ -101,20 +115,8 @@ class Deadline {
   std::atomic<int64_t> at_ns_{0};
 };
 
-/// Scalar functions usable inside expressions.
-std::optional<FuncKind> ScalarFunc(const std::string& upper) {
-  if (upper == "EXP") return FuncKind::kExp;
-  if (upper == "LOG") return FuncKind::kLog;
-  if (upper == "SQRT") return FuncKind::kSqrt;
-  if (upper == "ABS") return FuncKind::kAbs;
-  if (upper == "MIN") return FuncKind::kMin;
-  if (upper == "MAX") return FuncKind::kMax;
-  if (upper == "POW") return FuncKind::kPow;
-  return std::nullopt;
-}
-
 /// Column-kind classification of one deterministic value.
-ColumnKind KindOfValue(const Value& v) {
+ColumnKind KindOf(const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:
       return ColumnKind::kNull;
@@ -129,6 +131,13 @@ ColumnKind KindOfValue(const Value& v) {
   return ColumnKind::kMixed;
 }
 
+ColumnKind KindOf(const ExprPtr& cell) {
+  return cell->IsConstant() ? KindOf(cell->value()) : ColumnKind::kSymbolic;
+}
+
+const Row& CellsOf(const Row& row) { return row; }
+const std::vector<ExprPtr>& CellsOf(const CTableRow& row) { return row.cells; }
+
 /// Folds a cell kind into a column's running kind (NULL cells defer to
 /// the other cells; disagreement goes to kMixed; symbolic dominates).
 ColumnKind MergeKind(ColumnKind column, ColumnKind cell) {
@@ -140,51 +149,60 @@ ColumnKind MergeKind(ColumnKind column, ColumnKind cell) {
   return column == cell ? column : ColumnKind::kMixed;
 }
 
-std::vector<SqlColumn> ColumnsOf(const Table& t) {
+/// Result metadata of a Table or a CTable: each column's name and kind.
+template <typename T>
+std::vector<SqlColumn> ColumnsOf(const T& t) {
   std::vector<SqlColumn> cols(t.schema().size());
   for (size_t c = 0; c < cols.size(); ++c) {
     cols[c].name = t.schema().name(c);
-    for (const Row& row : t.rows()) {
-      cols[c].kind = MergeKind(cols[c].kind, KindOfValue(row[c]));
+    for (const auto& row : t.rows()) {
+      cols[c].kind = MergeKind(cols[c].kind, KindOf(CellsOf(row)[c]));
     }
   }
   return cols;
 }
 
-std::vector<SqlColumn> ColumnsOf(const CTable& t) {
-  std::vector<SqlColumn> cols(t.schema().size());
-  for (size_t c = 0; c < cols.size(); ++c) {
-    cols[c].name = t.schema().name(c);
-    for (const CTableRow& row : t.rows()) {
-      cols[c].kind = MergeKind(cols[c].kind,
-                               row.cells[c]->IsConstant()
-                                   ? KindOfValue(row.cells[c]->value())
-                                   : ColumnKind::kSymbolic);
-    }
-  }
-  return cols;
-}
-
+/// One SELECT target as written. Its alias is the AS alias or aggregate
+/// name, else empty until the expression resolves.
 struct Target {
-  AggName agg;
-  ColExprPtr expr;  // Null for expected_count(*) / conf().
+  const AggName* agg = nullptr;  // Null for a plain expression.
+  ColExprPtr expr;               // Null for expected_count(*) / conf().
   std::string alias;
 };
 
-/// Recursive-descent parser for one statement.
+/// \brief One parsed statement: its text, with no name looked up and no
+/// variable allocated. A bare name is a column reference and a
+/// constructor a ColExpr::Distribution leaf until the statement runs.
+struct Statement {
+  enum class Kind {
+    kCreateTable, kCreateVariable, kInsert, kSelect, kSet, kShow
+  };
+  Kind kind = Kind::kShow;
+  /// The table (CREATE TABLE, INSERT), variable (CREATE VARIABLE), knob
+  /// (SET) or topic (SHOW).
+  std::string name;
+  std::vector<std::string> names;  // CREATE TABLE's columns, FROM's tables.
+  ColExprPtr variable;             // CREATE VARIABLE's Distribution leaf.
+  std::vector<std::vector<ColExprPtr>> rows;  // INSERT.
+  bool select_star = false;
+  std::vector<Target> targets;
+  ColPredicate where;
+  bool table_wide = false, per_row = false;  // Which aggregates it holds.
+  double value = 0;                          // SET.
+
+  bool MaySample() const { return table_wide || per_row; }
+};
+
+/// Recursive-descent parser for one statement. It reads the tokens and
+/// the distribution registry (to check constructors), nothing else.
 class Parser {
  public:
-  /// `settings` points at the session's live settings so SET persists
-  /// across statements; `admit` (may be empty) admits sampling SELECTs.
-  Parser(std::vector<Token> tokens, Database* db, SessionSettings* settings,
-         AdmissionHook admit)
-      : tokens_(std::move(tokens)),
-        db_(db),
-        settings_(settings),
-        admit_(std::move(admit)) {}
+  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
-  StatusOr<SqlResult> ParseStatement() {
-    if (Peek().Is("CREATE")) return ParseCreate();
+  StatusOr<Statement> ParseStatement() {
+    if (Peek().Is("CREATE")) {
+      return Peek(1).Is("VARIABLE") ? ParseCreateVariable() : ParseCreateTable();
+    }
     if (Peek().Is("INSERT")) return ParseInsert();
     if (Peek().Is("SELECT")) return ParseSelect();
     if (Peek().Is("SET")) return ParseSet();
@@ -214,13 +232,13 @@ class Parser {
     return Status::Unimplemented(feature + " is not supported");
   }
 
-  Status ExpectKeyword(const std::string& upper) {
-    if (!Peek().Is(upper)) return Error("expected " + upper);
+  Status ExpectKeyword(std::string_view upper) {
+    if (!Peek().Is(upper)) return Error("expected " + std::string(upper));
     Advance();
     return Status::OK();
   }
-  Status ExpectSymbol(const std::string& s) {
-    if (!Peek().IsSymbol(s)) return Error("expected '" + s + "'");
+  Status ExpectSymbol(std::string_view s) {
+    if (!Peek().IsSymbol(s)) return Error("expected '" + std::string(s) + "'");
     Advance();
     return Status::OK();
   }
@@ -286,19 +304,15 @@ class Parser {
       return inner;
     }
     if (t.kind == TokenKind::kIdent) {
+      if (Peek(1).IsSymbol("(")) return ParseCall();
       std::string name = Advance().text;
-      if (Peek().IsSymbol("(")) return ParseCall(name);
       // Dotted column reference (table.column).
       if (Peek().IsSymbol(".")) {
         Advance();
         PIP_ASSIGN_OR_RETURN(std::string col, ExpectIdent());
         return CE::Column(name + "." + col);
       }
-      // Named variables (CREATE VARIABLE) resolve before columns.
-      if (db_->HasNamedVariable(name)) {
-        PIP_ASSIGN_OR_RETURN(VarRef var, db_->GetNamedVariable(name));
-        return CE::Embed(Expr::Var(var));
-      }
+      // A bare name: a named variable or a column, decided on execution.
       return CE::Column(name);
     }
     return Error("expected expression");
@@ -320,10 +334,12 @@ class Parser {
     return args;
   }
 
-  /// Evaluates distribution-constructor arguments to numeric constants,
-  /// validating the class name against the registry first.
-  StatusOr<std::vector<double>> ConstParams(
-      const std::string& name, const std::vector<ColExprPtr>& args) {
+  /// The Distribution leaf `name(args)`: the class must be registered and
+  /// every argument a numeric constant. `validate` also checks the
+  /// parameters against the class, so that allocating it cannot fail.
+  StatusOr<ColExprPtr> DistributionLeaf(const std::string& name,
+                                        const std::vector<ColExprPtr>& args,
+                                        bool validate) {
     auto dist = DistributionRegistry::Global().Lookup(name);
     if (!dist.ok()) {
       return Error("unknown function or distribution '" + name + "'");
@@ -331,76 +347,51 @@ class Parser {
     std::vector<double> params;
     params.reserve(args.size());
     for (const auto& arg : args) {
-      PIP_ASSIGN_OR_RETURN(ExprPtr bound, arg->Bind(Schema(), {}));
-      if (!bound->IsConstant()) {
+      if (arg->kind() == CE::Kind::kLiteral) {
+        PIP_ASSIGN_OR_RETURN(double v, arg->literal().AsDouble());
+        params.push_back(v);
+        continue;
+      }
+      // A column, a variable's name or a constructor does not bind here.
+      StatusOr<ExprPtr> bound = arg->Bind(Schema(), {});
+      if (!bound.ok() || !bound.value()->IsConstant()) {
         return Error("distribution parameters must be constants");
       }
-      PIP_ASSIGN_OR_RETURN(double v, bound->value().AsDouble());
+      PIP_ASSIGN_OR_RETURN(double v, bound.value()->value().AsDouble());
       params.push_back(v);
     }
-    return params;
+    if (validate) PIP_RETURN_IF_ERROR(dist.value()->ValidateParams(params));
+    return CE::Distribution(name, std::move(params));
   }
 
   /// A call in expression position: a scalar function or a distribution
-  /// constructor. Distribution constructors require constant arguments and
-  /// allocate one fresh random variable per syntactic occurrence — the
-  /// paper's CREATE_VARIABLE inlined into values/targets.
-  StatusOr<ColExprPtr> ParseCall(const std::string& name) {
+  /// constructor — the paper's CREATE_VARIABLE inlined into values and
+  /// targets, one fresh variable per occurrence when the statement runs.
+  StatusOr<ColExprPtr> ParseCall() {
+    const Token& head = Advance();
     PIP_ASSIGN_OR_RETURN(std::vector<ColExprPtr> args, ParseArgList());
-    std::string upper = ToUpper(name);
-    if (auto func = ScalarFunc(upper)) {
-      size_t expected = (upper == "MIN" || upper == "MAX" || upper == "POW")
-                            ? 2
-                            : 1;
-      if (args.size() != expected) {
-        return Error(name + " expects " + std::to_string(expected) +
+    if (const ScalarFunc* func = Lookup(kScalarFuncs, head)) {
+      if (args.size() != func->arity) {
+        return Error(head.text + " expects " + std::to_string(func->arity) +
                      " argument(s)");
       }
-      return expected == 1 ? CE::Func(*func, args[0])
-                           : CE::Func(*func, args[0], args[1]);
+      return func->arity == 1 ? CE::Func(func->func, args[0])
+                              : CE::Func(func->func, args[0], args[1]);
     }
-    PIP_ASSIGN_OR_RETURN(std::vector<double> params, ConstParams(name, args));
-    PIP_ASSIGN_OR_RETURN(VarRef var,
-                         db_->CreateVariable(name, std::move(params)));
-    return CE::Embed(Expr::Var(var));
-  }
-
-  StatusOr<CmpOp> ParseCmpOp() {
-    const Token& t = Peek();
-    if (t.IsSymbol("<")) {
-      Advance();
-      return CmpOp::kLt;
-    }
-    if (t.IsSymbol("<=")) {
-      Advance();
-      return CmpOp::kLe;
-    }
-    if (t.IsSymbol(">")) {
-      Advance();
-      return CmpOp::kGt;
-    }
-    if (t.IsSymbol(">=")) {
-      Advance();
-      return CmpOp::kGe;
-    }
-    if (t.IsSymbol("=")) {
-      Advance();
-      return CmpOp::kEq;
-    }
-    if (t.IsSymbol("<>") || t.IsSymbol("!=")) {
-      Advance();
-      return CmpOp::kNe;
-    }
-    return Error("expected comparison operator");
+    return DistributionLeaf(head.text, args, /*validate=*/true);
   }
 
   StatusOr<ColPredicate> ParseWhere() {
     ColPredicate pred;
     while (true) {
       PIP_ASSIGN_OR_RETURN(ColExprPtr lhs, ParseExpr());
-      PIP_ASSIGN_OR_RETURN(CmpOp op, ParseCmpOp());
+      const auto* op = std::find_if(
+          std::begin(kCmpOps), std::end(kCmpOps),
+          [&](const auto& entry) { return Peek().IsSymbol(entry.first); });
+      if (op == std::end(kCmpOps)) return Error("expected comparison operator");
+      Advance();
       PIP_ASSIGN_OR_RETURN(ColExprPtr rhs, ParseExpr());
-      pred.And(std::move(lhs), op, std::move(rhs));
+      pred.And(std::move(lhs), op->second, std::move(rhs));
       if (!Peek().Is("AND")) break;
       Advance();
     }
@@ -409,281 +400,158 @@ class Parser {
 
   // -- Statements ---------------------------------------------------------
 
-  /// SET knob = value: tunes the session's sampling options through the
-  /// declarative knob registry (the paper's engine knobs surfaced at the
-  /// SQL layer, PostgreSQL-GUC style).
-  StatusOr<SqlResult> ParseSet() {
+  /// SET knob = value.
+  StatusOr<Statement> ParseSet() {
     PIP_RETURN_IF_ERROR(ExpectKeyword("SET"));
-    PIP_ASSIGN_OR_RETURN(std::string knob, ExpectIdent());
+    Statement s{Statement::Kind::kSet};
+    PIP_ASSIGN_OR_RETURN(s.name, ExpectIdent());
     PIP_RETURN_IF_ERROR(ExpectSymbol("="));
-    bool negative = false;
-    if (Peek().IsSymbol("-")) {
-      Advance();
-      negative = true;
-    }
+    const bool negative = Peek().IsSymbol("-");
+    if (negative) Advance();
     if (Peek().kind != TokenKind::kNumber) return Error("expected a number");
-    double value = Advance().number;
-    if (negative) value = -value;
+    s.value = negative ? -Advance().number : Advance().number;
     PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-    PIP_RETURN_IF_ERROR(SetKnob(settings_, knob, value));
-    return SqlResult::Ack("SET " + ToUpper(knob));
+    return s;
   }
 
-  /// SHOW <topic>: introspection listings, one deterministic table each.
-  StatusOr<SqlResult> ParseShow() {
+  /// SHOW <topic>.
+  StatusOr<Statement> ParseShow() {
     PIP_RETURN_IF_ERROR(ExpectKeyword("SHOW"));
-    if (Peek().Is("DISTRIBUTIONS")) {
+    for (const char* topic : kShowTopics) {
+      if (!Peek().Is(topic)) continue;
       Advance();
       PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-      Table table(Schema({"distribution"}));
-      for (const std::string& name : DistributionRegistry::Global().Names()) {
-        PIP_RETURN_IF_ERROR(table.Append({Value(name)}));
-      }
-      return SqlResult::FromTable(std::move(table));
-    }
-    if (Peek().Is("FAILPOINTS")) {
-      Advance();
-      PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-      Table table(Schema({"site", "action", "fires"}));
-      for (const failpoints::SiteInfo& site : failpoints::ActiveSites()) {
-        PIP_RETURN_IF_ERROR(
-            table.Append({Value(site.site), Value(site.action),
-                          Value(static_cast<double>(site.fires))}));
-      }
-      return SqlResult::FromTable(std::move(table));
-    }
-    if (Peek().Is("KNOBS")) {
-      Advance();
-      PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-      Table table(Schema({"knob", "value", "description"}));
-      for (const KnobDef& knob : KnobRegistry()) {
-        PIP_RETURN_IF_ERROR(table.Append({Value(knob.name),
-                                          Value(knob.get(*settings_)),
-                                          Value(knob.help)}));
-      }
-      return SqlResult::FromTable(std::move(table));
-    }
-    if (Peek().Is("INDEX")) {
-      Advance();
-      PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-      const ExpectationIndex::Stats stats = db_->result_index_stats();
-      Table table(Schema({"metric", "value"}));
-      const std::pair<const char*, uint64_t> rows[] = {
-          {"entries", stats.entries},
-          {"bytes", stats.bytes},
-          {"memory_budget", stats.memory_budget},
-          {"hits", stats.hits},
-          {"misses", stats.misses},
-          {"inserts", stats.inserts},
-          {"evictions", stats.evictions},
-          {"insert_failures", stats.insert_failures},
-      };
-      for (const auto& [metric, value] : rows) {
-        PIP_RETURN_IF_ERROR(table.Append(
-            {Value(std::string(metric)), Value(static_cast<double>(value))}));
-      }
-      return SqlResult::FromTable(std::move(table));
-    }
-    if (Peek().Is("POOL")) {
-      Advance();
-      PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-      // Scheduler observability: the shared pool's counters (regions,
-      // helper tasks, join waits; nested_tasks is always 0, one axis per
-      // region), so saturation is measurable over the wire, not assumed.
-      ThreadPool& pool = ThreadPool::Shared();
-      const ThreadPool::SchedulerStats stats = pool.scheduler_stats();
-      Table table(Schema({"metric", "value"}));
-      const std::pair<const char*, uint64_t> rows[] = {
-          {"threads", pool.num_threads()},
-          {"regions", stats.regions},
-          {"inline_regions", stats.inline_regions},
-          {"worker_tasks", stats.worker_tasks},
-          {"nested_tasks", stats.nested_tasks},
-          {"join_waits", stats.join_waits},
-          {"join_wait_micros", stats.join_wait_micros},
-      };
-      for (const auto& [metric, value] : rows) {
-        PIP_RETURN_IF_ERROR(table.Append(
-            {Value(std::string(metric)), Value(static_cast<double>(value))}));
-      }
-      return SqlResult::FromTable(std::move(table));
-    }
-    if (Peek().Is("TABLES")) {
-      Advance();
-      PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-      Table table(Schema({"table"}));
-      for (const std::string& name : db_->TableNames()) {
-        PIP_RETURN_IF_ERROR(table.Append({Value(name)}));
-      }
-      return SqlResult::FromTable(std::move(table));
-    }
-    if (Peek().Is("VARIABLES")) {
-      Advance();
-      PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-      Table table(Schema({"variable", "distribution"}));
-      for (const auto& [name, ref] : db_->NamedVariables()) {
-        auto info = db_->pool()->Info(ref.var_id);
-        PIP_RETURN_IF_ERROR(table.Append(
-            {Value(name),
-             Value(info.ok() ? info.value()->class_name : std::string("?"))}));
-      }
-      return SqlResult::FromTable(std::move(table));
+      Statement s{Statement::Kind::kShow};
+      s.name = topic;
+      return s;
     }
     return Error(
         "expected DISTRIBUTIONS, FAILPOINTS, INDEX, KNOBS, POOL, TABLES or "
         "VARIABLES");
   }
 
-  StatusOr<SqlResult> ParseCreate() {
+  StatusOr<Statement> ParseCreateTable() {
     PIP_RETURN_IF_ERROR(ExpectKeyword("CREATE"));
-    if (Peek().Is("VARIABLE")) return ParseCreateVariable();
-    return ParseCreateTable();
-  }
-
-  StatusOr<SqlResult> ParseCreateTable() {
     PIP_RETURN_IF_ERROR(ExpectKeyword("TABLE"));
-    PIP_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
+    Statement s{Statement::Kind::kCreateTable};
+    PIP_ASSIGN_OR_RETURN(s.name, ExpectIdent());
     PIP_RETURN_IF_ERROR(ExpectSymbol("("));
-    std::vector<std::string> columns;
     while (true) {
       PIP_ASSIGN_OR_RETURN(std::string col, ExpectIdent());
-      columns.push_back(std::move(col));
+      s.names.push_back(std::move(col));
       if (!Peek().IsSymbol(",")) break;
       Advance();
     }
     PIP_RETURN_IF_ERROR(ExpectSymbol(")"));
     PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-    PIP_RETURN_IF_ERROR(
-        db_->RegisterCTable(name, CTable(Schema(std::move(columns)))));
-    return SqlResult::Ack("CREATE TABLE " + name);
+    return s;
   }
 
   /// CREATE VARIABLE name AS Dist(params): the paper's named
-  /// CREATE_VARIABLE (§V-A). The variable lives in the Database and is
-  /// usable by name in any later INSERT/SELECT expression of any
-  /// session.
-  StatusOr<SqlResult> ParseCreateVariable() {
+  /// CREATE_VARIABLE (§V-A).
+  StatusOr<Statement> ParseCreateVariable() {
+    PIP_RETURN_IF_ERROR(ExpectKeyword("CREATE"));
     PIP_RETURN_IF_ERROR(ExpectKeyword("VARIABLE"));
-    PIP_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
+    Statement s{Statement::Kind::kCreateVariable};
+    PIP_ASSIGN_OR_RETURN(s.name, ExpectIdent());
     PIP_RETURN_IF_ERROR(ExpectKeyword("AS"));
-    PIP_ASSIGN_OR_RETURN(std::string class_name, ExpectIdent());
+    if (Peek().kind != TokenKind::kIdent) return Error("expected identifier");
+    const Token& head = Advance();
     if (!Peek().IsSymbol("(")) return Error("expected '('");
-    if (ScalarFunc(ToUpper(class_name))) {
-      return Error("'" + class_name + "' is not a distribution");
+    if (Lookup(kScalarFuncs, head)) {
+      return Error("'" + head.text + "' is not a distribution");
     }
     PIP_ASSIGN_OR_RETURN(std::vector<ColExprPtr> args, ParseArgList());
-    PIP_ASSIGN_OR_RETURN(std::vector<double> params,
-                         ConstParams(class_name, args));
+    PIP_ASSIGN_OR_RETURN(s.variable,
+                         DistributionLeaf(head.text, args, /*validate=*/false));
     PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-    PIP_RETURN_IF_ERROR(
-        db_->CreateNamedVariable(name, class_name, std::move(params))
-            .status());
-    return SqlResult::Ack("CREATE VARIABLE " + name);
+    return s;
   }
 
-  StatusOr<SqlResult> ParseInsert() {
+  StatusOr<Statement> ParseInsert() {
     PIP_RETURN_IF_ERROR(ExpectKeyword("INSERT"));
     PIP_RETURN_IF_ERROR(ExpectKeyword("INTO"));
-    PIP_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
+    Statement s{Statement::Kind::kInsert};
+    PIP_ASSIGN_OR_RETURN(s.name, ExpectIdent());
     PIP_RETURN_IF_ERROR(ExpectKeyword("VALUES"));
-    if (!db_->HasTable(name)) {
-      return Status::NotFound("no table named '" + name + "'");
-    }
-
-    std::vector<CTableRow> rows;
     while (true) {
       PIP_RETURN_IF_ERROR(ExpectSymbol("("));
-      CTableRow row;
+      std::vector<ColExprPtr>& row = s.rows.emplace_back();
+      row.reserve(s.rows.front().size());  // Rows are as wide as the first.
       while (true) {
         PIP_ASSIGN_OR_RETURN(ColExprPtr expr, ParseExpr());
-        // INSERT expressions cannot reference columns.
-        PIP_ASSIGN_OR_RETURN(ExprPtr bound, expr->Bind(Schema(), {}));
-        row.cells.push_back(std::move(bound));
+        row.push_back(std::move(expr));
         if (!Peek().IsSymbol(",")) break;
         Advance();
       }
       PIP_RETURN_IF_ERROR(ExpectSymbol(")"));
-      rows.push_back(std::move(row));
       if (!Peek().IsSymbol(",")) break;
       Advance();
     }
     PIP_RETURN_IF_ERROR(ExpectStatementEnd());
-    size_t inserted = rows.size();
-    // Atomic under the catalogue lock: concurrent INSERTs into one table
-    // serialize instead of losing rows to a read-copy-update race.
-    PIP_RETURN_IF_ERROR(db_->AppendRows(name, std::move(rows)));
-    return SqlResult::Ack("INSERT " + std::to_string(inserted));
+    return s;
   }
 
   StatusOr<Target> ParseTarget() {
     Target target;
     // Aggregate / per-row operator heads.
-    if (Peek().kind == TokenKind::kIdent && Peek(1).IsSymbol("(")) {
-      AggName agg = AggNameFromUpper(ToUpper(Peek().text));
-      if (agg.kind != AggKind::kNone) {
-        target.agg = agg;
-        target.alias = ToUpper(Peek().text);
+    if (Peek(1).IsSymbol("(") && (target.agg = Lookup(kAggNames, Peek()))) {
+      target.alias = target.agg->name;
+      Advance();
+      Advance();  // '('
+      if (Peek().IsSymbol("*")) {
+        if (target.agg->aggregate != GroupAggregate::kExpectedCount ||
+            target.agg->kind != AggKind::kTableWide) {
+          return Error("'*' argument only valid for expected_count");
+        }
         Advance();
-        Advance();  // '('
-        if (Peek().IsSymbol("*")) {
-          if (agg.kind != AggKind::kTableWide ||
-              agg.aggregate != GroupAggregate::kExpectedCount) {
-            return Error("'*' argument only valid for expected_count");
-          }
-          Advance();
-        } else if (!Peek().IsSymbol(")")) {
-          PIP_ASSIGN_OR_RETURN(target.expr, ParseExpr());
-        }
-        PIP_RETURN_IF_ERROR(ExpectSymbol(")"));
-        if (Peek().Is("AS")) {
-          Advance();
-          PIP_ASSIGN_OR_RETURN(target.alias, ExpectIdent());
-        }
-        return target;
+      } else if (!Peek().IsSymbol(")")) {
+        PIP_ASSIGN_OR_RETURN(target.expr, ParseExpr());
+      } else if (target.agg->kind == AggKind::kExpectation) {
+        return Error("expectation expects an argument");
       }
+      PIP_RETURN_IF_ERROR(ExpectSymbol(")"));
+    } else {
+      PIP_ASSIGN_OR_RETURN(target.expr, ParseExpr());
     }
-    PIP_ASSIGN_OR_RETURN(target.expr, ParseExpr());
     if (Peek().Is("AS")) {
       Advance();
       PIP_ASSIGN_OR_RETURN(target.alias, ExpectIdent());
-    } else if (target.expr->kind() == CE::Kind::kColumn) {
-      target.alias = target.expr->column();
-    } else {
-      target.alias = "col" + std::to_string(++anonymous_targets_);
     }
     return target;
   }
 
-  StatusOr<SqlResult> ParseSelect() {
+  StatusOr<Statement> ParseSelect() {
     PIP_RETURN_IF_ERROR(ExpectKeyword("SELECT"));
     if (Peek().Is("DISTINCT")) return Capability("SELECT DISTINCT");
-    std::vector<Target> targets;
-    bool select_star = false;
+    Statement s{Statement::Kind::kSelect};
+    bool plain = false;
     if (Peek().IsSymbol("*")) {
       Advance();
-      select_star = true;
+      s.select_star = true;
     } else {
       while (true) {
         PIP_ASSIGN_OR_RETURN(Target t, ParseTarget());
-        targets.push_back(std::move(t));
+        (t.agg == nullptr ? plain
+         : t.agg->kind == AggKind::kTableWide ? s.table_wide
+                                              : s.per_row) = true;
+        s.targets.push_back(std::move(t));
         if (!Peek().IsSymbol(",")) break;
         Advance();
       }
     }
 
     PIP_RETURN_IF_ERROR(ExpectKeyword("FROM"));
-    std::vector<std::string> tables;
     while (true) {
       PIP_ASSIGN_OR_RETURN(std::string name, ExpectIdent());
-      tables.push_back(std::move(name));
+      s.names.push_back(std::move(name));
       if (!Peek().IsSymbol(",")) break;
       Advance();
     }
 
-    ColPredicate predicate;
     if (Peek().Is("WHERE")) {
       Advance();
-      PIP_ASSIGN_OR_RETURN(predicate, ParseWhere());
+      PIP_ASSIGN_OR_RETURN(s.where, ParseWhere());
     }
     // Recognized SQL clauses beyond the supported subset get the
     // CAPABILITY category rather than a generic parse error.
@@ -692,51 +560,202 @@ class Parser {
       if (Peek().Is(clause)) return Capability(std::string(clause));
     }
     PIP_RETURN_IF_ERROR(ExpectStatementEnd());
+    if (s.table_wide && (s.per_row || plain)) {
+      return Error("cannot mix table-wide aggregates with per-row targets");
+    }
+    return s;
+  }
 
+  std::vector<Token> tokens_;
+  size_t pos_ = 0;
+};
+
+/// Parses one statement. Lexer failures are parse errors too, whatever
+/// internal category the tokenizer reported.
+StatusOr<Statement> Parse(const std::string& text) {
+  auto tokens = Tokenize(text);
+  if (!tokens.ok()) return Status::ParseError(tokens.status().message());
+  return Parser(std::move(tokens).value()).ParseStatement();
+}
+
+/// A (metric, value) listing: SHOW INDEX and SHOW POOL.
+StatusOr<SqlResult> MetricTable(
+    std::initializer_list<std::pair<const char*, uint64_t>> rows) {
+  Table table(Schema({"metric", "value"}));
+  for (const auto& [metric, value] : rows) {
+    PIP_RETURN_IF_ERROR(table.Append(
+        {Value(std::string(metric)), Value(static_cast<double>(value))}));
+  }
+  return SqlResult::FromTable(std::move(table));
+}
+
+/// Runs parsed statements against one Database. Names resolve, and
+/// constructors allocate their variables, only here, and only after the
+/// statement's catalogue checks passed. `settings` are the session's live
+/// settings, so SET persists; `admit` (may be empty) admits sampling
+/// SELECTs.
+class Executor {
+ public:
+  Executor(Database* db, SessionSettings* settings, AdmissionHook admit)
+      : db_(db), settings_(settings), admit_(std::move(admit)) {}
+
+  StatusOr<SqlResult> Run(Statement s) {
+    switch (s.kind) {
+      case Statement::Kind::kCreateTable:
+        PIP_RETURN_IF_ERROR(
+            db_->RegisterCTable(s.name, CTable(Schema(std::move(s.names)))));
+        return SqlResult::Ack("CREATE TABLE " + s.name);
+      case Statement::Kind::kCreateVariable:
+        PIP_RETURN_IF_ERROR(db_->CreateNamedVariable(
+            s.name, s.variable->column(), s.variable->params()).status());
+        return SqlResult::Ack("CREATE VARIABLE " + s.name);
+      case Statement::Kind::kInsert:
+        return Insert(s);
+      case Statement::Kind::kSelect:
+        return Select(std::move(s));
+      case Statement::Kind::kSet: {  // Through the knob registry.
+        PIP_ASSIGN_OR_RETURN(const KnobDef* knob, FindKnob(s.name));
+        PIP_RETURN_IF_ERROR(knob->set(settings_, s.value));
+        return SqlResult::Ack("SET " + knob->name);
+      }
+      case Statement::Kind::kShow:
+        return Show(s.name);
+    }
+    return Status::Internal("unknown statement kind");
+  }
+
+ private:
+  /// `e` with its names resolved: a bare name that names a variable
+  /// (CREATE VARIABLE) becomes that variable, and each Distribution leaf
+  /// a fresh one, allocated leaf by leaf from left to right. Returns `e`
+  /// itself when nothing in it changes.
+  StatusOr<ColExprPtr> Resolve(const ColExprPtr& e) {
+    if (e->kind() == CE::Kind::kDistribution) {
+      PIP_ASSIGN_OR_RETURN(VarRef var,
+                           db_->CreateVariable(e->column(), e->params()));
+      return CE::Embed(Expr::Var(var));
+    }
+    if (e->kind() == CE::Kind::kColumn) {
+      if (!db_->HasNamedVariable(e->column())) return e;
+      PIP_ASSIGN_OR_RETURN(VarRef var, db_->GetNamedVariable(e->column()));
+      return CE::Embed(Expr::Var(var));
+    }
+    if (e->children().empty()) return e;  // A literal or an embed.
+    std::vector<ColExprPtr> kids;
+    bool changed = false;
+    for (const ColExprPtr& child : e->children()) {
+      PIP_ASSIGN_OR_RETURN(ColExprPtr kid, Resolve(child));
+      changed |= kid.get() != child.get();
+      kids.push_back(std::move(kid));
+    }
+    if (!changed) return e;
+    switch (e->kind()) {
+      case CE::Kind::kAdd:
+        return CE::Add(kids[0], kids[1]);
+      case CE::Kind::kSub:
+        return CE::Sub(kids[0], kids[1]);
+      case CE::Kind::kMul:
+        return CE::Mul(kids[0], kids[1]);
+      case CE::Kind::kDiv:
+        return CE::Div(kids[0], kids[1]);
+      case CE::Kind::kNeg:
+        return CE::Neg(kids[0]);
+      default:
+        return kids.size() == 1 ? CE::Func(e->func(), kids[0])
+                                : CE::Func(e->func(), kids[0], kids[1]);
+    }
+  }
+
+  StatusOr<SqlResult> Insert(const Statement& s) {
+    PIP_ASSIGN_OR_RETURN(std::shared_ptr<const CTable> table,
+                         db_->GetTable(s.name));
+    // Nothing allocates until every bare name names a variable (values
+    // reference no columns) and every row fits the table.
+    for (const auto& row : s.rows) {
+      for (const ColExprPtr& cell : row) {
+        std::vector<std::string> names;
+        cell->CollectColumns(&names);
+        for (const std::string& name : names) {
+          if (!db_->HasNamedVariable(name)) return Schema().IndexOf(name).status();
+        }
+      }
+    }
+    const Schema& schema = table->schema();
+    for (const auto& row : s.rows) {
+      if (row.size() != schema.size()) {
+        return Status::InvalidArgument(
+            "row arity " + std::to_string(row.size()) +
+            " does not match schema " + schema.ToString());
+      }
+    }
+    std::vector<CTableRow> rows(s.rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      rows[r].cells.reserve(s.rows[r].size());
+      for (const ColExprPtr& cell : s.rows[r]) {
+        PIP_ASSIGN_OR_RETURN(ColExprPtr resolved, Resolve(cell));
+        ExprPtr bound = resolved->embedded();  // A literal's or an embed's.
+        if (!bound) {
+          PIP_ASSIGN_OR_RETURN(bound, resolved->Bind(Schema(), {}));
+        }
+        rows[r].cells.push_back(std::move(bound));
+      }
+    }
+    // Atomic under the catalogue lock: concurrent INSERTs into one table
+    // serialize instead of losing rows to a read-copy-update race.
+    PIP_RETURN_IF_ERROR(db_->AppendRows(s.name, std::move(rows)));
+    return SqlResult::Ack("INSERT " + std::to_string(s.rows.size()));
+  }
+
+  StatusOr<SqlResult> Select(Statement s) {
     // FROM: fetch each catalogue snapshot in FROM order (the first
     // missing table is the error) and fold them into one product, each
     // right-hand table's name prefixing its colliding columns. WHERE
     // reads a lone table's snapshot in place; without WHERE a lone table
     // is copied.
     PIP_ASSIGN_OR_RETURN(std::shared_ptr<const CTable> snapshot,
-                         db_->GetTable(tables[0]));
+                         db_->GetTable(s.names[0]));
     const CTable* from = snapshot.get();
     CTable product;
-    for (size_t i = 1; i < tables.size(); ++i) {
+    for (size_t i = 1; i < s.names.size(); ++i) {
       PIP_ASSIGN_OR_RETURN(std::shared_ptr<const CTable> rhs,
-                           db_->GetTable(tables[i]));
-      PIP_ASSIGN_OR_RETURN(product, Product(*from, *rhs, tables[i]));
+                           db_->GetTable(s.names[i]));
+      PIP_ASSIGN_OR_RETURN(product, Product(*from, *rhs, s.names[i]));
       from = &product;
     }
+
+    // Resolve the targets, then WHERE. A target's constructor is one
+    // variable for the whole statement, shared by every row.
+    std::vector<Target>& targets = s.targets;
+    int anonymous_targets = 0;
+    for (Target& t : targets) {
+      if (t.expr != nullptr) {
+        PIP_ASSIGN_OR_RETURN(t.expr, Resolve(t.expr));
+      }
+      if (!t.alias.empty()) continue;
+      t.alias = t.expr->kind() == CE::Kind::kColumn
+                    ? t.expr->column()
+                    : "col" + std::to_string(++anonymous_targets);
+    }
+    ColPredicate predicate;
+    for (const ColAtom& atom : s.where.atoms()) {
+      PIP_ASSIGN_OR_RETURN(ColExprPtr lhs, Resolve(atom.lhs));
+      PIP_ASSIGN_OR_RETURN(ColExprPtr rhs, Resolve(atom.rhs));
+      predicate.And(std::move(lhs), atom.op, std::move(rhs));
+    }
+
     CTable base;
     if (!predicate.empty()) {
-      PIP_ASSIGN_OR_RETURN(base, Select(*from, predicate));
+      PIP_ASSIGN_OR_RETURN(base, pip::Select(*from, predicate));
     } else if (from == &product) {
       base = std::move(product);
     } else {
       base = *snapshot;
     }
 
-    // Classify the target list.
-    bool any_table_wide = false, any_per_row = false, any_plain = false;
-    for (const auto& t : targets) {
-      if (t.agg.kind == AggKind::kTableWide) {
-        any_table_wide = true;
-      } else if (t.agg.kind != AggKind::kNone) {
-        any_per_row = true;
-      } else {
-        any_plain = true;
-      }
-    }
-    if (any_table_wide && (any_per_row || any_plain)) {
-      return Error(
-          "cannot mix table-wide aggregates with per-row targets");
-    }
-
-    if (select_star || (!any_table_wide && !any_per_row)) {
+    if (!s.MaySample()) {
       // Plain symbolic SELECT: nothing is drawn, so no engine and no
       // admission.
-      if (select_star) {
+      if (s.select_star) {
         return SqlResult::FromCTable(std::move(base));
       }
       std::vector<NamedColExpr> cols;
@@ -753,16 +772,16 @@ class Parser {
     spec.with_confidence = false;
     for (size_t i = 0; i < targets.size(); ++i) {
       const Target& t = targets[i];
-      if (any_table_wide) {
+      if (s.table_wide) {
         if (t.expr != nullptr) {
           cols.push_back({"agg" + std::to_string(i), t.expr});
         }
-      } else if (t.agg.kind == AggKind::kConf) {
+      } else if (t.agg != nullptr && t.agg->kind == AggKind::kConf) {
         spec.with_confidence = true;
       } else {
         cols.push_back({t.alias, t.expr});
-        (t.agg.kind == AggKind::kExpectation ? spec.expectation_columns
-                                        : spec.passthrough_columns)
+        (t.agg != nullptr ? spec.expectation_columns
+                          : spec.passthrough_columns)
             .push_back(t.alias);
       }
     }
@@ -782,7 +801,7 @@ class Parser {
       return admit_(sampled_rows * PerRowDraws(options));
     };
 
-    if (!any_table_wide) {
+    if (!s.table_wide) {
       PIP_ASSIGN_OR_RETURN(Prepared<Table> analyze,
                            PrepareAnalyze(projected, engine, spec));
       PIP_ASSIGN_OR_RETURN(std::shared_ptr<void> admitted,
@@ -799,7 +818,7 @@ class Parser {
     for (size_t i = 0; i < targets.size(); ++i) {
       PIP_ASSIGN_OR_RETURN(
           Prepared<double> p,
-          agg.Prepare(targets[i].agg.aggregate, projected,
+          agg.Prepare(targets[i].agg->aggregate, projected,
                       "agg" + std::to_string(i)));
       sampled_rows += p.sampled_rows;
       prepared.push_back(std::move(p));
@@ -817,12 +836,71 @@ class Parser {
     return SqlResult::FromTable(std::move(out));
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  /// SHOW <topic>: introspection listings, one deterministic table each.
+  StatusOr<SqlResult> Show(const std::string& topic) {
+    if (topic == "INDEX") {
+      const ExpectationIndex::Stats stats = db_->result_index_stats();
+      return MetricTable(
+          {{"entries", stats.entries}, {"bytes", stats.bytes},
+           {"memory_budget", stats.memory_budget}, {"hits", stats.hits},
+           {"misses", stats.misses}, {"inserts", stats.inserts},
+           {"evictions", stats.evictions},
+           {"insert_failures", stats.insert_failures}});
+    }
+    if (topic == "POOL") {
+      // Scheduler observability: the shared pool's counters (regions,
+      // helper tasks, join waits; nested_tasks is always 0, one axis per
+      // region), so saturation is measurable over the wire, not assumed.
+      ThreadPool& pool = ThreadPool::Shared();
+      const ThreadPool::SchedulerStats stats = pool.scheduler_stats();
+      return MetricTable(
+          {{"threads", pool.num_threads()}, {"regions", stats.regions},
+           {"inline_regions", stats.inline_regions},
+           {"worker_tasks", stats.worker_tasks},
+           {"nested_tasks", stats.nested_tasks},
+           {"join_waits", stats.join_waits},
+           {"join_wait_micros", stats.join_wait_micros}});
+    }
+    Table table;
+    if (topic == "DISTRIBUTIONS") {
+      table = Table(Schema({"distribution"}));
+      for (const std::string& name : DistributionRegistry::Global().Names()) {
+        PIP_RETURN_IF_ERROR(table.Append({Value(name)}));
+      }
+    } else if (topic == "FAILPOINTS") {
+      table = Table(Schema({"site", "action", "fires"}));
+      for (const failpoints::SiteInfo& site : failpoints::ActiveSites()) {
+        PIP_RETURN_IF_ERROR(
+            table.Append({Value(site.site), Value(site.action),
+                          Value(static_cast<double>(site.fires))}));
+      }
+    } else if (topic == "KNOBS") {
+      table = Table(Schema({"knob", "value", "description"}));
+      for (const KnobDef& knob : KnobRegistry()) {
+        PIP_RETURN_IF_ERROR(table.Append({Value(knob.name),
+                                          Value(knob.get(*settings_)),
+                                          Value(knob.help)}));
+      }
+    } else if (topic == "TABLES") {
+      table = Table(Schema({"table"}));
+      for (const std::string& name : db_->TableNames()) {
+        PIP_RETURN_IF_ERROR(table.Append({Value(name)}));
+      }
+    } else {  // VARIABLES
+      table = Table(Schema({"variable", "distribution"}));
+      for (const auto& [name, ref] : db_->NamedVariables()) {
+        auto info = db_->pool()->Info(ref.var_id);
+        PIP_RETURN_IF_ERROR(table.Append(
+            {Value(name),
+             Value(info.ok() ? info.value()->class_name : std::string("?"))}));
+      }
+    }
+    return SqlResult::FromTable(std::move(table));
+  }
+
   Database* db_;
   SessionSettings* settings_;
   AdmissionHook admit_;
-  int anonymous_targets_ = 0;
 };
 
 }  // namespace
@@ -958,58 +1036,28 @@ std::string SqlResult::ToString() const {
 }
 
 bool StatementMaySample(const std::string& statement) {
-  auto tokens = Tokenize(statement);
-  if (!tokens.ok()) return false;
-  const std::vector<Token>& ts = tokens.value();
-  for (size_t i = 0; i + 1 < ts.size(); ++i) {
-    if (ts[i].kind != TokenKind::kIdent || !ts[i + 1].IsSymbol("(")) continue;
-    std::string upper = ToUpper(ts[i].text);
-    if (AggNameFromUpper(upper).kind != AggKind::kNone || upper == "ACONF") {
-      return true;
-    }
-  }
-  return false;
+  StatusOr<Statement> parsed = Parse(statement);
+  return parsed.ok() && parsed->MaySample();
 }
 
 size_t EstimateSampleVolume(const Database& db, const std::string& statement,
                             const SamplingOptions& options) {
-  if (!StatementMaySample(statement)) return 0;
-  auto tokens = Tokenize(statement);
-  if (!tokens.ok()) return 0;
-  const std::vector<Token>& ts = tokens.value();
-  // Lexical FROM scan: every table named after a FROM contributes its
-  // current row count. Summing (rather than multiplying cross joins)
-  // keeps the estimate cheap and stable; it only has to rank statements
-  // against each other, not predict runtimes.
+  StatusOr<Statement> parsed = Parse(statement);
+  if (!parsed.ok() || !parsed->MaySample()) return 0;
+  // Every FROM table contributes its current row count. Summing (rather
+  // than multiplying cross joins) keeps the estimate cheap and stable; it
+  // only has to rank statements against each other, not predict runtimes.
   size_t rows = 0;
-  for (size_t i = 0; i < ts.size(); ++i) {
-    if (ts[i].kind != TokenKind::kIdent || ToUpper(ts[i].text) != "FROM") {
-      continue;
-    }
-    size_t j = i + 1;
-    while (j < ts.size() && ts[j].kind == TokenKind::kIdent) {
-      auto table = db.GetTable(ts[j].text);
-      if (table.ok()) rows += table.value()->rows().size();
-      if (j + 1 < ts.size() && ts[j + 1].IsSymbol(",")) {
-        j += 2;
-      } else {
-        break;
-      }
-    }
-    i = j;
+  for (const std::string& name : parsed->names) {
+    auto table = db.GetTable(name);
+    if (table.ok()) rows += table.value()->rows().size();
   }
-  if (rows == 0) rows = 1;
-  return rows * PerRowDraws(options);
+  return std::max<size_t>(rows, 1) * PerRowDraws(options);
 }
 
 SqlResult Session::Execute(const std::string& statement) {
-  auto tokens = Tokenize(statement);
-  if (!tokens.ok()) {
-    // Lexer failures are parse errors on the wire, whatever internal
-    // category the tokenizer reported.
-    return SqlResult::FromStatus(
-        Status::ParseError(tokens.status().message()));
-  }
+  StatusOr<Statement> parsed = Parse(statement);
+  if (!parsed.ok()) return SqlResult::FromStatus(parsed.status());
   // Statement envelope: compose the session's resident cancel hook with
   // the external one (the server's disconnect probe) and, when
   // STATEMENT_TIMEOUT_MS is set, a steady-clock deadline. The timeout
@@ -1023,9 +1071,8 @@ SqlResult Session::Execute(const std::string& statement) {
   const std::function<bool()> saved = cancel_check;
   const std::function<bool()> external = external_cancel_;
   if (external || deadline->armed()) {
-    const std::function<bool()> prior = saved;
-    cancel_check = [prior, external, deadline] {
-      if (prior && prior()) return true;
+    cancel_check = [saved, external, deadline] {
+      if (saved && saved()) return true;
       if (external && external()) return true;
       return deadline->Expired();
     };
@@ -1038,8 +1085,8 @@ SqlResult Session::Execute(const std::string& statement) {
       return hold;
     };
   }
-  Parser parser(std::move(tokens).value(), db_, &settings_, std::move(admit));
-  auto result = parser.ParseStatement();
+  auto result = Executor(db_, &settings_, std::move(admit))
+                    .Run(std::move(parsed).value());
   cancel_check = saved;
   if (!result.ok()) {
     Status status = result.status();

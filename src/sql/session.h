@@ -14,9 +14,10 @@
 ///     WHERE ship_days >= 7;                               -- deterministic
 ///
 /// Distribution constructors (any registered class name used as a function
-/// in an INSERT or SELECT target) allocate a fresh variable per evaluated
-/// row — the paper's CREATE_VARIABLE inlined into expressions. The
-/// explicit named form is also supported:
+/// in an INSERT or SELECT expression) allocate one fresh variable per
+/// occurrence, when the statement runs — the paper's CREATE_VARIABLE
+/// inlined into expressions. A SELECT target's variable is shared by every
+/// row. The explicit named form is also supported:
 ///
 ///   CREATE VARIABLE demand AS Poisson(140);
 ///   INSERT INTO products VALUES ('widget', 19.99, demand * 2);
@@ -47,11 +48,13 @@
 /// `conf` are per-row operators returning one deterministic row per input
 /// row; a plain SELECT returns the symbolic CTable.
 ///
-/// Execute() never "fails" at the call level: it always returns a
-/// SqlResult, which is a tagged, wire-ready response — on error the
-/// result carries a machine-readable WireErrorCode plus the message, so
-/// clients (and the server codec in src/server/wire.h) never parse
-/// prose.
+/// Execute() parses a statement whole before running it: parse errors (a
+/// constructor's bad parameters among them) come before catalogue errors,
+/// and nothing allocates until the tables exist (and an INSERT's names
+/// and row widths check out). Names then resolve left to right: SELECT
+/// targets, then WHERE; INSERT rows in order. The SqlResult is a tagged,
+/// wire-ready response; on error it carries a machine-readable
+/// WireErrorCode plus the message, so clients never parse prose.
 
 #ifndef PIP_SQL_SESSION_H_
 #define PIP_SQL_SESSION_H_
@@ -151,23 +154,18 @@ struct SqlResult {
   std::string ToString() const;
 };
 
-/// True when `statement` invokes a probability-removing function
-/// (expected_*, expectation, conf, aconf) and hence may run Monte Carlo
-/// sampling; lexer-accurate (string literals cannot fake a match).
-/// Unparseable statements return false. The server no longer calls this:
-/// it admits statements through Session::set_admission, after the parse.
-/// Kept as a standalone lexical classifier (pipbench's replay times it).
+/// True when `statement` parses as a SELECT with a probability-removing
+/// target (expected_*, expectation, conf) and so may run Monte Carlo
+/// sampling; false for anything else, text that does not parse included.
+/// Parsing touches no Database. The server admits through
+/// Session::set_admission instead; pipbench's replay times this.
 bool StatementMaySample(const std::string& statement);
 
-/// Lexical estimate of the Monte Carlo draw volume of `statement` against
-/// `db`'s current catalogue: (row counts of the tables named after FROM)
-/// x (per-row draws implied by `options` — fixed_samples when pinned,
-/// else the adaptive floor min_samples). Returns 0 for statements that
-/// cannot sample. It ignores WHERE, so it overestimates selective
-/// statements; the server instead weighs the rows that survive WHERE
-/// and will draw (see Session::set_admission) and no longer calls this.
-/// Kept for the
-/// same reason as StatementMaySample.
+/// Estimated Monte Carlo draws of `statement` on `db`'s catalogue: the row
+/// counts of its FROM tables (at least 1) x the per-row draws of `options`
+/// (fixed_samples when pinned, else min_samples); 0 unless
+/// StatementMaySample. It ignores WHERE, so it overestimates selective
+/// statements; the server weighs the rows that will draw instead.
 size_t EstimateSampleVolume(const Database& db, const std::string& statement,
                             const SamplingOptions& options);
 

@@ -182,6 +182,71 @@ TEST_F(SqlSessionTest, TargetConstructorsComeBeforeWhereConstructors) {
             "Normal");
 }
 
+TEST_F(SqlSessionTest, FailedStatementsAllocateNothing) {
+  Run("CREATE TABLE t (v)");
+  // A parse error after two constructors, and a constructor target over a
+  // missing table: neither statement runs, so neither allocates.
+  EXPECT_EQ(
+      session_.Execute("INSERT INTO t VALUES (Normal(0, 1)), (Poisson(3)")
+          .error.code,
+      WireErrorCode::kParse);
+  EXPECT_EQ(session_.Execute("SELECT Uniform(0, 1) FROM nope").error.code,
+            WireErrorCode::kNotFound);
+  // Nor do INSERTs that fail their checks: an unknown name, a row that
+  // does not fit the table.
+  EXPECT_EQ(session_.Execute("INSERT INTO t VALUES (Normal(0, 1)), (zzz)")
+                .error.code,
+            WireErrorCode::kNotFound);
+  EXPECT_EQ(session_.Execute("INSERT INTO t VALUES (Normal(0, 1)), (1, 2)")
+                .error.code,
+            WireErrorCode::kInvalidArg);
+  EXPECT_EQ(db_.pool()->num_variables(), 0u);
+
+  // The next INSERT reads the cells, and the draws, of a session that
+  // never ran the failed statements.
+  Run("INSERT INTO t VALUES (Normal(5, 1))");
+  Database fresh_db(909);
+  Session fresh(&fresh_db);
+  *fresh.mutable_options() = *session_.mutable_options();
+  for (const char* stmt :
+       {"CREATE TABLE t (v)", "INSERT INTO t VALUES (Normal(5, 1))"}) {
+    ASSERT_TRUE(fresh.Execute(stmt).ok()) << stmt;
+  }
+  for (const char* stmt :
+       {"SELECT * FROM t", "SELECT expectation(v) FROM t WHERE v > 5.5"}) {
+    EXPECT_EQ(Run(stmt).ToString(), fresh.Execute(stmt).ToString()) << stmt;
+  }
+}
+
+TEST_F(SqlSessionTest, ParseErrorsComeBeforeCatalogueErrors) {
+  Run("CREATE TABLE t (a)");
+  Run("INSERT INTO t VALUES (1)");
+  for (const char* bad :
+       {"INSERT INTO nope VALUES (1", "SELECT expected_sum(a), a FROM nope",
+        "INSERT INTO t VALUES (Normal(zzz, 1))",
+        "INSERT INTO t VALUES (Normal(Normal(0, 1), 1))"}) {
+    SqlResult r = session_.Execute(bad);
+    EXPECT_EQ(r.error.code, WireErrorCode::kParse) << bad << ": "
+                                                   << r.ToString();
+  }
+  EXPECT_EQ(session_.Execute("SELECT expected_sum(a), a FROM nope").ToString(),
+            "ERROR PARSE: SQL parse error at position 35: cannot mix "
+            "table-wide aggregates with per-row targets");
+  EXPECT_EQ(session_.Execute("INSERT INTO t VALUES (Normal(zzz, 1))")
+                .ToString(),
+            "ERROR PARSE: SQL parse error at position 36: distribution "
+            "parameters must be constants");
+  EXPECT_EQ(db_.pool()->num_variables(), 0u);
+}
+
+TEST_F(SqlSessionTest, ExpectationNeedsAnArgument) {
+  Run("CREATE TABLE t (a)");
+  Run("INSERT INTO t VALUES (Normal(0, 1))");
+  EXPECT_EQ(session_.Execute("SELECT expectation() FROM t").error.code,
+            WireErrorCode::kParse);
+  EXPECT_FALSE(StatementMaySample("SELECT expectation() FROM t"));
+}
+
 // ---------------------------------------------------------------------------
 // Session: symbolic SELECT.
 // ---------------------------------------------------------------------------
@@ -625,6 +690,29 @@ TEST_F(SqlSessionTest, StatementMaySampleClassification) {
   EXPECT_FALSE(StatementMaySample("INSERT INTO t VALUES ('conf()')"));
   // Unparseable text classifies as non-sampling.
   EXPECT_FALSE(StatementMaySample("'unterminated"));
+}
+
+TEST_F(SqlSessionTest, ClassifiersReadTheParse) {
+  // Text the parser rejects neither samples nor weighs anything, however
+  // much it looks like a sampling statement.
+  Run("CREATE TABLE t (a)");
+  Run("INSERT INTO t VALUES (Normal(0, 1)), (2)");
+  const SamplingOptions& options = *session_.mutable_options();
+  for (const char* bad :
+       {"SELECT aconf() FROM t", "SELECT expected_sum(a) FROM",
+        "SELECT expected_sum(a), a FROM t", "SELECT conf(*) FROM t",
+        "SELECT expected_sum(a) FROM t WHERE"}) {
+    EXPECT_FALSE(StatementMaySample(bad)) << bad;
+    EXPECT_EQ(EstimateSampleVolume(db_, bad, options), 0u) << bad;
+    EXPECT_EQ(session_.Execute(bad).error.code, WireErrorCode::kParse) << bad;
+  }
+  EXPECT_EQ(EstimateSampleVolume(db_, "SELECT expected_sum(a) FROM t", options),
+            2 * options.fixed_samples);
+  // Classifying allocates nothing.
+  EXPECT_EQ(db_.pool()->num_variables(), 1u);
+  EXPECT_TRUE(
+      StatementMaySample("SELECT expected_sum(a + Normal(0, 1)) FROM t"));
+  EXPECT_EQ(db_.pool()->num_variables(), 1u);
 }
 
 TEST_F(SqlSessionTest, TrailingSemicolonAccepted) {
