@@ -55,6 +55,11 @@ Interval RestInterval(const LinearForm& form, VarRef target,
   return acc;
 }
 
+/// No real lies in `b` (X > 1e999 bounds X to [+inf, +inf]).
+bool HoldsNoReal(const Interval& b) {
+  return b.IsEmpty() || b.lo == kInf || b.hi == -kInf;
+}
+
 }  // namespace
 
 const char* ConsistencyVerdictName(ConsistencyVerdict v) {
@@ -84,14 +89,14 @@ Interval Tighten1(const LinearForm& form, CmpOp op, VarRef target,
     case CmpOp::kGe:
       // a*X + R >= 0  =>  X >= -R_hi / a   (a > 0)
       //                   X <= -R_hi / a   (a < 0)
-      if (std::isinf(rest.hi)) return Interval::All();
+      if (rest.hi == kInf) return Interval::All();
       return a > 0 ? Interval::AtLeast(-rest.hi / a)
                    : Interval::AtMost(-rest.hi / a);
     case CmpOp::kLt:
     case CmpOp::kLe:
       // a*X + R <= 0  =>  X <= -R_lo / a   (a > 0)
       //                   X >= -R_lo / a   (a < 0)
-      if (std::isinf(rest.lo)) return Interval::All();
+      if (rest.lo == -kInf) return Interval::All();
       return a > 0 ? Interval::AtMost(-rest.lo / a)
                    : Interval::AtLeast(-rest.lo / a);
     case CmpOp::kEq:
@@ -385,7 +390,7 @@ ConsistencyResult CheckConsistency(const Condition& condition,
         Interval current = result.bounds.count(v) ? result.bounds[v]
                                                   : Interval::All();
         Interval next = current.Intersect(implied);
-        if (next.IsEmpty()) {
+        if (HoldsNoReal(next)) {
           result.verdict = ConsistencyVerdict::kInconsistent;
           return result;
         }
@@ -405,7 +410,7 @@ ConsistencyResult CheckConsistency(const Condition& condition,
       Interval current =
           result.bounds.count(v) ? result.bounds[v] : Interval::All();
       Interval next = Tighten2(qa.quad, qa.op, current);
-      if (next.IsEmpty()) {
+      if (HoldsNoReal(next)) {
         result.verdict = ConsistencyVerdict::kInconsistent;
         return result;
       }
@@ -469,7 +474,6 @@ ConsistencyResult CheckConsistency(const Condition& condition,
 
   result.verdict = skipped_any ? ConsistencyVerdict::kWeaklyConsistent
                                : ConsistencyVerdict::kConsistent;
-  (void)kInf;
   return result;
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/constraints/independence.h"
 
 namespace pip {
@@ -217,6 +219,30 @@ TEST(Tighten1Test, UnboundedRestGivesNoInformation) {
   form.coefficients[y] = 1.0;
   std::map<VarRef, Interval> bounds;  // Y unbounded.
   EXPECT_TRUE(Tighten1(form, CmpOp::kGe, x, bounds).IsAll());
+}
+
+TEST_F(ConsistencyTest, BoundsBeyondInfinityAreEmpty) {
+  // 1e999 reads as +inf: no real X exceeds it or lies below -inf, alone or
+  // beside an atom the bounds cannot decide.
+  const double inf = std::numeric_limits<double>::infinity();
+  ExprPtr x = Expr::Var(NewNormal());
+  ExprPtr y = Expr::Var(NewNormal());
+  for (const ConstraintAtom& empty :
+       {x > Expr::Constant(inf), x >= Expr::Constant(inf),
+        x < Expr::Constant(-inf), x <= Expr::Constant(-inf),
+        Expr::Constant(inf) < x, x - Expr::Constant(inf) > Expr::Constant(0.0)}) {
+    SCOPED_TRACE(empty.ToString());
+    EXPECT_TRUE(CheckConsistency(Condition(empty), pool_).inconsistent());
+    Condition with_product(empty);
+    with_product.AddAtom(x * y > Expr::Constant(3.0));
+    EXPECT_TRUE(CheckConsistency(with_product, pool_).inconsistent());
+  }
+  // The other sides of infinity hold everywhere.
+  for (const ConstraintAtom& all :
+       {x < Expr::Constant(inf), x > Expr::Constant(-inf)}) {
+    SCOPED_TRACE(all.ToString());
+    EXPECT_FALSE(CheckConsistency(Condition(all), pool_).inconsistent());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -241,6 +241,33 @@ TEST_F(ExpectationTest, InfiniteBoundsAreBoundsOnTheLattice) {
   }
 }
 
+TEST_F(ExpectationTest, BeyondInfinityDrawsNothingUnderEveryToggle) {
+  // X > +inf holds for no real X, so the answer is exact and costs no
+  // attempt, even where the only other route would be sampling: beside a
+  // product atom, or with exact CDFs or Metropolis switched off.
+  const double inf = std::numeric_limits<double>::infinity();
+  ExprPtr x = Expr::Var(pool_.Create("Normal", {0.0, 1.0}).value());
+  ExprPtr y = Expr::Var(pool_.Create("Normal", {0.0, 1.0}).value());
+  const Condition lone(x > Expr::Constant(inf));
+  const Condition with_product =
+      lone.And(Condition(x * y > Expr::Constant(3.0)));
+  for (int toggle = 0; toggle < 3; ++toggle) {
+    SamplingOptions options;
+    options.use_exact_cdf = toggle != 1;
+    options.use_metropolis = toggle != 2;
+    SamplingEngine engine(&pool_, options);
+    for (const Condition* condition : {&lone, &with_product}) {
+      SCOPED_TRACE(condition->ToString() + " toggle " +
+                   std::to_string(toggle));
+      auto e = engine.Expectation(x, *condition, true).value();
+      EXPECT_TRUE(std::isnan(e.expectation));
+      EXPECT_EQ(e.probability, 0.0);
+      EXPECT_EQ(e.attempts, 0u);
+      EXPECT_TRUE(e.exact);
+    }
+  }
+}
+
 TEST_F(ExpectationTest, ClosedFormAnswersTheMonolithicGroup) {
   // With use_independence off the one group is still an exact-CDF band
   // when the condition holds one variable, and ClosedForm serves it with
