@@ -288,8 +288,10 @@ StatusOr<WireResponse> DecodeResponse(const std::string& payload) {
   PIP_ASSIGN_OR_RETURN(resp.queue_us, ParseU64(queue));
   PIP_ASSIGN_OR_RETURN(uint64_t nrows, ParseU64(nrows_text));
   PIP_ASSIGN_OR_RETURN(uint64_t ncols, ParseU64(ncols_text));
+  // Each count is checked alone first: their sum may wrap.
   size_t expected_lines = 1 + ncols + nrows;
-  if (lines.size() != expected_lines) {
+  if (ncols >= lines.size() || nrows >= lines.size() ||
+      lines.size() != expected_lines) {
     return Status::InvalidArgument(
         "response declares " + std::to_string(expected_lines) +
         " lines, got " + std::to_string(lines.size()));
