@@ -177,7 +177,8 @@ struct Statement {
   enum class Kind {
     kCreateTable, kCreateVariable, kInsert, kSelect, kSet, kShow
   };
-  Kind kind = Kind::kShow;
+  explicit Statement(Kind k) : kind(k) {}
+  Kind kind;
   /// The table (CREATE TABLE, INSERT), variable (CREATE VARIABLE), knob
   /// (SET) or topic (SHOW).
   std::string name;
