@@ -1,13 +1,17 @@
 /// \file query_bench.cc
 /// \brief The symbolic phase alone: SQL SELECTs that draw nothing, over a
 /// 2,000-row orders table shaped like pipbench's (constant key and
-/// customer cells, a Normal price and a Poisson quantity per row).
+/// customer cells, a Normal price and a Poisson quantity per row), and
+/// the INSERT set-up that loads that table.
 ///
 ///   where_point  SELECT price * qty AS v FROM orders WHERE k = <key>
 ///   where_probe  a six-key range plus price * qty > 500 (probe's
 ///                symbolic form)
 ///   project_all  SELECT price * qty AS v FROM orders (binds every row)
 ///   scan_all     SELECT * FROM orders
+///
+///   insert_2000  CREATE TABLE plus the 10 INSERT statements of 200 rows
+///                (two constructors per row) into a fresh Database
 ///
 /// A WHERE on constant cells is decided before any row is copied, so
 /// where_point costs a scan of the snapshot plus one kept row, where
@@ -16,8 +20,11 @@
 /// median wall seconds per statement (wall_seconds), the process CPU
 /// seconds per statement over the whole run (cpu_seconds), the rows the
 /// statement returns (value) and the table rows scanned per wall second
-/// (samples_per_sec). Emits BENCH_query.json records via PIP_BENCH_JSON;
-/// CI asserts where_point <= 0.1 x project_all from the artifact.
+/// (samples_per_sec). insert_2000 runs once every 10 rounds and records
+/// its median wall, quartiles and mean CPU seconds per load, with rows
+/// loaded per wall second. Emits BENCH_query.json records via
+/// PIP_BENCH_JSON; CI asserts where_point <= 0.1 x project_all from the
+/// artifact and prints the insert_2000 line.
 /// PIP_BENCH_SMOKE=1 runs fewer repetitions over the same table.
 
 #include <algorithm>
@@ -68,9 +75,8 @@ int main() {
   const size_t reps = SmokeMode() ? 100 : 1000;
   const size_t warmup = 10;
 
-  pip::Database db(4242);
-  pip::sql::Session session(&db);
-  Run(&session, "CREATE TABLE orders (k, cust, price, qty)");
+  std::vector<std::string> load = {
+      "CREATE TABLE orders (k, cust, price, qty)"};
   std::string insert;
   for (size_t k = 0; k < kRows; ++k) {
     insert += insert.empty() ? "INSERT INTO orders VALUES " : ", ";
@@ -79,10 +85,24 @@ int main() {
               std::to_string(5 + k % 11) + "), Poisson(" +
               std::to_string(3 + k % 8) + "))";
     if (k % 200 == 199) {
-      Run(&session, insert);
+      load.push_back(insert);
       insert.clear();
     }
   }
+  pip::Database db(4242);
+  pip::sql::Session session(&db);
+  for (const std::string& stmt : load) Run(&session, stmt);
+  // One set-up into a fresh Database: its wall and CPU seconds.
+  auto timed_load = [&load](double* cpu_seconds) {
+    pip::Database fresh(4242);
+    pip::sql::Session loader(&fresh);
+    const double cpu_start = ProcessCpuSeconds();
+    pip::WallTimer timer;
+    for (const std::string& stmt : load) Run(&loader, stmt);
+    const double wall = timer.Seconds();
+    *cpu_seconds += ProcessCpuSeconds() - cpu_start;
+    return wall;
+  };
 
   std::vector<Case> cases = {
       {"where_point", "SELECT price * qty AS v FROM orders WHERE k = 1717", 1,
@@ -103,7 +123,12 @@ int main() {
     c.walls.reserve(reps);
   }
   std::vector<double> cpu(cases.size(), 0.0);
+  std::vector<double> load_walls;
+  double load_cpu = 0;
+  timed_load(&load_cpu);  // Warm-up.
+  load_cpu = 0;
   for (size_t rep = 0; rep < reps; ++rep) {
+    if (rep % 10 == 0) load_walls.push_back(timed_load(&load_cpu));
     for (size_t i = 0; i < cases.size(); ++i) {
       const double cpu_start = ProcessCpuSeconds();
       pip::WallTimer timer;
@@ -133,6 +158,21 @@ int main() {
   }
   std::printf("where_point / project_all = %.3f\n",
               records[0].wall_seconds / records[2].wall_seconds);
+  const pip::bench::Quartiles load_q = pip::bench::QuartilesOf(load_walls);
+  BenchRecord load_record;
+  load_record.bench = "query_setup";
+  load_record.query = "insert_2000";
+  load_record.wall_seconds = load_q.median;
+  load_record.wall_q1_seconds = load_q.q1;
+  load_record.wall_q3_seconds = load_q.q3;
+  load_record.cpu_seconds = load_cpu / static_cast<double>(load_walls.size());
+  load_record.value = static_cast<double>(kRows);
+  load_record.samples_per_sec = static_cast<double>(kRows) / load_q.median;
+  std::printf("insert_2000: median %.3f ms (q1 %.3f, q3 %.3f; cpu %.3f ms) "
+              "over %zu loads\n",
+              load_q.median * 1e3, load_q.q1 * 1e3, load_q.q3 * 1e3,
+              load_record.cpu_seconds * 1e3, load_walls.size());
+  records.push_back(load_record);
   AppendBenchRecords(BenchJsonPath(), records);
   AppendBenchRecords(BenchJsonPath(),
                      {pip::bench::SpinCalibration("query_end")});
